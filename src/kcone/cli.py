@@ -17,27 +17,26 @@ possible). KCONE_THREADS caps the number of worker threads.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 
 from ._version import __version__
 from .cones import QuadraticCone, make_projector
 from .errors import IntegrationFailure, IoError, KconeError, SchemaError
-from .limitsets import detect_periodic, estimate_omega
-from .integrators import integrate
+from .limitsets import detect_periodic
 from .report import (
+    _orbit_tail,
+    _report_header,
     build_full_report,
     dump_report,
     emit_plotdata,
     run_certify,
     run_classify,
-    scenario_digest,
     wrap_report,
     write_loop_csv,
     write_report,
 )
-from .scenario import parse_scenario
+from .scenario import _read_scenario_object, parse_scenario
 
 
 def _say(args, text: str) -> None:
@@ -47,15 +46,7 @@ def _say(args, text: str) -> None:
 
 def _load(args):
     """Read, override, and parse the scenario named by --scenario."""
-    try:
-        with open(args.scenario, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise IoError(f"cannot read scenario file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"scenario file is not valid JSON: {exc}", pointer="") from exc
-    if not isinstance(obj, dict):
-        raise SchemaError("scenario must be a JSON object", pointer="")
+    obj = _read_scenario_object(args.scenario)
     if args.seed is not None:
         obj["seed"] = args.seed
     if getattr(args, "pairs", None) is not None:
@@ -87,13 +78,9 @@ def _cmd_certify(args) -> int:
     scn = _load(args)
     t0 = time.perf_counter()
     cert = run_certify(scn)
-    report = {
-        "tool": {"name": "kcone", "version": __version__},
-        "scenario_digest": scenario_digest(scn.raw),
-        "seed": scn.seed,
-        "certificates": cert["checks"],
-        "passing_lambdas": cert["passing_lambdas"],
-    }
+    report = _report_header(
+        scn, certificates=cert["checks"], passing_lambdas=cert["passing_lambdas"]
+    )
     if args.out:
         for c in cert["checks"]:
             lam = c.get("lambda")
@@ -134,21 +121,13 @@ def _cmd_poincare(args) -> int:
         raise SchemaError(
             "poincare needs a rank-2 quadratic cone", pointer="/cone"
         )
-    a = scn.analysis
-    traj = integrate(
-        scn.field, scn.x0s[0], scn.T, rtol=scn.rtol, atol=scn.atol,
-        max_step=scn.max_step,
-    )
-    omega = estimate_omega(
-        traj,
-        window_fraction=a["window_fraction"],
-        spacing=a["spacing"],
-        tol_rel=a["tol_omega_rel"],
-    )
+    traj, omega = _orbit_tail(scn, scn.x0s[0])
     if not omega.converged:
         _say(args, "tail has not settled; no loop extracted")
         return 4
-    loop = detect_periodic(omega, traj, scn.cone, scn.field, tol_per=a["tol_period"])
+    loop = detect_periodic(
+        omega, traj, scn.cone, scn.field, tol_per=scn.analysis["tol_period"]
+    )
     if loop is None:
         _say(args, "no periodic loop detected")
         return 4

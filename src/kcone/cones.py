@@ -22,7 +22,7 @@ distance of the worst component, over |v|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .domains import Box, Cylinder, Domain
-from .errors import BadParameter, DimensionMismatch, NoConvergence
+from .errors import BadParameter, DimensionMismatch
 from .expressions import hill, parse_expression, pwl
 
 # Side length of the default box for globally defined linear fields.

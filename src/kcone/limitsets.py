@@ -25,6 +25,7 @@ from .cones import (
 )
 from .errors import (
     BadParameter,
+    KconeError,
     NotConverged,
     PreconditionOrdered,
     PreconditionUnordered,
@@ -38,6 +39,8 @@ from .integrators import Trajectory, integrate, integrate_backward
 # Two states closer than this (absolute, relative to max(1, scale)) are one
 # point for pair scans.
 PAIR_DISTINCT_TOL = 1e-12
+# Pairs per block of a pair scan; bounds scan memory for any number of points.
+_PAIR_BLOCK = 1 << 16
 # Default relative tolerance of the tail-convergence test.
 OMEGA_TOL_RTOL = 1e-4
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -165,6 +168,35 @@ def estimate_omega(
     )
 
 
+# ---- pair scans ----
+
+
+def _distinct_pairs(P: np.ndarray):
+    """Yield (i, j, D, gaps) for the distinct pairs i < j of the rows of P.
+
+    Pairs come in (i, j) order, in blocks of at most _PAIR_BLOCK, with
+    D = P[i] - P[j] and gaps = |D|; blocks with no distinct pair are
+    skipped. Two points are distinct when their gap exceeds
+    PAIR_DISTINCT_TOL * max(1, max|P|).
+    """
+    m = P.shape[0]
+    if m < 2:
+        return
+    tol = PAIR_DISTINCT_TOL * max(1.0, float(np.abs(P).max()))
+    r = np.arange(m - 1)
+    starts = r * (2 * m - r - 1) // 2  # flat index of pair (r, r + 1)
+    n_pairs = m * (m - 1) // 2
+    for lo in range(0, n_pairs, _PAIR_BLOCK):
+        k = np.arange(lo, min(lo + _PAIR_BLOCK, n_pairs))
+        i = np.searchsorted(starts, k, side="right") - 1
+        j = k - starts[i] + i + 1
+        D = P[i] - P[j]
+        gaps = np.linalg.norm(D, axis=1)
+        keep = gaps > tol
+        if np.any(keep):
+            yield i[keep], j[keep], D[keep], gaps[keep]
+
+
 # ---- orbit classification ----
 
 
@@ -205,21 +237,17 @@ def classify_orbit(traj: Trajectory, cone: Cone, max_states: int = 512) -> Orbit
             kind=OrbitClass.TRIVIAL, witness_times=None, witness_margin=None, n_states=m
         )
 
-    iu, ju = np.triu_indices(m, k=1)
-    D = S[iu] - S[ju]
-    gaps = np.linalg.norm(D, axis=1)
-    distinct = gaps > PAIR_DISTINCT_TOL * scale
-    margins = np.full(len(iu), np.inf)
-    margins[distinct] = cone.margin_many(D[distinct])
-    ordered = margins <= cone.boundary_band
-    if np.any(ordered):
-        flat = int(np.argmax(ordered))  # first in (i, j) time order
-        return OrbitClassification(
-            kind=OrbitClass.PSEUDO_ORDERED,
-            witness_times=(float(ts[iu[flat]]), float(ts[ju[flat]])),
-            witness_margin=float(margins[flat]),
-            n_states=m,
-        )
+    for i, j, D, _ in _distinct_pairs(S):
+        margins = cone.margin_many(D)
+        ordered = margins <= cone.boundary_band
+        if np.any(ordered):
+            k = int(np.argmax(ordered))  # first in (i, j) time order
+            return OrbitClassification(
+                kind=OrbitClass.PSEUDO_ORDERED,
+                witness_times=(float(ts[i[k]]), float(ts[j[k]])),
+                witness_margin=float(margins[k]),
+                n_states=m,
+            )
     return OrbitClassification(
         kind=OrbitClass.UNORDERED, witness_times=None, witness_margin=None, n_states=m
     )
@@ -245,47 +273,37 @@ def audit_ordering(points, cone: Cone) -> OrderingAudit:
 
     Verdict ordered means every distinct pair is ordered, boundary band
     included. Fewer than two distinct points make the audit trivially
-    ordered (flag trivial); an empty set raises TooFewPoints.
+    ordered (flag trivial); an empty set raises TooFewPoints. The scan
+    streams over pair blocks, so its memory is bounded by the block size
+    however many points there are.
     """
     if isinstance(points, OmegaEstimate):
         points = points.points
     P = np.atleast_2d(np.asarray(points, dtype=float))
     if P.shape[0] == 0:
         raise TooFewPoints("cannot audit an empty point set")
-    m = P.shape[0]
-    if m < 2:
-        return OrderingAudit(
-            n_points=m, n_pairs=0, ordered_fraction=1.0, min_margin=None,
-            max_margin=None, worst_unordered=None, ordered=True, trivial=True,
-        )
-    scale = max(1.0, float(np.abs(P).max()))
-    iu, ju = np.triu_indices(m, k=1)
-    D = P[iu] - P[ju]
-    gaps = np.linalg.norm(D, axis=1)
-    distinct = gaps > PAIR_DISTINCT_TOL * scale
-    if not np.any(distinct):
-        return OrderingAudit(
-            n_points=m, n_pairs=0, ordered_fraction=1.0, min_margin=None,
-            max_margin=None, worst_unordered=None, ordered=True, trivial=True,
-        )
-    margins = cone.margin_many(D[distinct])
-    ii = iu[distinct]
-    jj = ju[distinct]
-    ordered_mask = margins <= cone.boundary_band
-    frac = float(np.mean(ordered_mask))
-    worst = None
-    if not np.all(ordered_mask):
+    n_pairs = n_ordered = 0
+    lo, hi, worst = np.inf, -np.inf, None
+    for i, j, D, _ in _distinct_pairs(P):
+        margins = cone.margin_many(D)
+        n_pairs += len(margins)
+        n_ordered += int(np.count_nonzero(margins <= cone.boundary_band))
+        lo = min(lo, float(margins.min()))
         w = int(np.argmax(margins))
-        worst = (int(ii[w]), int(jj[w]), float(margins[w]))
+        if margins[w] > hi:  # strict: the first pair wins a tie, as in np.argmax
+            hi = float(margins[w])
+            worst = (int(i[w]), int(j[w]), hi)
+    trivial = n_pairs == 0
+    ordered = n_ordered == n_pairs
     return OrderingAudit(
-        n_points=m,
-        n_pairs=int(len(margins)),
-        ordered_fraction=frac,
-        min_margin=float(margins.min()),
-        max_margin=float(margins.max()),
-        worst_unordered=worst,
-        ordered=bool(np.all(ordered_mask)),
-        trivial=False,
+        n_points=P.shape[0],
+        n_pairs=n_pairs,
+        ordered_fraction=1.0 if trivial else n_ordered / n_pairs,
+        min_margin=None if trivial else lo,
+        max_margin=None if trivial else hi,
+        worst_unordered=None if ordered else worst,
+        ordered=ordered,
+        trivial=trivial,
     )
 
 
@@ -293,19 +311,12 @@ def ordered_pair_matrix(points, cone: Cone) -> np.ndarray:
     """Boolean matrix: entry (i, j) true when points i and j are ordered.
 
     Coincident points count as ordered (a point is ordered with itself).
+    The m x m result is the scan's one allocation that grows with m^2.
     """
     P = np.atleast_2d(np.asarray(points, dtype=float))
-    m = P.shape[0]
-    scale = max(1.0, float(np.abs(P).max()))
-    M = np.eye(m, dtype=bool)
-    iu, ju = np.triu_indices(m, k=1)
-    D = P[iu] - P[ju]
-    gaps = np.linalg.norm(D, axis=1)
-    ordered = np.ones(len(iu), dtype=bool)
-    distinct = gaps > PAIR_DISTINCT_TOL * scale
-    ordered[distinct] = cone.margin_many(D[distinct]) <= cone.boundary_band
-    M[iu, ju] = ordered
-    M[ju, iu] = ordered
+    M = np.ones((P.shape[0], P.shape[0]), dtype=bool)
+    for i, j, D, _ in _distinct_pairs(P):
+        M[i, j] = M[j, i] = cone.margin_many(D) <= cone.boundary_band
     return M
 
 
@@ -419,7 +430,7 @@ def trichotomy_report(
                 for p in pts[~core_mask]:
                     try:
                         back = integrate_backward(field, p, backward_T, rtol=rtol, atol=atol)
-                    except Exception:
+                    except KconeError:
                         all_connect = False
                         break
                     endpoint = back.states[0]
@@ -463,18 +474,11 @@ class PeriodicOrbit:
 def projection_separation(points, projector: Projector) -> float:
     """min |proj(p) - proj(q)| / |p - q| over distinct pairs; 1.0 if none."""
     P = np.atleast_2d(np.asarray(points, dtype=float))
-    m = P.shape[0]
-    if m < 2:
-        return 1.0
-    scale = max(1.0, float(np.abs(P).max()))
-    iu, ju = np.triu_indices(m, k=1)
-    D = P[iu] - P[ju]
-    gaps = np.linalg.norm(D, axis=1)
-    distinct = gaps > PAIR_DISTINCT_TOL * scale
-    if not np.any(distinct):
-        return 1.0
-    proj_gaps = np.linalg.norm(D[distinct] @ projector.matrix.T, axis=1)
-    return float(np.min(proj_gaps / gaps[distinct]))
+    return min(
+        (float(np.min(np.linalg.norm(D @ projector.matrix.T, axis=1) / gaps))
+         for _, _, D, gaps in _distinct_pairs(P)),
+        default=1.0,
+    )
 
 
 def _golden_min(fn, lo: float, hi: float, tol: float) -> tuple[float, float]:

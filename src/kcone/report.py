@@ -13,7 +13,6 @@ from __future__ import annotations
 import datetime as _dt
 import json
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
@@ -32,8 +31,7 @@ from .errors import KconeError
 from .fields import default_equilibrium_seeds, find_equilibria
 from .integrators import integrate
 from .limitsets import (
-    LimitSetBranch,
-    OrbitClass,
+    _distinct_pairs,
     chain_check,
     classify_orbit,
     detect_periodic,
@@ -172,12 +170,36 @@ def run_certify(scn: Scenario) -> dict:
     }
 
 
-def _analyze_orbit(scn: Scenario, index: int, x0) -> tuple[dict, dict]:
-    """Full per-orbit analysis. Returns (report section, artifacts)."""
+def _report_header(scn: Scenario, **sections) -> dict:
+    """A report object: the tool, scenario digest and seed, then sections."""
+    return {
+        "tool": {"name": "kcone", "version": __version__},
+        "scenario_digest": scenario_digest(scn.raw),
+        "seed": scn.seed,
+        **sections,
+    }
+
+
+def _orbit_tail(scn: Scenario, x0):
+    """Integrate one orbit with the scenario's settings and estimate its
+    omega-limit set from the tail. Returns (trajectory, omega estimate)."""
     a = scn.analysis
     traj = integrate(
         scn.field, x0, scn.T, rtol=scn.rtol, atol=scn.atol, max_step=scn.max_step
     )
+    omega = estimate_omega(
+        traj,
+        window_fraction=a["window_fraction"],
+        spacing=a["spacing"],
+        tol_rel=a["tol_omega_rel"],
+    )
+    return traj, omega
+
+
+def _analyze_orbit(scn: Scenario, index: int, x0) -> tuple[dict, dict]:
+    """Full per-orbit analysis. Returns (report section, artifacts)."""
+    a = scn.analysis
+    traj, omega = _orbit_tail(scn, x0)
     section: dict[str, Any] = {
         "index": index,
         "x0": _jsonable(np.asarray(x0, float)),
@@ -202,12 +224,6 @@ def _analyze_orbit(scn: Scenario, index: int, x0) -> tuple[dict, dict]:
         "n_states": cls.n_states,
     }
 
-    omega = estimate_omega(
-        traj,
-        window_fraction=a["window_fraction"],
-        spacing=a["spacing"],
-        tol_rel=a["tol_omega_rel"],
-    )
     artifacts["omega"] = omega
     section["omega"] = {
         "n_points": int(omega.points.shape[0]),
@@ -325,26 +341,18 @@ def run_classify(scn: Scenario) -> tuple[dict, list[dict]]:
             }
             for fut, i in futures.items():
                 sections[i], artifacts[i] = fut.result()
-    report = {
-        "tool": {"name": "kcone", "version": __version__},
-        "scenario_digest": scenario_digest(scn.raw),
-        "seed": scn.seed,
-        "orbits": sections,
-        "incomplete": any(s["incomplete"] for s in sections),
-    }
+    report = _report_header(
+        scn, orbits=sections, incomplete=any(s["incomplete"] for s in sections)
+    )
     return report, artifacts
 
 
 def build_full_report(scn: Scenario) -> tuple[dict, list[dict]]:
     """Certificates plus per-orbit analyses in one report object."""
     cert = run_certify(scn)
-    report: dict[str, Any] = {
-        "tool": {"name": "kcone", "version": __version__},
-        "scenario_digest": scenario_digest(scn.raw),
-        "seed": scn.seed,
-        "certificates": cert["checks"],
-        "passing_lambdas": cert["passing_lambdas"],
-    }
+    report = _report_header(
+        scn, certificates=cert["checks"], passing_lambdas=cert["passing_lambdas"]
+    )
     artifacts: list[dict] = []
     if scn.x0s:
         classify, artifacts = run_classify(scn)
@@ -438,17 +446,15 @@ def write_loop_csv(path, loop, projector=None) -> None:
 
 
 def write_margins_csv(path, points, cone, cap: int = 400) -> None:
-    """Sorted pairwise margins of (at most cap) points, one per line."""
+    """Sorted margins of the distinct pairs of (at most cap) points, one per
+    line. The pair differences stream in blocks, so their memory is bounded
+    by the block size; the margins themselves are held to be sorted."""
     P = np.atleast_2d(np.asarray(points, float))
     if P.shape[0] > cap:
         pick = np.linspace(0, P.shape[0] - 1, cap).astype(int)
         P = P[pick]
-    iu, ju = np.triu_indices(P.shape[0], k=1)
-    D = P[iu] - P[ju]
-    gaps = np.linalg.norm(D, axis=1)
-    scale = max(1.0, float(np.abs(P).max()))
-    distinct = gaps > 1e-12 * scale
-    margins = np.sort(cone.margin_many(D[distinct]))
+    blocks = [cone.margin_many(D) for _, _, D, _ in _distinct_pairs(P)]
+    margins = np.sort(np.concatenate([np.empty(0), *blocks]))
     with _open_out(path) as fh:
         fh.write("margin\n")
         for v in margins:

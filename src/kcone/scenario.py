@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Any
 
 import jsonschema
@@ -22,7 +22,7 @@ from .cones import (
     make_quadratic_cone,
 )
 from .domains import Box, Cylinder, Domain
-from .errors import IoError, KconeError, SchemaError
+from .errors import IoError, SchemaError
 from .fields import (
     VectorField,
     make_competitive_lv,
@@ -212,13 +212,7 @@ def _build_field(spec: dict, domain: Domain | None) -> VectorField:
         if n is None:
             raise SchemaError("cyclic_feedback needs params.n", "/field/params/n")
         fld = make_cyclic_feedback(int(n), kind=kind, params=params)
-        if domain is not None:
-            fld = VectorField(
-                dim=fld.dim, rhs=fld.rhs, domain=domain, family=fld.family,
-                jacobian=fld.jacobian, components=fld.components,
-                deltas=fld.deltas, region_index=fld.region_index,
-            )
-        return fld
+        return fld if domain is None else replace(fld, domain=domain)
     if family == "competitive_lv":
         if "A" not in params or "r" not in params:
             raise SchemaError("competitive_lv needs params.A and params.r", "/field/params")
@@ -309,7 +303,8 @@ def parse_scenario(obj: dict) -> Scenario:
     )
 
 
-def load_scenario(path) -> Scenario:
+def _read_scenario_object(path) -> dict:
+    """The JSON object in a scenario file, before any validation."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -319,4 +314,8 @@ def load_scenario(path) -> Scenario:
         raise SchemaError(f"scenario file is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise SchemaError("scenario must be a JSON object")
-    return parse_scenario(obj)
+    return obj
+
+
+def load_scenario(path) -> Scenario:
+    return parse_scenario(_read_scenario_object(path))

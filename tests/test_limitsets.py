@@ -1,5 +1,7 @@
 """Tail estimates, order census, trichotomy, loops, chains, windows."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -220,6 +222,33 @@ def test_trichotomy_homoclinic_suspected(std_cone):
         _estimate(pts), [np.zeros(3)], std_cone, field=field, approach_tol=1e-9
     )
     assert strict.branch is LimitSetBranch.UNDETERMINED
+
+
+def test_trichotomy_backward_failure_breaks_connection(std_cone):
+    # a backward run that fails with a kcone error counts as no connection
+    pts = [[0.0, 0.0, 0.0], [0.15, 0.0, 0.1], [0.15, 0.0, -0.1]]
+    field = dataclasses.replace(
+        make_linear_field(np.eye(3)), rhs=lambda x: np.full_like(x, np.nan)
+    )
+    rep = trichotomy_report(
+        _estimate(pts), [np.zeros(3)], std_cone, field=field, approach_tol=0.05
+    )
+    assert rep.branch is LimitSetBranch.UNDETERMINED
+    assert rep.backward_surrogate_used
+
+
+def test_trichotomy_backward_bug_propagates(std_cone):
+    # an error that is not a kcone error is a bug and is not swallowed
+    pts = [[0.0, 0.0, 0.0], [0.15, 0.0, 0.1], [0.15, 0.0, -0.1]]
+
+    def broken(x):
+        raise TypeError("broken rhs")
+
+    field = dataclasses.replace(make_linear_field(np.eye(3)), rhs=broken)
+    with pytest.raises(TypeError, match="broken rhs"):
+        trichotomy_report(
+            _estimate(pts), [np.zeros(3)], std_cone, field=field, approach_tol=0.05
+        )
 
 
 def test_trichotomy_flags_not_converged(std_cone):

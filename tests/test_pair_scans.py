@@ -1,0 +1,245 @@
+"""Blocked pair scans against the brute-force scans they replaced.
+
+Each oracle below materialises every pair of a point set at once (the
+upper-triangle index form). The blocked kernel must reproduce it exactly,
+with blocks small enough to split rows of the triangle.
+"""
+
+import io
+
+import numpy as np
+import pytest
+
+from kcone import limitsets
+from kcone.cones import (
+    make_orthant_complement_cone,
+    make_orthant_union_cone,
+    make_projector,
+    make_quadratic_cone,
+)
+from kcone.errors import TooFewPoints
+from kcone.integrators import Trajectory
+from kcone.limitsets import (
+    PAIR_DISTINCT_TOL,
+    OrbitClass,
+    audit_ordering,
+    classify_orbit,
+    ordered_pair_matrix,
+    projection_separation,
+)
+from kcone.report import write_margins_csv
+
+CONES = {
+    "quadratic": make_quadratic_cone(np.diag([-1.0, -1.0, 1.0])),
+    "orthant_complement": make_orthant_complement_cone(3),
+    "orthant_union": make_orthant_union_cone(3),
+}
+
+
+# ---- brute-force oracles ----
+
+
+def _all_pairs(P):
+    iu, ju = np.triu_indices(P.shape[0], k=1)
+    D = P[iu] - P[ju]
+    gaps = np.linalg.norm(D, axis=1)
+    scale = max(1.0, float(np.abs(P).max())) if P.size else 1.0
+    return iu, ju, D, gaps, gaps > PAIR_DISTINCT_TOL * scale
+
+
+def oracle_witness(S, cone):
+    iu, ju, D, _, distinct = _all_pairs(S)
+    margins = np.full(len(iu), np.inf)
+    margins[distinct] = cone.margin_many(D[distinct])
+    ordered = margins <= cone.boundary_band
+    if not np.any(ordered):
+        return None
+    k = int(np.argmax(ordered))
+    return int(iu[k]), int(ju[k]), float(margins[k])
+
+
+def oracle_audit(P, cone):
+    iu, ju, D, _, distinct = _all_pairs(P)
+    if not np.any(distinct):
+        return (P.shape[0], 0, 1.0, None, None, None, True, True)
+    margins = cone.margin_many(D[distinct])
+    ordered = margins <= cone.boundary_band
+    worst = None
+    if not np.all(ordered):
+        w = int(np.argmax(margins))
+        worst = (int(iu[distinct][w]), int(ju[distinct][w]), float(margins[w]))
+    return (
+        P.shape[0], int(len(margins)), float(np.mean(ordered)),
+        float(margins.min()), float(margins.max()), worst,
+        bool(np.all(ordered)), False,
+    )
+
+
+def oracle_matrix(P, cone):
+    iu, ju, D, _, distinct = _all_pairs(P)
+    M = np.eye(P.shape[0], dtype=bool)
+    ordered = np.ones(len(iu), dtype=bool)
+    ordered[distinct] = cone.margin_many(D[distinct]) <= cone.boundary_band
+    M[iu, ju] = ordered
+    M[ju, iu] = ordered
+    return M
+
+
+def oracle_separation(P, projector):
+    _, _, D, gaps, distinct = _all_pairs(P)
+    if not np.any(distinct):
+        return 1.0
+    proj_gaps = np.linalg.norm(D[distinct] @ projector.matrix.T, axis=1)
+    return float(np.min(proj_gaps / gaps[distinct]))
+
+
+def oracle_margins_csv(P, cone, cap):
+    if P.shape[0] > cap:
+        P = P[np.linspace(0, P.shape[0] - 1, cap).astype(int)]
+    _, _, D, _, distinct = _all_pairs(P)
+    margins = np.sort(cone.margin_many(D[distinct]))
+    return "margin\n" + "".join(f"{float(v):.17g}\n" for v in margins)
+
+
+# ---- inputs ----
+
+
+def _point_sets():
+    rng = np.random.default_rng(7)
+    R = rng.normal(size=(13, 3))
+    dup = R.copy()
+    dup[[3, 8, 11]] = dup[0]  # coincident with point 0
+    # All differences are integer multiples of one vector whose norm is an
+    # integer, so every distinct pair has exactly the same margin.
+    ties = np.arange(10)[:, None] * np.array([2.0, 3.0, 6.0])
+    ties_mixed = np.arange(10)[:, None] * np.array([2.0, -3.0, 6.0])
+    return {
+        "m0": np.empty((0, 3)),
+        "m1": R[:1],
+        "m2": R[:2],
+        "coincident_pair": np.array([R[0], R[0]]),
+        "all_coincident": np.tile(R[0], (6, 1)),
+        "random": R,
+        "duplicates": dup,
+        "ties": ties,
+        "ties_mixed_signs": ties_mixed,
+    }
+
+
+POINT_SETS = _point_sets()
+
+
+@pytest.fixture(params=[1, 5], ids=lambda b: f"block{b}")
+def block(request, monkeypatch):
+    monkeypatch.setattr(limitsets, "_PAIR_BLOCK", request.param)
+    return request.param
+
+
+# ---- comparisons ----
+
+
+@pytest.mark.parametrize("cone_name", sorted(CONES))
+@pytest.mark.parametrize("set_name", sorted(POINT_SETS))
+def test_audit_matches_oracle(block, cone_name, set_name):
+    P, cone = POINT_SETS[set_name], CONES[cone_name]
+    if P.shape[0] == 0:
+        with pytest.raises(TooFewPoints):
+            audit_ordering(P, cone)
+        return
+    a = audit_ordering(P, cone)
+    got = (a.n_points, a.n_pairs, a.ordered_fraction, a.min_margin,
+           a.max_margin, a.worst_unordered, a.ordered, a.trivial)
+    assert got == oracle_audit(P, cone)
+
+
+@pytest.mark.parametrize("cone_name", sorted(CONES))
+def test_audit_tied_margins_report_first_pair(block, cone_name):
+    cone = CONES[cone_name]
+    for name in ("ties", "ties_mixed_signs"):
+        a = audit_ordering(POINT_SETS[name], cone)
+        assert a.min_margin == a.max_margin  # the construction ties them
+        if not a.ordered:
+            assert a.worst_unordered[:2] == (0, 1)
+    # at least one cone sees the tied set as unordered, so the check bites
+    assert not audit_ordering(POINT_SETS["ties"], CONES["quadratic"]).ordered
+
+
+@pytest.mark.parametrize("cone_name", sorted(CONES))
+@pytest.mark.parametrize("set_name", sorted(POINT_SETS))
+def test_ordered_pair_matrix_matches_oracle(block, cone_name, set_name):
+    P, cone = POINT_SETS[set_name], CONES[cone_name]
+    M = ordered_pair_matrix(P, cone)
+    assert M.dtype == bool
+    assert np.array_equal(M, oracle_matrix(np.atleast_2d(P), cone))
+
+
+@pytest.mark.parametrize("set_name", sorted(POINT_SETS))
+def test_projection_separation_matches_oracle(block, set_name):
+    P = POINT_SETS[set_name]
+    proj = make_projector(CONES["quadratic"])
+    assert projection_separation(P, proj) == oracle_separation(np.atleast_2d(P), proj)
+
+
+@pytest.mark.parametrize("cap", [400, 7])
+@pytest.mark.parametrize("cone_name", sorted(CONES))
+@pytest.mark.parametrize("set_name", sorted(POINT_SETS))
+def test_margins_csv_bytes_match_oracle(block, cone_name, set_name, cap):
+    P, cone = POINT_SETS[set_name], CONES[cone_name]
+    buf = io.StringIO()
+    write_margins_csv(buf, P, cone, cap=cap)
+    assert buf.getvalue() == oracle_margins_csv(np.atleast_2d(P), cone, cap)
+
+
+def _trajectory(states):
+    states = np.asarray(states, dtype=float)
+    m = states.shape[0]
+    return Trajectory(
+        times=np.linspace(0.0, 1.0, m) ** 2,  # uneven, so times identify pairs
+        states=states,
+        derivs=np.zeros_like(states),
+        rtol=1e-8,
+        atol=1e-10,
+        max_step=np.inf,
+    )
+
+
+def _classify_inputs():
+    rng = np.random.default_rng(3)
+    # Unordered for the quadratic cone along e3 until the last state, whose
+    # pair with state 0 is the first ordered one: flat pair 10, which lies
+    # past the first block and mid-row for small blocks.
+    late = np.zeros((12, 3))
+    late[:, 2] = np.arange(12.0)
+    late[-1] = [40.0, 0.0, 0.0]
+    return {
+        "random": rng.normal(size=(15, 3)),
+        "duplicates": np.repeat(rng.normal(size=(6, 3)), 2, axis=0),
+        "late_witness": late,
+        "ties": POINT_SETS["ties"],
+        "ties_mixed_signs": POINT_SETS["ties_mixed_signs"],
+        "all_coincident": np.tile([1.0, 2.0, 3.0], (10, 1)),
+    }
+
+
+CLASSIFY_INPUTS = _classify_inputs()
+
+
+@pytest.mark.parametrize("cone_name", sorted(CONES))
+@pytest.mark.parametrize("set_name", sorted(CLASSIFY_INPUTS))
+def test_classify_witness_matches_oracle(block, cone_name, set_name):
+    S, cone = CLASSIFY_INPUTS[set_name], CONES[cone_name]
+    traj = _trajectory(S)
+    cls = classify_orbit(traj, cone)
+    if set_name == "all_coincident":
+        assert cls.kind is OrbitClass.TRIVIAL
+        return
+    want = oracle_witness(S, cone)
+    if want is None:
+        assert cls.kind is OrbitClass.UNORDERED
+        assert cls.witness_times is None
+        return
+    i, j, margin = want
+    assert cls.kind is OrbitClass.PSEUDO_ORDERED
+    assert cls.witness_times == (float(traj.times[i]), float(traj.times[j]))
+    assert cls.witness_margin == margin
+
