@@ -87,14 +87,6 @@ def pair_margin(field: VectorField, cone: QuadraticCone, lam: float, x, y) -> fl
     return float(d @ (cone.p_matrix @ drift)) / (gap * gap)
 
 
-def _pair_margins_batch(field, cone, lam, X, Y) -> np.ndarray:
-    D = X - Y
-    drift = np.asarray(field(X)) - np.asarray(field(Y)) + lam * D
-    num = np.einsum("ij,jk,ik->i", D, cone.p_matrix, drift)
-    den = np.einsum("ij,ij->i", D, D)
-    return num / den
-
-
 def certify_sampled(
     field: VectorField,
     cone: QuadraticCone,
@@ -103,37 +95,14 @@ def certify_sampled(
     n_pairs: int = 10_000,
     seed: int = 0,
 ) -> ConditionReport:
-    """Sample the pairwise margin over uniform domain pairs.
+    """Sample the pairwise margin over uniform domain pairs at one rate.
 
-    Pairs closer than 1e-10 of the domain diameter are skipped; if every
-    pair degenerates the sample is void (AllPairsDegenerate). Pass means
-    the worst margin sits strictly below the cone's boundary band.
+    The one-rate case of lambda_grid_search: pairs closer than 1e-10 of the
+    domain diameter are skipped; if every pair degenerates the sample is
+    void (AllPairsDegenerate). Pass means the worst margin sits strictly
+    below the cone's boundary band.
     """
-    if n_pairs < 1:
-        raise BadParameter("n_pairs must be at least 1")
-    dom = domain if domain is not None else field.domain
-    rng = np.random.default_rng(seed)
-    X = dom.sample(rng, n_pairs)
-    Y = dom.sample(rng, n_pairs)
-    gaps = np.linalg.norm(X - Y, axis=1)
-    keep = gaps >= DEGENERATE_PAIR_RTOL * dom.diameter()
-    if not np.any(keep):
-        raise AllPairsDegenerate("all sampled pairs collapsed below the cutoff")
-    X, Y = X[keep], Y[keep]
-    margins = _pair_margins_batch(field, cone, lam, X, Y)
-    if not np.all(np.isfinite(margins)):
-        raise NonFiniteDerivative("margin not finite at some sampled pair")
-    worst = int(np.argmax(margins))
-    worst_margin = float(margins[worst])
-    return ConditionReport(
-        condition="pairwise_lambda",
-        lam=float(lam),
-        n_samples=int(X.shape[0]),
-        worst_margin=worst_margin,
-        passed=worst_margin < -cone.boundary_band,
-        worst_pair=(X[worst].copy(), Y[worst].copy()),
-        boundary_band=cone.boundary_band,
-    )
+    return lambda_grid_search(field, cone, [lam], domain=domain, n_pairs=n_pairs, seed=seed)[0]
 
 
 def certify_smith(
@@ -248,11 +217,45 @@ def lambda_grid_search(
     n_pairs: int = 10_000,
     seed: int = 0,
 ) -> list[ConditionReport]:
-    """certify_sampled at each rate in grid; one report per value."""
-    return [
-        certify_sampled(field, cone, lam=float(lam), domain=domain, n_pairs=n_pairs, seed=seed)
-        for lam in grid
-    ]
+    """The pairwise_lambda check at each rate in grid, from one sample per call.
+
+    The seeded pairs are drawn, and the field evaluated on them, once; each
+    rate then only rescores the same pairs. One report per value, each equal
+    to what certify_sampled gives at that rate.
+    """
+    if n_pairs < 1:
+        raise BadParameter("n_pairs must be at least 1")
+    dom = domain if domain is not None else field.domain
+    rng = np.random.default_rng(seed)
+    X = dom.sample(rng, n_pairs)
+    Y = dom.sample(rng, n_pairs)
+    gaps = np.linalg.norm(X - Y, axis=1)
+    keep = gaps >= DEGENERATE_PAIR_RTOL * dom.diameter()
+    if not np.any(keep):
+        raise AllPairsDegenerate("all sampled pairs collapsed below the cutoff")
+    X, Y = X[keep], Y[keep]
+    D = X - Y
+    dF = np.asarray(field(X)) - np.asarray(field(Y))
+    den = np.einsum("ij,ij->i", D, D)
+    reports = []
+    for lam in grid:
+        margins = np.einsum("ij,jk,ik->i", D, cone.p_matrix, dF + lam * D) / den
+        if not np.all(np.isfinite(margins)):
+            raise NonFiniteDerivative("margin not finite at some sampled pair")
+        worst = int(np.argmax(margins))
+        worst_margin = float(margins[worst])
+        reports.append(
+            ConditionReport(
+                condition="pairwise_lambda",
+                lam=float(lam),
+                n_samples=int(X.shape[0]),
+                worst_margin=worst_margin,
+                passed=worst_margin < -cone.boundary_band,
+                worst_pair=(X[worst].copy(), Y[worst].copy()),
+                boundary_band=cone.boundary_band,
+            )
+        )
+    return reports
 
 
 # ---- decay audit ----

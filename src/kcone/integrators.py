@@ -96,28 +96,29 @@ class Trajectory:
         return float(np.linalg.norm(self.states.max(axis=0) - self.states.min(axis=0)))
 
     def sample(self, t) -> np.ndarray:
-        """Cubic Hermite interpolation at scalar or array times."""
+        """Cubic Hermite interpolation at scalar or array times.
+
+        A one-node trajectory returns its node state for any time within
+        1e-12 of that node.
+        """
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         if t_arr.min() < self.t0 - 1e-12 or t_arr.max() > self.t_end + 1e-12:
             raise BadParameter(
                 f"sample time outside [{self.t0}, {self.t_end}]"
             )
-        t_arr = np.clip(t_arr, self.t0, self.t_end)
-        idx = np.searchsorted(self.times, t_arr, side="right") - 1
-        idx = np.clip(idx, 0, len(self.times) - 2)
-        h = self.times[idx + 1] - self.times[idx]
-        s = (t_arr - self.times[idx]) / h
-        s = s[:, None]
-        h = h[:, None]
-        y0 = self.states[idx]
-        y1 = self.states[idx + 1]
-        f0 = self.derivs[idx]
-        f1 = self.derivs[idx + 1]
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        out = h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
+        if len(self.times) == 1:
+            # A run that stopped at its first node: no interval to interpolate.
+            out = np.repeat(self.states, len(t_arr), axis=0)
+        else:
+            t_arr = np.clip(t_arr, self.t0, self.t_end)
+            idx = np.searchsorted(self.times, t_arr, side="right") - 1
+            idx = np.clip(idx, 0, len(self.times) - 2)
+            h = self.times[idx + 1] - self.times[idx]
+            s = (t_arr - self.times[idx]) / h
+            out = _hermite(
+                self.states[idx], self.derivs[idx], self.states[idx + 1],
+                self.derivs[idx + 1], h[:, None], s[:, None],
+            )
         return out[0] if np.isscalar(t) or np.ndim(t) == 0 else out
 
 

@@ -1,5 +1,7 @@
 """Certificate checks: margins, exact linear case, feedback signs, audits."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -200,11 +202,28 @@ def test_cyclic_feedback_validation():
 def test_lambda_grid_search_runs_each_rate():
     cone = _std_cone()
     field = make_linear_field(-P_STD, domain=Box(lo=-np.ones(3), hi=np.ones(3)))
+    calls = []
+
+    def counting_rhs(x):
+        calls.append(len(x))
+        return field.rhs(x)
+
+    counted = dataclasses.replace(field, rhs=counting_rhs)
     grid = [0.0, 0.5, 1.0]
-    reports = lambda_grid_search(field, cone, grid, n_pairs=500, seed=2)
+    reports = lambda_grid_search(counted, cone, grid, n_pairs=500, seed=2)
+    # one sample per call: F on X and on Y, whatever the grid length
+    assert calls == [500, 500]
     assert [r.lam for r in reports] == grid
     assert all(isinstance(r, ConditionReport) for r in reports)
     assert all(r.condition == "pairwise_lambda" for r in reports)
+    # each report is bit-for-bit the one-rate check at that rate
+    for rep, lam in zip(reports, grid):
+        one = certify_sampled(field, cone, lam, n_pairs=500, seed=2)
+        for f in dataclasses.fields(ConditionReport):
+            if f.name != "worst_pair":
+                assert getattr(rep, f.name) == getattr(one, f.name), f.name
+        for a, b in zip(rep.worst_pair, one.worst_pair):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_decay_audit_ordered_pair_passes():

@@ -130,6 +130,18 @@ def test_domain_exit_event_forward():
     assert traj.final_state[0] > 2.0 - 1e-5
 
 
+def test_one_node_trajectory_samples_its_node():
+    # x0 on the boundary, flowing outward: the first step exits at s = 0
+    field = make_linear_field(np.eye(3), domain=Box(lo=-np.ones(3), hi=np.ones(3)))
+    x0 = np.array([1.0, 0.5, -0.25])
+    traj = integrate(field, x0, 1.0, rtol=1e-10, atol=1e-12)
+    assert len(traj.times) == 1 and traj.events == [(0.0, "domain_exit")]
+    assert np.array_equal(traj.sample(0.0), x0)
+    assert np.array_equal(traj.sample(np.array([0.0, 1e-13])), np.stack([x0, x0]))
+    with pytest.raises(BadParameter):
+        traj.sample(1e-9)
+
+
 def test_domain_exit_event_backward():
     field = make_linear_field([[-1.0]], domain=Box(lo=[-2.0], hi=[2.0]))
     traj = integrate_backward(field, [1.0], 5.0, rtol=1e-10, atol=1e-12)

@@ -1,9 +1,11 @@
-"""Jacobi eigensolver against the numpy.linalg.eigh oracle."""
+"""Symmetric eigensolver against the scipy.linalg.eigh oracle and its own
+residual and orthonormality contract."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from kcone.errors import DimensionMismatch, NotSymmetric
+from kcone.errors import DimensionMismatch, NoConvergence, NotSymmetric
 from kcone.linalg import require_symmetric, sym_eig
 
 
@@ -18,8 +20,10 @@ def test_matches_eigh_oracle():
         n = int(rng.integers(1, 9))
         P = random_symmetric(rng, n, scale=float(rng.uniform(0.1, 50.0)))
         w, V = sym_eig(P)
-        w_ref = np.linalg.eigvalsh(P)
+        w_ref = scipy.linalg.eigh(P, eigvals_only=True)
         assert np.allclose(w, w_ref, rtol=1e-12, atol=1e-12 * max(1.0, abs(P).max()))
+        assert np.linalg.norm(P @ V - V * w) <= 1e-10 * np.linalg.norm(P)
+        assert np.linalg.norm(V.T @ V - np.eye(n)) <= 1e-10
 
 
 def test_eigenvalues_ascending_and_vectors_orthonormal():
@@ -67,3 +71,27 @@ def test_require_symmetric_symmetrizes_roundoff():
 def test_one_by_one():
     w, V = sym_eig(np.array([[4.0]]))
     assert w[0] == 4.0 and V[0, 0] == 1.0
+
+
+def test_lapack_failure_raises_no_convergence(monkeypatch):
+    def failing_eigh(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    with pytest.raises(NoConvergence):
+        sym_eig(np.diag([1.0, 2.0]))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        lambda w, V: (w + 1e-6, V),  # eigenvalues off: residual misses
+        lambda w, V: (w, 2.0 * V),  # columns not unit length
+        lambda w, V: (w * np.nan, V),  # non-finite result
+    ],
+)
+def test_result_breaking_the_contract_raises_no_convergence(monkeypatch, bad):
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: bad(*eigh(a)))
+    with pytest.raises(NoConvergence):
+        sym_eig(np.array([[2.0, 1.0], [1.0, 3.0]]))
