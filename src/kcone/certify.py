@@ -274,22 +274,6 @@ class _ProductDomain:
             z[..., n:], pad=pad
         )
 
-    def diameter(self) -> float:
-        return float(np.sqrt(2.0)) * self.inner.diameter()
-
-    def widths(self) -> np.ndarray:
-        w = self.inner.widths()
-        return np.concatenate([w, w])
-
-    def center(self) -> np.ndarray:
-        c = self.inner.center()
-        return np.concatenate([c, c])
-
-    def sample(self, rng, m):
-        a = self.inner.sample(rng, m)
-        b = self.inner.sample(rng, m)
-        return np.concatenate([a, b], axis=1)
-
 
 def _coupled_field(field: VectorField) -> VectorField:
     n = field.dim

@@ -3,7 +3,10 @@
 Characteristics
     * Error control per step: the embedded 4th-order estimate must satisfy
       ||err|| <= atol + rtol ||y_new||; otherwise the step is rejected.
-    * Step update factor 0.9 (tol/err)^(1/5), clamped to [0.2, 5].
+    * A step with any non-finite stage or error estimate is rejected and
+      re-tried at half length; all six stages are evaluated before the test.
+    * Step update factor 0.9 (tol/err)^(1/5), clamped to [0.2, 5], on both
+      rejected and accepted steps.
     * First-same-as-last: the 7th stage of an accepted step seeds the next.
     * Stops with a recorded event when the state leaves the field's domain;
       the exit time is localized by bisection on the step interpolant.
@@ -34,7 +37,6 @@ from .errors import (
 from .fields import VectorField
 
 # Dormand-Prince RK5(4)7M tableau.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _A = [
     np.array([]),
     np.array([1 / 5]),
@@ -44,7 +46,6 @@ _A = [
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
     np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 ]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 # b5 - b4: weights of the embedded error estimate.
 _E = np.array(
     [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
@@ -130,6 +131,12 @@ def _hermite(y0, f0, y1, f1, h, s):
     return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
 
 
+def _step_factor(tol: float, err: float) -> float:
+    if err == 0.0:
+        return MAX_FACTOR
+    return min(MAX_FACTOR, max(MIN_FACTOR, SAFETY * (tol / err) ** 0.2))
+
+
 def _initial_step(f0, y0, T, max_step, rtol, atol):
     scale = atol + rtol * float(np.linalg.norm(y0))
     speed = float(np.linalg.norm(f0))
@@ -179,52 +186,37 @@ def integrate(
     f = f0
     h = _initial_step(f0, x0, T, max_step, rtol, atol)
     cur_region = region(y) if region is not None else None
-    just_crossed = False
 
     K = np.empty((7, field.dim))
     while t < T:
         h = min(h, T - t, max_step)
-        if just_crossed:
-            h = min(h, KINK_RESTART)
-            just_crossed = False
         if h < UNDERFLOW_FRACTION * T:
             raise StepUnderflow(f"step {h:.3e} below {UNDERFLOW_FRACTION:.0e} T")
 
         K[0] = f
-        bad = False
         for i in range(1, 7):
-            yi = y + h * (K[:i].T @ _A[i])
-            K[i] = field(yi)
-            if not np.all(np.isfinite(K[i])):
-                bad = True
-                break
-        if bad:
-            # Overshot into non-finite territory; treat as a hard rejection.
-            h *= 0.5
-            continue
+            K[i] = field(y + h * (K[:i].T @ _A[i]))
         y_new = y + h * (K[:6].T @ _A[6])
-        err_vec = h * (K.T @ _E)
-        err = float(np.linalg.norm(err_vec))
+        err = float(np.linalg.norm(h * (K.T @ _E)))
         tol = atol + rtol * float(np.linalg.norm(y_new))
 
-        if not np.isfinite(err):
+        # Test K itself: stage 2 has zero weight in both y_new and err.
+        if not (np.isfinite(K).all() and np.isfinite(err)):
             h *= 0.5
             continue
         if err > tol:
-            factor = max(MIN_FACTOR, SAFETY * (tol / err) ** 0.2)
-            h *= factor
+            h *= _step_factor(tol, err)
             continue
 
         # Kink localization: shrink steps that jump a ramp-region boundary.
-        if region is not None and h > KINK_FLOOR:
-            new_region = region(y_new)
-            if new_region != cur_region:
-                h = max(0.5 * h, KINK_FLOOR)
-                continue
+        new_region = region(y_new) if region is not None else None
+        if new_region != cur_region and h > KINK_FLOOR:
+            h = max(0.5 * h, KINK_FLOOR)
+            continue
 
-        f_new = K[6].copy()  # FSAL: the 7th stage argument is exactly y_new
-        if not (np.all(np.isfinite(y_new)) and np.all(np.isfinite(f_new))):
+        if not np.isfinite(y_new).all():
             raise NonFiniteState(f"state not finite after t = {t:.6g}")
+        f_new = K[6].copy()  # FSAL: the 7th stage argument is exactly y_new
 
         inside = bool(field.domain.contains(y_new))
         if not inside:
@@ -252,19 +244,13 @@ def integrate(
         y = y_new
         f = f_new
         ts.append(t)
-        ys.append(y.copy())
-        fs.append(f.copy())
-        if region is not None:
-            new_region = region(y)
-            if new_region != cur_region:
-                cur_region = new_region
-                just_crossed = True
-
-        if err == 0.0:
-            factor = MAX_FACTOR
-        else:
-            factor = min(MAX_FACTOR, max(MIN_FACTOR, SAFETY * (tol / err) ** 0.2))
-        h *= factor
+        ys.append(y)
+        fs.append(f)
+        h *= _step_factor(tol, err)
+        if new_region != cur_region:
+            # The step after a kink crossing restarts small.
+            cur_region = new_region
+            h = min(h, KINK_RESTART)
 
     return Trajectory(
         times=np.asarray(ts),

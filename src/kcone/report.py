@@ -10,6 +10,7 @@ digits so a round-trip through text is exact for doubles.
 
 from __future__ import annotations
 
+import contextlib
 import datetime as _dt
 import json
 import os
@@ -386,23 +387,12 @@ def write_report(path, report: dict, wall_time_s: float) -> None:
 # ---- CSV sidecars ----
 
 
-class _open_out:
-    """Context manager over a path or an already-open text stream."""
-
-    def __init__(self, target):
-        self.target = target
-        self.fh = None
-
-    def __enter__(self):
-        if hasattr(self.target, "write"):
-            return self.target
-        self.fh = open(self.target, "w", encoding="utf-8", newline="\n")
-        return self.fh
-
-    def __exit__(self, *exc):
-        if self.fh is not None:
-            self.fh.close()
-        return False
+def _open_out(target):
+    """Context manager over a path, or over an already-open text stream that
+    it leaves open."""
+    if hasattr(target, "write"):
+        return contextlib.nullcontext(target)
+    return open(target, "w", encoding="utf-8", newline="\n")
 
 
 def write_trajectory_csv(path, traj) -> None:

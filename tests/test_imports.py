@@ -1,7 +1,9 @@
-"""Every name a kcone module imports is used in that module.
+"""Every name a kcone module imports is used in that module, and every
+module-level private name is used somewhere in the package.
 
-No linter ships with the project's toolchain, so this AST scan stands in for
-one. The package __init__ is exempt: its imports are the public re-exports.
+No linter ships with the project's toolchain, so these AST scans stand in for
+one. The package __init__ is exempt from the import scan: its imports are the
+public re-exports.
 """
 
 import ast
@@ -11,9 +13,8 @@ import pytest
 
 import kcone
 
-MODULES = sorted(
-    p for p in Path(kcone.__file__).parent.glob("*.py") if p.name != "__init__.py"
-)
+PACKAGE = sorted(Path(kcone.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,3 +39,45 @@ def test_scan_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Private names bound at module level that no module reads."""
+    defined: list[str] = []
+    read: set[str] = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+                targets = [t.id for t in nodes if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [f"{module}.{name}" for name in targets if _is_private(name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return [d for d in defined if d.split(".", 1)[1] not in read]
+
+
+def test_private_scan_flags_an_unread_name():
+    sources = {
+        "a": "_K = 1\n_J = 2\ndef _f():\n    return _J\nclass _C:\n    pass\n",
+        "b": "from .a import _f\nimport a\nx = a._C\n",
+    }
+    assert unreferenced_private_names(sources) == ["a._K"]
+
+
+def test_no_unreferenced_private_names():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert unreferenced_private_names(sources) == []

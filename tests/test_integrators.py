@@ -1,5 +1,7 @@
 """Adaptive integration: accuracy gates, events, kinks, backward runs."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -18,7 +20,7 @@ from kcone.fields import (
     make_linear_field,
     parse_field,
 )
-from kcone.integrators import flow, integrate, integrate_backward
+from kcone.integrators import _A, _E, flow, integrate, integrate_backward
 
 ROTATE = np.array([[0.0, 1.0], [-1.0, 0.0]])  # harmonic oscillator block
 
@@ -217,6 +219,65 @@ def test_step_underflow_on_unresolvable_rate():
     with pytest.raises(StepUnderflow):
         integrate(field, [1e-3], 1.0)
     assert issubclass(StepUnderflow, IntegrationFailure)
+
+
+def test_dormand_prince_tableau():
+    nodes = [0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0]
+    assert np.allclose([row.sum() for row in _A], nodes, rtol=0.0, atol=1e-15)
+    assert abs(_E.sum()) < 1e-15
+    b4 = np.append(_A[6], 0.0) - _E
+    assert abs(b4.sum() - 1.0) < 1e-15
+
+
+def _decay_field(rhs):
+    return dataclasses.replace(
+        make_linear_field([[-1.0]], domain=Box(lo=[-1.0], hi=[2.0])), rhs=rhs
+    )
+
+
+def test_nonfinite_stages_reject_the_step():
+    # x' = -x, undefined below 0: stages that overshoot past 0 come back NaN
+    nan_calls = []
+
+    def rhs(x):
+        if x[0] < 0.0:
+            nan_calls.append(x[0])
+            return np.array([np.nan])
+        return -x
+
+    T = 40.0
+    traj = integrate(_decay_field(rhs), [1.0], T)
+    assert traj.events == [] and traj.t_end == pytest.approx(T)
+    assert np.all(np.isfinite(traj.states)) and np.all(np.isfinite(traj.derivs))
+    assert nan_calls
+    assert abs(traj.final_state[0] - np.exp(-T)) <= traj.atol + traj.rtol * np.exp(-T)
+
+
+def test_nan_in_zero_weight_stage_rejects_the_step():
+    # Stage 2 has weight 0 in both the update and the error estimate, so a
+    # NaN there must be caught by testing the stages themselves. The field
+    # maps NaN input to 0, so the later stages of that step stay finite.
+    def run(nan_call):
+        calls = [0]
+
+        def rhs(x):
+            calls[0] += 1
+            if calls[0] == nan_call:
+                return np.array([np.nan])
+            return -np.nan_to_num(x)
+
+        return integrate(_decay_field(rhs), [1.0], 5.0), calls[0]
+
+    clean, n_clean = run(nan_call=0)
+    # One call for f(x0), then six stage calls per attempted step, and the
+    # clean run rejects no step: attempted step k is the one from node k.
+    assert n_clean == 1 + 6 * (len(clean.times) - 1)
+    k = 10
+    hit, _ = run(nan_call=1 + 6 * k + 1)  # stage 2 of step k
+    assert np.array_equal(hit.times[: k + 1], clean.times[: k + 1])
+    assert np.all(np.isfinite(hit.states))
+    clean_step = clean.times[k + 1] - clean.times[k]
+    assert hit.times[k + 1] - hit.times[k] <= 0.5 * clean_step
 
 
 def test_trajectory_extent_and_span():
