@@ -126,7 +126,6 @@ from .report import (
     emit_plotdata,
     run_certify,
     run_classify,
-    worker_count,
     wrap_report,
     write_loop_csv,
     write_margins_csv,
@@ -178,5 +177,5 @@ __all__ = [
     "REPORT_SCHEMA", "run_certify", "run_classify", "build_full_report",
     "wrap_report", "dump_report", "write_report", "emit_plotdata",
     "write_trajectory_csv", "write_omega_csv", "write_loop_csv",
-    "write_margins_csv", "worker_count",
+    "write_margins_csv",
 ]

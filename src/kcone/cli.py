@@ -11,12 +11,13 @@ Common flags: --scenario FILE, --out PATH, --seed N (overrides the
 scenario's seed), --quiet. When --out is omitted the main document goes to
 stdout. Exit codes: 0 all analyses completed, 2 scenario/schema error,
 3 integration failure, 4 analysis incomplete (reports still written when
-possible). KCONE_THREADS caps the number of worker threads.
+possible).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -145,8 +146,6 @@ def _cmd_poincare(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    import os
-
     scn = _load(args)
     t0 = time.perf_counter()
     report, artifacts = build_full_report(scn)

@@ -89,11 +89,6 @@ class QuadraticCone:
         """Orthonormal basis (columns) of the k-dimensional inner subspace."""
         return self.eigenvectors[:, : self.rank_k]
 
-    @property
-    def positive_basis(self) -> np.ndarray:
-        """Orthonormal basis (columns) of the complementary subspace."""
-        return self.eigenvectors[:, self.rank_k :]
-
     def quad_form(self, v) -> float:
         """v^T P v, evaluated as a plain dot-product chain."""
         v = np.asarray(v, dtype=float)

@@ -294,7 +294,6 @@ def parse_field(
 class Equilibrium:
     point: np.ndarray
     residual: float
-    basin_tag: str | None = None
 
 
 @dataclass(frozen=True)

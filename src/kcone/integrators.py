@@ -137,9 +137,20 @@ def _step_factor(tol: float, err: float) -> float:
     return min(MAX_FACTOR, max(MIN_FACTOR, SAFETY * (tol / err) ** 0.2))
 
 
+def _norm(v) -> float:
+    """Euclidean norm of v. Where the plain sum of squares overflows, v is
+    rescaled by max|v| first; every other vector gets the plain norm's bits."""
+    with np.errstate(over="ignore"):
+        n = float(np.linalg.norm(v))
+    if np.isinf(n) and np.isfinite(v).all():
+        m = float(np.abs(v).max())
+        n = m * float(np.linalg.norm(v / m))
+    return n
+
+
 def _initial_step(f0, y0, T, max_step, rtol, atol):
-    scale = atol + rtol * float(np.linalg.norm(y0))
-    speed = float(np.linalg.norm(f0))
+    scale = atol + rtol * _norm(y0)
+    speed = _norm(f0)
     if speed > 0.0:
         h = 0.01 * max(scale, 1e-6) / speed
     else:

@@ -14,7 +14,6 @@ import contextlib
 import datetime as _dt
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
 import numpy as np
@@ -93,20 +92,6 @@ def _jsonable(value):
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     return value
-
-
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
-
-
-def worker_count() -> int:
-    """Worker cap from KCONE_THREADS; 1 (serial) when unset or invalid."""
-    raw = os.environ.get("KCONE_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
 
 
 def _condition_dict(rep) -> dict:
@@ -320,28 +305,19 @@ def _analyze_orbit(scn: Scenario, index: int, x0) -> tuple[dict, dict]:
 
 
 def run_classify(scn: Scenario) -> tuple[dict, list[dict]]:
-    """Analyze every initial condition; deterministic merge by index.
+    """Analyze every initial condition in input order, one after another.
 
-    Returns (report object, artifact list). Orbits run in a thread pool
-    capped by KCONE_THREADS; results are merged in index order, so the
-    report content does not depend on the worker count.
+    Returns (report object, artifact list); orbit section i and artifact i
+    belong to the scenario's i-th initial condition.
     """
     if not scn.x0s:
         raise KconeError("scenario has no initial conditions to classify")
-    workers = min(worker_count(), len(scn.x0s))
-    sections: list[dict | None] = [None] * len(scn.x0s)
-    artifacts: list[dict | None] = [None] * len(scn.x0s)
-    if workers <= 1:
-        for i, x0 in enumerate(scn.x0s):
-            sections[i], artifacts[i] = _analyze_orbit(scn, i, x0)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(_analyze_orbit, scn, i, x0): i
-                for i, x0 in enumerate(scn.x0s)
-            }
-            for fut, i in futures.items():
-                sections[i], artifacts[i] = fut.result()
+    sections: list[dict] = []
+    artifacts: list[dict] = []
+    for i, x0 in enumerate(scn.x0s):
+        section, art = _analyze_orbit(scn, i, x0)
+        sections.append(section)
+        artifacts.append(art)
     report = _report_header(
         scn, orbits=sections, incomplete=any(s["incomplete"] for s in sections)
     )
@@ -395,44 +371,41 @@ def _open_out(target):
     return open(target, "w", encoding="utf-8", newline="\n")
 
 
+def _write_csv(target, header: list[str], table: np.ndarray) -> None:
+    """Write a header line, then one line per row of the 2-D table, one
+    cell per header name, each printed with 17 significant digits."""
+    line = ",".join(["{:.17g}"] * len(header)) + "\n"
+    with _open_out(target) as fh:
+        fh.write(",".join(header) + "\n")
+        for row in table:
+            fh.write(line.format(*row.tolist()))
+
+
+def _state_table(points, projector=None, times=None) -> tuple[list[str], np.ndarray]:
+    """Header and columns for state rows: t when times are given, x1..xn,
+    then u1..uk when a projector is given."""
+    header = [f"x{i + 1}" for i in range(points.shape[1])]
+    cols = [points]
+    if times is not None:
+        header = ["t"] + header
+        cols = [times] + cols
+    if projector is not None:
+        U = projector.coords(points)
+        header += [f"u{i + 1}" for i in range(U.shape[1])]
+        cols.append(U)
+    return header, np.column_stack(cols)
+
+
 def write_trajectory_csv(path, traj) -> None:
-    n = traj.states.shape[1]
-    with _open_out(path) as fh:
-        fh.write("t," + ",".join(f"x{i + 1}" for i in range(n)) + "\n")
-        for t, row in zip(traj.times, traj.states):
-            fh.write(_fmt(t) + "," + ",".join(_fmt(v) for v in row) + "\n")
+    _write_csv(path, *_state_table(traj.states, times=traj.times))
 
 
 def write_omega_csv(path, omega, projector=None) -> None:
-    n = omega.points.shape[1]
-    header = [f"x{i + 1}" for i in range(n)]
-    U = None
-    if projector is not None:
-        U = projector.coords(omega.points)
-        header += [f"u{i + 1}" for i in range(U.shape[1])]
-    with _open_out(path) as fh:
-        fh.write(",".join(header) + "\n")
-        for i, row in enumerate(omega.points):
-            cells = [_fmt(v) for v in row]
-            if U is not None:
-                cells += [_fmt(v) for v in U[i]]
-            fh.write(",".join(cells) + "\n")
+    _write_csv(path, *_state_table(omega.points, projector))
 
 
 def write_loop_csv(path, loop, projector=None) -> None:
-    n = loop.states.shape[1]
-    header = ["t"] + [f"x{i + 1}" for i in range(n)]
-    U = None
-    if projector is not None:
-        U = projector.coords(loop.states)
-        header += [f"u{i + 1}" for i in range(U.shape[1])]
-    with _open_out(path) as fh:
-        fh.write(",".join(header) + "\n")
-        for i, (t, row) in enumerate(zip(loop.times, loop.states)):
-            cells = [_fmt(t)] + [_fmt(v) for v in row]
-            if U is not None:
-                cells += [_fmt(v) for v in U[i]]
-            fh.write(",".join(cells) + "\n")
+    _write_csv(path, *_state_table(loop.states, projector, loop.times))
 
 
 def write_margins_csv(path, points, cone, cap: int = 400) -> None:
@@ -445,10 +418,7 @@ def write_margins_csv(path, points, cone, cap: int = 400) -> None:
         P = P[pick]
     blocks = [cone.margin_many(D) for _, _, D, _ in _distinct_pairs(P)]
     margins = np.sort(np.concatenate([np.empty(0), *blocks]))
-    with _open_out(path) as fh:
-        fh.write("margin\n")
-        for v in margins:
-            fh.write(_fmt(v) + "\n")
+    _write_csv(path, ["margin"], margins[:, None])
 
 
 def emit_plotdata(outdir, scn: Scenario, artifacts: list[dict]) -> list[str]:

@@ -1,5 +1,6 @@
-"""Every name a kcone module imports is used in that module, and every
-module-level private name is used somewhere in the package.
+"""Every name a kcone module imports is used in that module, every
+module-level private name is used somewhere in the package, and no module
+reads the process environment.
 
 No linter ships with the project's toolchain, so these AST scans stand in for
 one. The package __init__ is exempt from the import scan: its imports are the
@@ -81,3 +82,50 @@ def test_private_scan_flags_an_unread_name():
 def test_no_unreferenced_private_names():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
     assert unreferenced_private_names(sources) == []
+
+
+_ENV_READS = {"environ", "getenv"}
+
+
+def environment_reads(sources: dict[str, str]) -> list[str]:
+    """Functions (module-qualified; the module itself for top-level code)
+    that read os.environ or os.getenv, or import either from os."""
+    found: set[str] = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in _ENV_READS
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+        ) or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "os"
+            and any(alias.name in _ENV_READS for alias in node.names)
+        ):
+            found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module)
+    return sorted(found)
+
+
+def test_env_scan_flags_environment_reads():
+    sources = {
+        "a": "import os\ndef f():\n    return os.environ.get('X')\n"
+             "def g():\n    return os.path.join('a', 'b')\n",
+        "b": "import os\nclass C:\n    def m(self):\n        return os.getenv('Y')\n",
+        "c": "from os import environ\n",
+    }
+    assert environment_reads(sources) == ["a.f", "b.C.m", "c"]
+
+
+def test_no_environment_reads():
+    """Behaviour is set by the scenario and the command line only: no
+    module reads an environment variable."""
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert environment_reads(sources) == []

@@ -1,6 +1,7 @@
 """Adaptive integration: accuracy gates, events, kinks, backward runs."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -219,6 +220,17 @@ def test_step_underflow_on_unresolvable_rate():
     with pytest.raises(StepUnderflow):
         integrate(field, [1e-3], 1.0)
     assert issubclass(StepUnderflow, IntegrationFailure)
+
+
+def test_initial_step_survives_a_huge_rate():
+    # |f(x0)| = 1e160 squares past the largest double; the first step must
+    # still be finite and positive, with no overflow warning on the way
+    field = parse_field(["1e160"], domain=Box(lo=[-1.0], hi=[1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate(field, [0.0], 1e-170)
+    assert traj.t_end == 1e-170
+    assert traj.states[-1, 0] == pytest.approx(1e-10, rel=1e-12)
 
 
 def test_dormand_prince_tableau():

@@ -1,14 +1,15 @@
-"""Report assembly: determinism, serialization, CSV sidecars, workers."""
+"""Report assembly: determinism, orbit order, serialization, CSV sidecars."""
 
 import io
 import json
 import os
+from types import SimpleNamespace
 
 import jsonschema
 import numpy as np
 import pytest
 
-from kcone.cones import make_projector, make_quadratic_cone
+from kcone.cones import Projector, make_projector, make_quadratic_cone
 from kcone.errors import KconeError
 from kcone.report import (
     REPORT_SCHEMA,
@@ -17,7 +18,6 @@ from kcone.report import (
     emit_plotdata,
     run_certify,
     run_classify,
-    worker_count,
     wrap_report,
     write_loop_csv,
     write_margins_csv,
@@ -56,19 +56,6 @@ def hopf_run(hopf_scn):
     return run_classify(hopf_scn)
 
 
-def test_worker_count_parsing(monkeypatch):
-    monkeypatch.delenv("KCONE_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("KCONE_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("KCONE_THREADS", "0")
-    assert worker_count() == 1
-    monkeypatch.setenv("KCONE_THREADS", "-3")
-    assert worker_count() == 1
-    monkeypatch.setenv("KCONE_THREADS", "not a number")
-    assert worker_count() == 1
-
-
 def test_classify_sections(hopf_run):
     report, artifacts = hopf_run
     assert report["tool"]["name"] == "kcone"
@@ -103,16 +90,16 @@ def test_classify_deterministic(hopf_scn, hopf_run):
     assert report_a["scenario_digest"] == scenario_digest(hopf_scn.raw)
 
 
-def test_classify_worker_count_invariant(monkeypatch):
-    scn = parse_scenario(
-        _hopf_obj(x0=[[0.1, 0.0, 0.5], [0.3, 0.4, -0.2]], T=30.0)
-    )
-    monkeypatch.setenv("KCONE_THREADS", "1")
-    serial, _ = run_classify(scn)
-    monkeypatch.setenv("KCONE_THREADS", "4")
-    threaded, _ = run_classify(scn)
-    assert canonical_json(serial) == canonical_json(threaded)
-    assert [o["index"] for o in threaded["orbits"]] == [0, 1]
+def test_classify_orbits_in_input_order(hopf_run):
+    scn = parse_scenario(_hopf_obj(x0=[[0.3, 0.4, -0.2], [0.1, 0.0, 0.5]]))
+    report, artifacts = run_classify(scn)
+    assert [o["index"] for o in report["orbits"]] == [0, 1]
+    assert [o["x0"] for o in report["orbits"]] == scn.x0s
+    assert [a["trajectory"].states[0].tolist() for a in artifacts] == scn.x0s
+    # each orbit is analysed on its own: the second section is the
+    # one-orbit run of the same initial condition, up to its index
+    lone = dict(hopf_run[0]["orbits"][0], index=1)
+    assert canonical_json(report["orbits"][1]) == canonical_json(lone)
 
 
 def test_classify_requires_initial_conditions():
@@ -275,6 +262,67 @@ def test_margins_csv_sorted_and_capped(tmp_path, std_cone):
     lone = tmp_path / "lone.csv"
     write_margins_csv(lone, pts[:1], std_cone)
     assert lone.read_text() == "margin\n"
+
+
+# Hand-made inputs whose projector coordinates and margins are exact in binary,
+# so the expected text does not depend on the BLAS summation order.
+_B = np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 0.0]])
+_PROJ = Projector(matrix=_B @ _B.T, basis=_B, range_dim=2)
+_TRAJ = SimpleNamespace(
+    times=np.array([0.0, 0.1, 0.25]),
+    states=np.array([[1.0, 0.0, -0.5], [1.0 / 3.0, 2.0, 1e-300], [-0.0, 1e20, 0.75]]),
+)
+_PTS = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0], [1.0, 0.0, 1.0]])
+_OMEGA = SimpleNamespace(points=_PTS)
+_LOOP = SimpleNamespace(times=np.array([0.0, 0.5, 1.25]), states=_PTS[1:])
+_CONE = make_quadratic_cone(np.diag([-1.0, -1.0, 1.0]))
+
+GOLDEN_CSV = {
+    "trajectory": (
+        lambda out: write_trajectory_csv(out, _TRAJ),
+        "t,x1,x2,x3\n0,1,0,-0.5\n"
+        "0.10000000000000001,0.33333333333333331,2,1e-300\n0.25,-0,1e+20,0.75\n",
+    ),
+    "omega": (
+        lambda out: write_omega_csv(out, _OMEGA),
+        "x1,x2,x3\n0,0,0\n1,0,0\n0,0,2\n1,0,1\n",
+    ),
+    "omega_projector": (
+        lambda out: write_omega_csv(out, _OMEGA, projector=_PROJ),
+        "x1,x2,x3,u1,u2\n0,0,0,0,0\n1,0,0,0,-1\n0,0,2,0,0\n1,0,1,0,-1\n",
+    ),
+    "loop": (
+        lambda out: write_loop_csv(out, _LOOP),
+        "t,x1,x2,x3\n0,1,0,0\n0.5,0,0,2\n1.25,1,0,1\n",
+    ),
+    "loop_projector": (
+        lambda out: write_loop_csv(out, _LOOP, projector=_PROJ),
+        "t,x1,x2,x3,u1,u2\n0,1,0,0,0,-1\n0.5,0,0,2,0,0\n1.25,1,0,1,0,-1\n",
+    ),
+    "margins": (
+        lambda out: write_margins_csv(out, _PTS, _CONE),
+        "margin\n-1\n0\n0\n0.59999999999999998\n1\n1\n",
+    ),
+    "margins_single_point": (
+        lambda out: write_margins_csv(out, _PTS[:1], _CONE),
+        "margin\n",
+    ),
+    "margins_capped": (
+        lambda out: write_margins_csv(out, _PTS, _CONE, cap=3),
+        "margin\n-1\n0\n1\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("write, expected", GOLDEN_CSV.values(), ids=GOLDEN_CSV.keys())
+def test_csv_sidecars_golden_bytes(tmp_path, write, expected):
+    path = tmp_path / "out.csv"
+    write(path)
+    assert path.read_bytes() == expected.encode("utf-8")
+    buf = io.StringIO()
+    write(buf)
+    assert not buf.closed
+    assert buf.getvalue() == expected
 
 
 def test_emit_plotdata_single_orbit(tmp_path, hopf_scn, hopf_run):
