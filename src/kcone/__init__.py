@@ -103,7 +103,6 @@ from .limitsets import (
     classify_orbit,
     detect_periodic,
     estimate_omega,
-    hausdorff_distance,
     ordered_pair_matrix,
     ordered_window,
     projection_separation,
@@ -165,7 +164,7 @@ __all__ = [
     "certify_smith", "certify_linear", "check_cyclic_feedback",
     "lambda_grid_search", "decay_audit", "ordered_pair_transport",
     # limit sets
-    "OmegaEstimate", "estimate_omega", "hausdorff_distance", "OrbitClass",
+    "OmegaEstimate", "estimate_omega", "OrbitClass",
     "OrbitClassification", "classify_orbit", "OrderingAudit",
     "audit_ordering", "ordered_pair_matrix", "LimitSetBranch",
     "TrichotomyReport", "trichotomy_report", "PeriodicOrbit",

@@ -60,14 +60,6 @@ class OmegaEstimate:
     tol: float
 
 
-def hausdorff_distance(A, B) -> float:
-    """Symmetric Hausdorff distance between two finite point sets."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    d = np.linalg.norm(A[:, None, :] - B[None, :, :], axis=2)
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
-
-
 # Dense samples per half-window for the curve-to-curve gap.
 _GAP_SAMPLES = 2048
 _GAP_CHUNK = 256
@@ -77,14 +69,22 @@ _GAP_CHUNK = 256
 _GAP_NEIGHBORS = 8
 
 
+# The squared distances are summed one coordinate at a time, c = 0..n-1, so
+# a block holds two (chunk, m) arrays rather than a (chunk, m, n) difference.
+# numpy sums an axis shorter than 8 in the same order, so for n < 8 this is
+# bit for bit the broadcast sum ((Q[:, None] - B[None]) ** 2).sum(axis=2);
+# from n = 8 on numpy sums pairwise and d2 may differ from it by an ulp.
 def _directed_curve_gap(A: np.ndarray, B: np.ndarray) -> float:
     """max over a in A of the distance from a to the polyline through B."""
     worst = 0.0
-    m = B.shape[0]
+    m, n = B.shape
     k = min(_GAP_NEIGHBORS, m)
+    BT = np.ascontiguousarray(B.T)
     for lo in range(0, A.shape[0], _GAP_CHUNK):
         Q = A[lo:lo + _GAP_CHUNK]
-        d2 = ((Q[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
+        d2 = (Q[:, 0:1] - BT[0]) ** 2
+        for c in range(1, n):
+            d2 += (Q[:, c:c + 1] - BT[c]) ** 2
         near = np.argpartition(d2, k - 1, axis=1)[:, :k]
         best = np.sqrt(np.take_along_axis(d2, near, axis=1).min(axis=1))
         # Project onto the polyline segments adjacent to each candidate

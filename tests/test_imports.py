@@ -1,6 +1,6 @@
 """Every name a kcone module imports is used in that module, every
-module-level private name is used somewhere in the package, and no module
-reads the process environment.
+module-level private name is used somewhere in the package, no module
+reads the process environment, and no handler catches every exception.
 
 No linter ships with the project's toolchain, so these AST scans stand in for
 one. The package __init__ is exempt from the import scan: its imports are the
@@ -129,3 +129,43 @@ def test_no_environment_reads():
     module reads an environment variable."""
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
     assert environment_reads(sources) == []
+
+
+_BROAD = {"Exception", "BaseException"}
+
+
+def broad_excepts(sources: dict[str, str]) -> list[str]:
+    """Handlers (module:line) that are bare or name Exception or
+    BaseException, alone or in a tuple."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(
+                c is None
+                or (isinstance(c, ast.Name) and c.id in _BROAD)
+                or (isinstance(c, ast.Attribute) and c.attr in _BROAD)
+                for c in caught
+            ):
+                found.append(f"{module}:{node.lineno}")
+    return found
+
+
+def test_broad_except_scan_flags_catch_alls():
+    sources = {
+        "a": "try:\n    f()\nexcept:\n    pass\n"
+             "try:\n    f()\nexcept ValueError:\n    pass\n",
+        "b": "try:\n    f()\nexcept Exception as e:\n    pass\n"
+             "try:\n    f()\nexcept (KeyError, builtins.BaseException):\n    pass\n"
+             "try:\n    f()\nexcept (KeyError, OSError):\n    pass\n",
+    }
+    assert broad_excepts(sources) == ["a:3", "b:3", "b:7"]
+
+
+def test_no_broad_excepts():
+    """Errors the package cannot name must reach the caller: no handler
+    catches everything."""
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert broad_excepts(sources) == []

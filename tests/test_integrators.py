@@ -5,6 +5,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import solve_ivp
 
 from kcone.domains import Box
@@ -68,6 +71,27 @@ def test_hermite_sampling_accuracy():
         traj.sample(-1.0)
     with pytest.raises(BadParameter):
         traj.sample(traj.t_end + 1.0)
+
+
+@st.composite
+def stable_linear_runs(draw):
+    """(A, x0, T) with A strictly diagonally dominant with a negative
+    diagonal, so max-norm distances shrink and the run stays in the box."""
+    n = draw(st.integers(1, 4))
+    M = draw(hnp.arrays(np.float64, (n, n), elements=st.floats(-1.0, 1.0)))
+    A = M - (np.abs(M).sum(axis=1).max() + 0.1) * np.eye(n)
+    x0 = draw(hnp.arrays(np.float64, n, elements=st.floats(-1.0, 1.0)))
+    return A, x0, draw(st.floats(0.5, 10.0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(stable_linear_runs())
+def test_sampling_at_the_nodes_returns_the_nodes(run):
+    """The omega gap samples through the interpolant, so at the stored
+    times it must give back the stored states exactly."""
+    A, x0, T = run
+    traj = integrate(make_linear_field(A), x0, T)
+    assert np.array_equal(traj.sample(traj.times), traj.states)
 
 
 def test_matches_scipy_reference():

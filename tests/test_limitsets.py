@@ -22,12 +22,12 @@ from kcone.limitsets import (
     LimitSetBranch,
     OmegaEstimate,
     OrbitClass,
+    _directed_curve_gap,
     audit_ordering,
     chain_check,
     classify_orbit,
     detect_periodic,
     estimate_omega,
-    hausdorff_distance,
     ordered_pair_matrix,
     ordered_window,
     projection_separation,
@@ -63,14 +63,15 @@ def _estimate(points, converged=True):
     )
 
 
-def test_hausdorff_distance_point_sets():
-    assert hausdorff_distance([[0.0, 0.0]], [[3.0, 4.0]]) == pytest.approx(5.0)
-    A = [[0.0, 0.0], [1.0, 0.0]]
-    B = [[0.0, 0.0]]
-    # directed gaps differ; the symmetric distance takes the larger
-    assert hausdorff_distance(A, B) == pytest.approx(1.0)
-    assert hausdorff_distance(B, A) == pytest.approx(1.0)
-    assert hausdorff_distance(A, A) == 0.0
+def test_directed_curve_gap_one_way_only():
+    assert _directed_curve_gap(np.array([[0.0, 0.0]]), np.array([[3.0, 4.0]])) == 5.0
+    A = np.array([[0.0, 0.0], [1.0, 0.0]])
+    B = np.array([[0.0, 0.0]])
+    # directed gaps differ; the symmetric gap takes the larger
+    assert _directed_curve_gap(A, B) == 1.0
+    assert _directed_curve_gap(B, A) == 0.0
+    assert max(_directed_curve_gap(A, B), _directed_curve_gap(B, A)) == 1.0
+    assert _directed_curve_gap(A, A) == 0.0
 
 
 def test_estimate_omega_sink_collapses(sink_traj):

@@ -1,0 +1,142 @@
+"""The curve-to-curve gap behind the omega convergence test.
+
+`_directed_curve_gap` builds each block of squared distances one coordinate
+at a time. The oracle below is the broadcast form it replaced, kept here as
+the reference: below eight coordinates both sum the squares in the same
+order, so the gap must be the same float; from eight on numpy sums the
+broadcast form pairwise and the two may part by an ulp of d2.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from kcone import limitsets
+from kcone.integrators import Trajectory
+from kcone.limitsets import _directed_curve_gap, _half_window_gap
+
+
+def broadcast_gap(A, B):
+    """The gap with d2 from one (chunk, m, n) broadcast difference."""
+    worst = 0.0
+    m = B.shape[0]
+    k = min(limitsets._GAP_NEIGHBORS, m)
+    for lo in range(0, A.shape[0], limitsets._GAP_CHUNK):
+        Q = A[lo:lo + limitsets._GAP_CHUNK]
+        d2 = ((Q[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
+        near = np.argpartition(d2, k - 1, axis=1)[:, :k]
+        best = np.sqrt(np.take_along_axis(d2, near, axis=1).min(axis=1))
+        for j0, j1 in (
+            (np.maximum(near - 1, 0), near),
+            (near, np.minimum(near + 1, m - 1)),
+        ):
+            p = B[j0]
+            w = B[j1] - p
+            ww = (w * w).sum(axis=2)
+            ww[ww == 0.0] = 1.0
+            t = np.clip(((Q[:, None, :] - p) * w).sum(axis=2) / ww, 0.0, 1.0)
+            foot = p + t[:, :, None] * w
+            gap = np.linalg.norm(Q[:, None, :] - foot, axis=2).min(axis=1)
+            best = np.minimum(best, gap)
+        worst = max(worst, float(best.max()))
+    return worst
+
+
+def _walk(rng, m, n):
+    """A rough curve: m nodes of a Gaussian random walk in R^n."""
+    return np.cumsum(rng.standard_normal((m, n)), axis=0)
+
+
+def gap_cases(n):
+    """(label, A, B): every B size, A lengths off the chunk grid, repeated
+    B nodes (zero-length segments) and exactly tied distances."""
+    rng = np.random.default_rng(1000 + n)
+    for m in (1, 2, 8, 9, 300):
+        yield f"m{m}", _walk(rng, 300, n), _walk(rng, m, n)
+    for rows in (1, 255, 257, 513):
+        yield f"rows{rows}", _walk(rng, rows, n), _walk(rng, 40, n)
+    B = np.repeat(_walk(rng, 40, n), rng.integers(1, 4, 40), axis=0)
+    yield "repeated", _walk(rng, 100, n), B
+    # Lattice nodes and queries on the lattice or at half-offsets: many
+    # nodes sit at exactly the same distance from a query.
+    B = rng.integers(-2, 3, (60, n)).astype(float)
+    A = np.concatenate([B[:20], B[20:40] + 0.5, rng.integers(-2, 3, (50, n)) + 0.5])
+    yield "tied", A, B
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 7])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
+def test_gap_equals_broadcast_oracle_below_eight_coordinates(n, chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(limitsets, "_GAP_CHUNK", chunk)
+    for label, A, B in gap_cases(n):
+        assert _directed_curve_gap(A, B) == broadcast_gap(A, B), label
+        assert _directed_curve_gap(B, A) == broadcast_gap(B, A), label
+
+
+@pytest.mark.parametrize("n", [8, 9, 16])
+def test_gap_agrees_with_broadcast_oracle_from_eight_coordinates(n):
+    for label, A, B in gap_cases(n):
+        for X, Y in ((A, B), (B, A)):
+            want = broadcast_gap(X, Y)
+            assert _directed_curve_gap(X, Y) == pytest.approx(want, rel=1e-12, abs=0.0), label
+
+
+def test_gap_block_memory_is_two_distance_arrays():
+    """A block holds (chunk, m) arrays only: no (chunk, m, n) temporary."""
+    rng = np.random.default_rng(7)
+    A = rng.standard_normal((2048, 5))
+    B = rng.standard_normal((2048, 5))
+    tracemalloc.start()
+    try:
+        _directed_curve_gap(A, B)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * limitsets._GAP_CHUNK * 2048 * 8
+
+
+curves = st.integers(1, 9).flatmap(
+    lambda n: hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 40), st.just(n)),
+        elements=st.floats(-1e3, 1e3),
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(curves)
+def test_gap_of_a_curve_to_itself_is_zero(A):
+    assert _directed_curve_gap(A, A) == 0.0
+
+
+@st.composite
+def trajectories(draw):
+    n = draw(st.integers(1, 4))
+    nodes = draw(st.integers(2, 12))
+    steps = draw(hnp.arrays(np.float64, nodes - 1, elements=st.floats(0.01, 2.0)))
+    values = st.floats(-10.0, 10.0)
+    return Trajectory(
+        times=np.concatenate([[0.0], np.cumsum(steps)]),
+        states=draw(hnp.arrays(np.float64, (nodes, n), elements=values)),
+        derivs=draw(hnp.arrays(np.float64, (nodes, n), elements=values)),
+        rtol=1e-8,
+        atol=1e-10,
+        max_step=np.inf,
+    )
+
+
+@settings(max_examples=10, deadline=None)
+@given(trajectories(), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_half_window_gap_is_the_larger_directed_gap(traj, u, v):
+    t_start = traj.t0 + u * traj.span()
+    mid = t_start + v * (traj.t_end - t_start)
+    A = traj.sample(np.linspace(t_start, mid, limitsets._GAP_SAMPLES))
+    B = traj.sample(np.linspace(mid, traj.t_end, limitsets._GAP_SAMPLES))
+    both = max(_directed_curve_gap(A, B), _directed_curve_gap(B, A))
+    assert _half_window_gap(traj, t_start, mid) == both
