@@ -67,31 +67,134 @@ _GAP_CHUNK = 256
 # the same region several times needs more than the single nearest node:
 # the best segment may hang off a node from another pass.
 _GAP_NEIGHBORS = 8
+# Nodes per k-d leaf and queries per block of the pruned nearest-node
+# search. Below four leaves every query scans the whole curve.
+_GAP_LEAF = 32
+_GAP_BLOCK = 64
 
 
-# The squared distances are summed one coordinate at a time, c = 0..n-1, so
-# a block holds two (chunk, m) arrays rather than a (chunk, m, n) difference.
-# numpy sums an axis shorter than 8 in the same order, so for n < 8 this is
-# bit for bit the broadcast sum ((Q[:, None] - B[None]) ** 2).sum(axis=2);
-# from n = 8 on numpy sums pairwise and d2 may differ from it by an ulp.
+def _kd_order(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(perm, bounds): the rows of P in k-d leaf order, leaf i being
+    perm[bounds[i]:bounds[i + 1]]. Each node above leaf size splits at its
+    median along its widest axis, into halves of nearly equal size."""
+    m = P.shape[0]
+    perm = np.arange(m)
+    bounds = np.array([0, m])
+    while True:
+        sizes = np.diff(bounds)
+        split = sizes > _GAP_LEAF
+        if not split.any():
+            return perm, bounds
+        X = P[perm]
+        width = np.maximum.reduceat(X, bounds[:-1]) - np.minimum.reduceat(X, bounds[:-1])
+        node = np.repeat(np.arange(sizes.size), sizes)
+        key = X[np.arange(m), np.argmax(width, axis=1)[node]]
+        perm = perm[np.lexsort((key, node))]
+        bounds = np.sort(np.concatenate([bounds, bounds[:-1][split] + sizes[split] // 2]))
+
+
+def _squared_distances(Q: np.ndarray, BT: np.ndarray) -> np.ndarray:
+    """|q - b|^2 for every row q of Q and column b of BT, summed one
+    coordinate at a time, c = 0..n-1."""
+    d2 = (Q[:, 0:1] - BT[0]) ** 2
+    for c in range(1, BT.shape[0]):
+        d2 += (Q[:, c:c + 1] - BT[c]) ** 2
+    return d2
+
+
+def _leaf_nearest(A: np.ndarray, B: np.ndarray, k: int):
+    """Yield (rows, near, nd2) per block of queries: row indices into A,
+    the indices of each row's k nearest rows of B, and their squared
+    distances. Rows whose k-set the pruned search cannot settle exactly
+    are left out."""
+    perm, bounds = _kd_order(B)
+    sizes = np.diff(bounds)
+    P = B[perm]
+    lo = np.minimum.reduceat(P, bounds[:-1])
+    hi = np.maximum.reduceat(P, bounds[:-1])
+    PT = np.ascontiguousarray(P.T)
+    leaf = np.repeat(np.arange(sizes.size), sizes)
+    order = _kd_order(A)[0]
+    for b0 in range(0, order.size, _GAP_BLOCK):
+        rows = order[b0:b0 + _GAP_BLOCK]
+        Q = A[rows]
+        # Squared distance from each query to each leaf box, summed in the
+        # same order as d2; every term is a monotone function of a term of
+        # d2, so lb <= d2 holds in floating point for every node of a leaf.
+        lb = np.zeros((rows.size, sizes.size))
+        for c in range(P.shape[1]):
+            q = Q[:, c:c + 1]
+            lb += np.maximum(np.maximum(lo[:, c] - q, q - hi[:, c]), 0.0) ** 2
+        # U bounds each row's k-th distance from above: the k-th smallest
+        # d2 over the leaves nearest the block, two at least and k nodes.
+        seed = np.argsort(lb.max(axis=0))
+        n_seed = max(2, int(np.searchsorted(np.cumsum(sizes[seed]), k)) + 1)
+        near_leaf = np.zeros(sizes.size, dtype=bool)
+        near_leaf[seed[:n_seed]] = True
+        cols = np.flatnonzero(near_leaf[leaf])
+        U = np.partition(_squared_distances(Q, PT[:, cols]), k - 1, axis=1)[:, k - 1]
+        cols = np.flatnonzero((lb <= U[:, None]).any(axis=0)[leaf])
+        if cols.size <= k:
+            continue
+        d2 = _squared_distances(Q, PT[:, cols])
+        part = np.argpartition(d2, k, axis=1)[:, :k + 1]
+        pd2 = np.take_along_axis(d2, part, axis=1)
+        nd2 = pd2[:, :k]
+        unique = nd2.max(axis=1) < pd2[:, k]
+        yield rows[unique], perm[cols[part[unique, :k]]], nd2[unique]
+
+
+# Each query's candidates are its k = _GAP_NEIGHBORS nearest B nodes by
+# squared distance d2, summed one coordinate at a time, c = 0..n-1. Every
+# d2 is computed by that one expression, so a pair has the same bits
+# whichever block or column subset holds it, and the gap is bit for bit
+# that of the column-by-column scan of every (query, node) pair, at any n.
+# (numpy sums an axis shorter than 8 in the same order, so for n < 8 it is
+# also the broadcast sum ((Q[:, None] - B[None]) ** 2).sum(axis=2); from
+# n = 8 on numpy sums that form pairwise and it may differ by an ulp.)
+#
+# The k-d search is exact. A leaf is pruned only when lb > U for every row
+# of the block, and U is the k-th smallest d2 over a subset of the kept
+# nodes, so every pruned node has d2 > U >= the k-th smallest kept d2. If
+# the largest of a row's k smallest kept d2 is strictly below the (k+1)-th,
+# its k-set is unique in the full row too, and argpartition over the full
+# row returns that same set. Rows tied at the k-th distance, rows with a
+# non-finite coordinate (their d2 are all inf or NaN, so never strictly
+# ordered), blocks that keep too few nodes, and every row when B has a
+# non-finite coordinate (its leaf boxes bound nothing), take argpartition
+# over the full row instead. The refinement below then sees the same
+# candidate set per row, in the same chunks of input rows, whichever
+# search found it.
 def _directed_curve_gap(A: np.ndarray, B: np.ndarray) -> float:
     """max over a in A of the distance from a to the polyline through B."""
-    worst = 0.0
-    m, n = B.shape
+    m = B.shape[0]
     k = min(_GAP_NEIGHBORS, m)
+    near = np.empty((A.shape[0], k), dtype=np.intp)
+    near_d2 = np.empty((A.shape[0], k))
+    todo = np.ones(A.shape[0], dtype=bool)
+    if m >= 4 * _GAP_LEAF and np.isfinite(B).all():
+        for rows, idx, d2 in _leaf_nearest(A, B, k):
+            near[rows] = idx
+            near_d2[rows] = d2
+            todo[rows] = False
     BT = np.ascontiguousarray(B.T)
+    rest = np.flatnonzero(todo)
+    for lo in range(0, rest.size, _GAP_CHUNK):
+        rows = rest[lo:lo + _GAP_CHUNK]
+        d2 = _squared_distances(A[rows], BT)
+        idx = np.argpartition(d2, k - 1, axis=1)[:, :k]
+        near[rows] = idx
+        near_d2[rows] = np.take_along_axis(d2, idx, axis=1)
+    worst = 0.0
     for lo in range(0, A.shape[0], _GAP_CHUNK):
         Q = A[lo:lo + _GAP_CHUNK]
-        d2 = (Q[:, 0:1] - BT[0]) ** 2
-        for c in range(1, n):
-            d2 += (Q[:, c:c + 1] - BT[c]) ** 2
-        near = np.argpartition(d2, k - 1, axis=1)[:, :k]
-        best = np.sqrt(np.take_along_axis(d2, near, axis=1).min(axis=1))
+        cand = near[lo:lo + _GAP_CHUNK]
+        best = np.sqrt(near_d2[lo:lo + _GAP_CHUNK].min(axis=1))
         # Project onto the polyline segments adjacent to each candidate
         # node; on a smooth curve this removes the node-spacing artifact.
         for j0, j1 in (
-            (np.maximum(near - 1, 0), near),
-            (near, np.minimum(near + 1, m - 1)),
+            (np.maximum(cand - 1, 0), cand),
+            (cand, np.minimum(cand + 1, m - 1)),
         ):
             p = B[j0]
             w = B[j1] - p

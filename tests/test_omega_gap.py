@@ -1,10 +1,13 @@
 """The curve-to-curve gap behind the omega convergence test.
 
-`_directed_curve_gap` builds each block of squared distances one coordinate
-at a time. The oracle below is the broadcast form it replaced, kept here as
-the reference: below eight coordinates both sum the squares in the same
-order, so the gap must be the same float; from eight on numpy sums the
-broadcast form pairwise and the two may part by an ulp of d2.
+`_directed_curve_gap` finds each query's nearest nodes with a k-d search
+pruned by leaf boxes, and computes every squared distance one coordinate at
+a time. Two oracles are kept here as references. `broadcast_gap` is the
+(chunk, m, n) broadcast form: below eight coordinates both sum the squares
+in the same order, so the gap must be the same float; from eight on numpy
+sums the broadcast form pairwise and the two may part by an ulp of d2.
+`column_gap` scans every (query, node) pair column by column, with no
+pruning, and the gap must be the same float at every n.
 """
 
 import tracemalloc
@@ -28,6 +31,35 @@ def broadcast_gap(A, B):
     for lo in range(0, A.shape[0], limitsets._GAP_CHUNK):
         Q = A[lo:lo + limitsets._GAP_CHUNK]
         d2 = ((Q[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
+        near = np.argpartition(d2, k - 1, axis=1)[:, :k]
+        best = np.sqrt(np.take_along_axis(d2, near, axis=1).min(axis=1))
+        for j0, j1 in (
+            (np.maximum(near - 1, 0), near),
+            (near, np.minimum(near + 1, m - 1)),
+        ):
+            p = B[j0]
+            w = B[j1] - p
+            ww = (w * w).sum(axis=2)
+            ww[ww == 0.0] = 1.0
+            t = np.clip(((Q[:, None, :] - p) * w).sum(axis=2) / ww, 0.0, 1.0)
+            foot = p + t[:, :, None] * w
+            gap = np.linalg.norm(Q[:, None, :] - foot, axis=2).min(axis=1)
+            best = np.minimum(best, gap)
+        worst = max(worst, float(best.max()))
+    return worst
+
+
+def column_gap(A, B):
+    """The gap with d2 over every node of B, one coordinate at a time."""
+    worst = 0.0
+    m, n = B.shape
+    k = min(limitsets._GAP_NEIGHBORS, m)
+    BT = np.ascontiguousarray(B.T)
+    for lo in range(0, A.shape[0], limitsets._GAP_CHUNK):
+        Q = A[lo:lo + limitsets._GAP_CHUNK]
+        d2 = (Q[:, 0:1] - BT[0]) ** 2
+        for c in range(1, n):
+            d2 += (Q[:, c:c + 1] - BT[c]) ** 2
         near = np.argpartition(d2, k - 1, axis=1)[:, :k]
         best = np.sqrt(np.take_along_axis(d2, near, axis=1).min(axis=1))
         for j0, j1 in (
@@ -84,6 +116,91 @@ def test_gap_agrees_with_broadcast_oracle_from_eight_coordinates(n):
         for X, Y in ((A, B), (B, A)):
             want = broadcast_gap(X, Y)
             assert _directed_curve_gap(X, Y) == pytest.approx(want, rel=1e-12, abs=0.0), label
+
+
+def pruned_cases(n):
+    """(label, A, B) with B long enough for the pruned search."""
+    rng = np.random.default_rng(2000 + n)
+    for m in (128, 300, 1000, 2048):
+        yield f"walk{m}", _walk(rng, 300, n), _walk(rng, m, n)
+    # Leaf sizes off the leaf grid: 4 * 32 + 5 nodes.
+    yield "m133", _walk(rng, 300, n), _walk(rng, 133, n)
+    B = np.repeat(_walk(rng, 150, n), rng.integers(1, 4, 150), axis=0)
+    yield "repeated", _walk(rng, 300, n), B
+    # Many nodes at exactly the 8th distance: the tie rule must send these
+    # rows to the full-row search.
+    B = rng.integers(-4, 5, (600, n)).astype(float)
+    A = np.concatenate([B[:150], B[150:300] + 0.5, rng.integers(-4, 5, (150, n)) + 0.5])
+    yield "lattice", A, B
+    yield "far", _walk(rng, 300, n) + 1e6, _walk(rng, 300, n)
+    # Settling tails: a 1e-8 cloud against a 5e-11 one, offset from it.
+    cloud = rng.standard_normal((2048, n)) * 1e-8 + 1e-7
+    yield "lv_like", cloud, rng.standard_normal((2048, n)) * 5e-11
+
+
+# (leaf, block, largest case run): small leaves and blocks on small cases.
+@pytest.mark.parametrize("consts", [None, (4, 7, 450 * 600), (1, 1, 300 * 300)])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8, 9, 16])
+def test_pruned_gap_equals_full_column_scan(n, consts, monkeypatch):
+    if consts is not None:
+        monkeypatch.setattr(limitsets, "_GAP_LEAF", consts[0])
+        monkeypatch.setattr(limitsets, "_GAP_BLOCK", consts[1])
+    for label, A, B in pruned_cases(n):
+        if consts is not None and A.shape[0] * B.shape[0] > consts[2]:
+            continue
+        for X, Y in ((A, B), (B, A)):
+            assert Y.shape[0] >= 4 * limitsets._GAP_LEAF, label
+            assert _directed_curve_gap(X, Y) == column_gap(X, Y), label
+
+
+def test_pruned_gap_when_too_few_nodes_survive(monkeypatch):
+    """Singleton leaves and a far query keep exactly k nodes: the block
+    goes to the full-row search."""
+    monkeypatch.setattr(limitsets, "_GAP_LEAF", 1)
+    monkeypatch.setattr(limitsets, "_GAP_BLOCK", 1)
+    B = np.stack([np.arange(128.0), np.zeros(128)], axis=1)
+    A = np.array([[-1000.0, 3.0], [60.25, 0.5]])
+    assert _directed_curve_gap(A, B) == column_gap(A, B)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_coordinates_keep_the_full_scan_result(bad):
+    rng = np.random.default_rng(11)
+    A, B = _walk(rng, 600, 3), _walk(rng, 300, 3)
+    cases = []
+    for X, Y in ((A, B), (B, A)):
+        for row, col in ((0, 0), (257, 2), (-1, 1)):
+            Xb = X.copy()
+            Xb[row, col] = bad
+            cases += [(Xb, Y), (Y, Xb)]
+    # Every row of the first query blocks (and of a chunk) non-finite.
+    Xb = A.copy()
+    Xb[:300] = bad
+    cases += [(Xb, B), (B, Xb)]
+    Xb = A.copy()
+    Xb[:] = bad
+    cases += [(Xb, B), (B, Xb)]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for X, Y in cases:
+            assert repr(_directed_curve_gap(X, Y)) == repr(column_gap(X, Y))
+
+
+lattice_curves = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        hnp.arrays(np.float64, st.tuples(st.integers(150, 600), st.just(n)),
+                   elements=st.integers(-3, 3).map(float)),
+        hnp.arrays(np.float64, st.tuples(st.integers(150, 600), st.just(n)),
+                   elements=st.integers(-6, 6).map(lambda v: v / 2)),
+    )
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(lattice_curves)
+def test_pruned_gap_on_lattice_curves(AB):
+    A, B = AB
+    assert _directed_curve_gap(A, B) == column_gap(A, B)
+    assert _directed_curve_gap(B, A) == column_gap(B, A)
 
 
 def test_gap_block_memory_is_two_distance_arrays():
