@@ -251,7 +251,9 @@ def integrate(
             events.append((t_exit, "domain_exit"))
             break
 
-        t += h
+        # The last step lands on T itself: from t < T/2, t + (T - t) may
+        # round an ulp short of T and leave an underflowing step behind.
+        t = T if h == T - t else t + h
         y = y_new
         f = f_new
         ts.append(t)

@@ -158,21 +158,25 @@ def _leaf_nearest(A: np.ndarray, B: np.ndarray, k: int):
 # nodes, so every pruned node has d2 > U >= the k-th smallest kept d2. If
 # the largest of a row's k smallest kept d2 is strictly below the (k+1)-th,
 # its k-set is unique in the full row too, and argpartition over the full
-# row returns that same set. Rows tied at the k-th distance, rows with a
-# non-finite coordinate (their d2 are all inf or NaN, so never strictly
-# ordered), blocks that keep too few nodes, and every row when B has a
-# non-finite coordinate (its leaf boxes bound nothing), take argpartition
-# over the full row instead. The refinement below then sees the same
-# candidate set per row, in the same chunks of input rows, whichever
-# search found it.
+# row returns that same set. Rows tied at the k-th distance and blocks
+# that keep too few nodes take argpartition over the full row instead. The
+# refinement below then sees the same candidate set per row, in the same
+# chunks of input rows, whichever search found it.
+#
+# A curve with a non-finite coordinate has no gap to report: the result is
+# NaN, which fails the convergence test gap <= tol. (A max over chunks would
+# drop a NaN and could read such a curve as converged.)
 def _directed_curve_gap(A: np.ndarray, B: np.ndarray) -> float:
-    """max over a in A of the distance from a to the polyline through B."""
+    """max over a in A of the distance from a to the polyline through B;
+    NaN when A or B has a non-finite coordinate."""
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        return float("nan")
     m = B.shape[0]
     k = min(_GAP_NEIGHBORS, m)
     near = np.empty((A.shape[0], k), dtype=np.intp)
     near_d2 = np.empty((A.shape[0], k))
     todo = np.ones(A.shape[0], dtype=bool)
-    if m >= 4 * _GAP_LEAF and np.isfinite(B).all():
+    if m >= 4 * _GAP_LEAF:
         for rows, idx, d2 in _leaf_nearest(A, B, k):
             near[rows] = idx
             near_d2[rows] = d2
@@ -274,29 +278,62 @@ def estimate_omega(
 # ---- pair scans ----
 
 
+def _distinct_tol(P: np.ndarray) -> float:
+    """Gap above which two rows of P are distinct points:
+    PAIR_DISTINCT_TOL * max(1, max|P|). Raises BadParameter when P has a
+    non-finite coordinate, since no gap to such a point is meaningful."""
+    scale = float(np.abs(P).max())
+    if not np.isfinite(scale):
+        raise BadParameter("pair scans need finite coordinates")
+    return PAIR_DISTINCT_TOL * max(1.0, scale)
+
+
 def _distinct_pairs(P: np.ndarray):
     """Yield (i, j, D, gaps) for the distinct pairs i < j of the rows of P.
 
     Pairs come in (i, j) order, in blocks of at most _PAIR_BLOCK, with
     D = P[i] - P[j] and gaps = |D|; blocks with no distinct pair are
-    skipped. Two points are distinct when their gap exceeds
-    PAIR_DISTINCT_TOL * max(1, max|P|).
+    skipped. Two points are distinct when their gap exceeds _distinct_tol.
+    Each block is filled from row ranges, a row split where the block ends;
+    its arrays are fresh, so a caller may keep them.
     """
-    m = P.shape[0]
-    if m < 2:
+    m, n = P.shape
+    if m == 0:
         return
-    tol = PAIR_DISTINCT_TOL * max(1.0, float(np.abs(P).max()))
-    r = np.arange(m - 1)
-    starts = r * (2 * m - r - 1) // 2  # flat index of pair (r, r + 1)
-    n_pairs = m * (m - 1) // 2
-    for lo in range(0, n_pairs, _PAIR_BLOCK):
-        k = np.arange(lo, min(lo + _PAIR_BLOCK, n_pairs))
-        i = np.searchsorted(starts, k, side="right") - 1
-        j = k - starts[i] + i + 1
-        D = P[i] - P[j]
-        gaps = np.linalg.norm(D, axis=1)
+    tol = _distinct_tol(P)
+    cols = np.arange(m)
+    sq = np.empty((m - 1, n))
+    r, lo = 0, 1  # the next pair is (r, lo)
+    left = m * (m - 1) // 2
+    while left:
+        size = min(_PAIR_BLOCK, left)
+        left -= size
+        i = np.empty(size, dtype=np.intp)
+        j = np.empty(size, dtype=np.intp)
+        D = np.empty((size, n))
+        gaps = np.empty(size)
+        k = 0
+        while k < size:
+            take = min(m - lo, size - k)
+            Dk = D[k:k + take]
+            np.subtract(P[r], P[lo:lo + take], out=Dk)
+            # np.linalg.norm(D, axis=1) is sqrt(add.reduce(D * D, axis=1));
+            # the same ufuncs on each row range give the same bits with a
+            # square temporary one row long instead of one block long.
+            np.multiply(Dk, Dk, out=sq[:take])
+            np.add.reduce(sq[:take], axis=1, out=gaps[k:k + take])
+            i[k:k + take] = r
+            j[k:k + take] = cols[lo:lo + take]
+            k += take
+            lo += take
+            if lo == m:
+                r += 1
+                lo = r + 1
+        np.sqrt(gaps, out=gaps)
         keep = gaps > tol
-        if np.any(keep):
+        if keep.all():
+            yield i, j, D, gaps
+        elif keep.any():
             yield i[keep], j[keep], D[keep], gaps[keep]
 
 
@@ -333,9 +370,8 @@ def classify_orbit(traj: Trajectory, cone: Cone, max_states: int = 512) -> Orbit
     ts = traj.times[take]
     m = len(take)
 
-    scale = max(1.0, float(np.abs(S).max()))
     span = float(np.linalg.norm(S.max(axis=0) - S.min(axis=0)))
-    if span <= PAIR_DISTINCT_TOL * scale:
+    if span <= _distinct_tol(S):
         return OrbitClassification(
             kind=OrbitClass.TRIVIAL, witness_times=None, witness_margin=None, n_states=m
         )
@@ -369,6 +405,9 @@ class OrderingAudit:
     worst_unordered: tuple[int, int, float] | None
     ordered: bool
     trivial: bool
+    # True where a point is ordered against every other point; coincident
+    # points count as ordered, as in ordered_pair_matrix.
+    core_mask: np.ndarray
 
 
 def audit_ordering(points, cone: Cone) -> OrderingAudit:
@@ -378,7 +417,7 @@ def audit_ordering(points, cone: Cone) -> OrderingAudit:
     included. Fewer than two distinct points make the audit trivially
     ordered (flag trivial); an empty set raises TooFewPoints. The scan
     streams over pair blocks, so its memory is bounded by the block size
-    however many points there are.
+    plus O(m) for core_mask, however many points there are.
     """
     if isinstance(points, OmegaEstimate):
         points = points.points
@@ -387,10 +426,17 @@ def audit_ordering(points, cone: Cone) -> OrderingAudit:
         raise TooFewPoints("cannot audit an empty point set")
     n_pairs = n_ordered = 0
     lo, hi, worst = np.inf, -np.inf, None
+    unordered_with = np.zeros(P.shape[0], dtype=bool)
     for i, j, D, _ in _distinct_pairs(P):
         margins = cone.margin_many(D)
+        ok = margins <= cone.boundary_band
         n_pairs += len(margins)
-        n_ordered += int(np.count_nonzero(margins <= cone.boundary_band))
+        n_ok = int(np.count_nonzero(ok))
+        n_ordered += n_ok
+        if n_ok < len(ok):
+            bad = ~ok
+            unordered_with[i[bad]] = True
+            unordered_with[j[bad]] = True
         lo = min(lo, float(margins.min()))
         w = int(np.argmax(margins))
         if margins[w] > hi:  # strict: the first pair wins a tie, as in np.argmax
@@ -407,6 +453,7 @@ def audit_ordering(points, cone: Cone) -> OrderingAudit:
         worst_unordered=None if ordered else worst,
         ordered=ordered,
         trivial=trivial,
+        core_mask=~unordered_with,
     )
 
 
@@ -414,7 +461,8 @@ def ordered_pair_matrix(points, cone: Cone) -> np.ndarray:
     """Boolean matrix: entry (i, j) true when points i and j are ordered.
 
     Coincident points count as ordered (a point is ordered with itself).
-    The m x m result is the scan's one allocation that grows with m^2.
+    The m x m result is the scan's one allocation that grows with m^2; its
+    row-wise all() is OrderingAudit.core_mask, which the trichotomy uses.
     """
     P = np.atleast_2d(np.asarray(points, dtype=float))
     M = np.ones((P.shape[0], P.shape[0]), dtype=bool)
@@ -454,6 +502,19 @@ def _equilibrium_points(equilibria) -> np.ndarray:
     return np.array(pts) if pts else np.empty((0, 0))
 
 
+def _nearest_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """min over rows b of B of |b - a|, for each row a of A.
+
+    One broadcast pass per chunk of A rows; a chunk's difference block
+    holds at most max(_PAIR_BLOCK, len(B)) (a, b) pairs.
+    """
+    step = max(1, _PAIR_BLOCK // B.shape[0])
+    return np.concatenate([
+        np.linalg.norm(B - A[lo:lo + step, None, :], axis=2).min(axis=1)
+        for lo in range(0, A.shape[0], step)
+    ])
+
+
 def trichotomy_report(
     omega: OmegaEstimate,
     equilibria,
@@ -481,13 +542,9 @@ def trichotomy_report(
     if n_pts == 0:
         raise TooFewPoints("empty limit-set estimate")
     eq_pts = _equilibrium_points(equilibria)
-
-    def near_equilibrium(p, tol):
-        if eq_pts.shape[0] == 0:
-            return False
-        return bool(np.min(np.linalg.norm(eq_pts - p, axis=1)) <= tol)
-
-    hits = sum(1 for p in pts if near_equilibrium(p, dist_eq))
+    hits = 0
+    if eq_pts.shape[0] > 0:
+        hits = int(np.count_nonzero(_nearest_distances(pts, eq_pts) <= dist_eq))
     audit = audit_ordering(pts, cone)
     flagged = not omega.converged
     backward_used = False
@@ -513,8 +570,7 @@ def trichotomy_report(
         core_size = 0
     else:
         # Mixed audit. Look for an ordered core and backward connections.
-        M = ordered_pair_matrix(pts, cone)
-        core_mask = M.all(axis=1)
+        core_mask = audit.core_mask
         core_size = int(np.count_nonzero(core_mask))
         branch = LimitSetBranch.UNDETERMINED
         if 0 < core_size < n_pts and field is not None and eq_pts.shape[0] > 0:
@@ -524,11 +580,8 @@ def trichotomy_report(
             )
             core_pts = pts[core_mask]
             # Equilibria that sit inside (near) the ordered core.
-            core_eqs = [
-                q for q in eq_pts
-                if np.min(np.linalg.norm(core_pts - q, axis=1)) <= tol
-            ]
-            if core_eqs:
+            core_eqs = eq_pts[_nearest_distances(eq_pts, core_pts) <= tol]
+            if core_eqs.shape[0] > 0:
                 all_connect = True
                 for p in pts[~core_mask]:
                     try:

@@ -84,6 +84,16 @@ def stable_linear_runs(draw):
     return A, x0, draw(st.floats(0.5, 10.0))
 
 
+def test_run_from_an_equilibrium_ends_on_T():
+    """At rest the steps grow fast, and the last one starts before T/2,
+    where t + (T - t) can round an ulp short of T; a 1-ulp step would then
+    raise StepUnderflow."""
+    T = 7.6122368625948225
+    traj = integrate(make_linear_field(np.array([[-0.1]])), np.array([0.0]), T)
+    assert traj.t_end == T
+    assert np.all(traj.states == 0.0)
+
+
 @settings(max_examples=30, deadline=None)
 @given(stable_linear_runs())
 def test_sampling_at_the_nodes_returns_the_nodes(run):

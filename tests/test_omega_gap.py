@@ -164,7 +164,10 @@ def test_pruned_gap_when_too_few_nodes_survive(monkeypatch):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_non_finite_coordinates_keep_the_full_scan_result(bad):
+def test_non_finite_coordinates_give_a_nan_gap(bad):
+    """A curve with a non-finite coordinate has no gap: NaN, so the tail
+    never reads as converged. (Folding chunks with max() drops a NaN, so
+    an all-NaN A would read 0.0.)"""
     rng = np.random.default_rng(11)
     A, B = _walk(rng, 600, 3), _walk(rng, 300, 3)
     cases = []
@@ -180,9 +183,22 @@ def test_non_finite_coordinates_keep_the_full_scan_result(bad):
     Xb = A.copy()
     Xb[:] = bad
     cases += [(Xb, B), (B, Xb)]
-    with np.errstate(invalid="ignore", over="ignore"):
-        for X, Y in cases:
-            assert repr(_directed_curve_gap(X, Y)) == repr(column_gap(X, Y))
+    for X, Y in cases:
+        assert np.isnan(_directed_curve_gap(X, Y))
+
+
+def test_non_finite_tail_is_not_converged():
+    """A tail at rest but for one NaN node: were the NaN chunk dropped
+    from the max, the tail would read as converged."""
+    t = np.linspace(0.0, 10.0, 401)
+    states = np.tile([1.0, 0.0, 0.0], (t.size, 1))
+    states[350, 2] = np.nan
+    traj = Trajectory(times=t, states=states, derivs=np.zeros_like(states),
+                      rtol=1e-8, atol=1e-10, max_step=np.inf)
+    with np.errstate(invalid="ignore"):
+        omega = limitsets.estimate_omega(traj)
+    assert np.isnan(omega.hausdorff_gap)
+    assert omega.converged is False
 
 
 lattice_curves = st.integers(1, 4).flatmap(

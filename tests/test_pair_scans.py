@@ -6,6 +6,7 @@ with blocks small enough to split rows of the triangle.
 """
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,15 +18,18 @@ from kcone.cones import (
     make_projector,
     make_quadratic_cone,
 )
-from kcone.errors import TooFewPoints
+from kcone.errors import BadParameter, TooFewPoints
 from kcone.integrators import Trajectory
 from kcone.limitsets import (
     PAIR_DISTINCT_TOL,
+    LimitSetBranch,
+    OmegaEstimate,
     OrbitClass,
     audit_ordering,
     classify_orbit,
     ordered_pair_matrix,
     projection_separation,
+    trichotomy_report,
 )
 from kcone.report import write_margins_csv
 
@@ -129,13 +133,39 @@ def _point_sets():
 POINT_SETS = _point_sets()
 
 
-@pytest.fixture(params=[1, 5], ids=lambda b: f"block{b}")
+# The 13-point sets have 78 pairs and 12 in their first row: block 5 splits
+# rows, block 12 ends on a row end, and block 78 holds every pair at once.
+@pytest.fixture(params=[1, 5, 12, 78], ids=lambda b: f"block{b}")
 def block(request, monkeypatch):
     monkeypatch.setattr(limitsets, "_PAIR_BLOCK", request.param)
     return request.param
 
 
 # ---- comparisons ----
+
+
+@pytest.mark.parametrize("set_name", sorted(POINT_SETS))
+def test_kernel_blocks_match_oracle(block, set_name):
+    P = np.atleast_2d(POINT_SETS[set_name])
+    blocks = list(limitsets._distinct_pairs(P))
+    assert all(0 < len(b[0]) <= block for b in blocks)
+    iu, ju, D, gaps, distinct = _all_pairs(P)
+    want = (iu[distinct], ju[distinct], D[distinct], gaps[distinct])
+    # Blocks are kept until the end, so a reused buffer would show here.
+    for k, oracle in enumerate(want):
+        got = np.concatenate([b[k] for b in blocks]) if blocks else oracle[:0]
+        assert np.array_equal(got, oracle)
+
+
+@pytest.mark.parametrize("cone_name", sorted(CONES))
+@pytest.mark.parametrize("set_name", sorted(POINT_SETS))
+def test_audit_core_mask_matches_matrix(block, cone_name, set_name):
+    P, cone = POINT_SETS[set_name], CONES[cone_name]
+    if P.shape[0] == 0:
+        return
+    core = audit_ordering(P, cone).core_mask
+    assert core.dtype == bool
+    assert np.array_equal(core, ordered_pair_matrix(P, cone).all(axis=1))
 
 
 @pytest.mark.parametrize("cone_name", sorted(CONES))
@@ -243,3 +273,73 @@ def test_classify_witness_matches_oracle(block, cone_name, set_name):
     assert cls.witness_times == (float(traj.times[i]), float(traj.times[j]))
     assert cls.witness_margin == margin
 
+
+# ---- non-finite points ----
+
+
+def _late_bad_orbit(P, cone):
+    S = np.zeros((12, 3))
+    S[:, 2] = np.arange(12.0)
+    S[5] = P[-1]
+    return classify_orbit(_trajectory(S), cone)
+
+
+PAIR_SCAN_CALLS = {
+    "classify_orbit": _late_bad_orbit,
+    "audit_ordering": audit_ordering,
+    "ordered_pair_matrix": ordered_pair_matrix,
+    "projection_separation": lambda P, cone: projection_separation(P, make_projector(cone)),
+    "write_margins_csv": lambda P, cone: write_margins_csv(io.StringIO(), P, cone),
+}
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=repr)
+@pytest.mark.parametrize("consumer", sorted(PAIR_SCAN_CALLS))
+def test_non_finite_points_raise_in_every_pair_scan(consumer, bad):
+    """A non-finite coordinate has no gap to any point. Unchecked, an inf
+    makes the distinctness cutoff inf (an empty, trivially ordered audit)
+    and a NaN row silently drops its pairs."""
+    P = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [bad, 0.0, 0.0]])
+    with np.errstate(invalid="ignore"), pytest.raises(BadParameter):
+        PAIR_SCAN_CALLS[consumer](P, CONES["quadratic"])
+
+
+@pytest.mark.parametrize("n", [1, 3, 9])
+@pytest.mark.parametrize("block_rows", [1, 7, 1 << 16])
+def test_nearest_distances_match_per_point_loop(monkeypatch, n, block_rows):
+    """The trichotomy's equilibrium tests, one broadcast pass (chunked by
+    _PAIR_BLOCK), against per-point loops."""
+    monkeypatch.setattr(limitsets, "_PAIR_BLOCK", block_rows)
+    rng = np.random.default_rng(n)
+    pts = rng.normal(size=(50, n)) * rng.uniform(0.1, 10.0, size=(50, 1))
+    eqs = rng.normal(size=(4, n))
+    hits = [np.min(np.linalg.norm(eqs - p, axis=1)) for p in pts]
+    core = [np.min(np.linalg.norm(pts - q, axis=1)) for q in eqs]
+    assert np.array_equal(limitsets._nearest_distances(pts, eqs), hits)
+    assert np.array_equal(limitsets._nearest_distances(eqs, pts), core)
+
+
+# ---- memory ----
+
+
+def test_mixed_trichotomy_holds_no_pair_matrix():
+    """The ordered core of a mixed audit comes from the audit pass, in O(m)
+    memory. An m x m bool matrix of 3,000 points alone would take 9 MB; the
+    scan holds at most two blocks of pairs (the caller's and the next one),
+    whatever the number of points."""
+    rng = np.random.default_rng(5)
+    m = 3000
+    omega = OmegaEstimate(
+        points=rng.normal(size=(m, 3)), times=np.arange(m, dtype=float),
+        window=(0.0, m - 1.0), spacing=1.0, hausdorff_gap=0.0,
+        converged=True, tol=1.0,
+    )
+    tracemalloc.start()
+    try:
+        rep = trichotomy_report(omega, [], CONES["quadratic"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < rep.ordered_fraction < 1.0  # the mixed branch ran
+    assert rep.branch is LimitSetBranch.UNDETERMINED
+    assert peak < m * m
