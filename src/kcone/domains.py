@@ -38,8 +38,11 @@ class Box:
 
     def contains(self, x, pad: float = 0.0):
         x = np.asarray(x, dtype=float)
-        inside = (x >= self.lo - pad) & (x <= self.hi + pad)
-        return np.all(inside, axis=-1)
+        if pad:
+            inside = (x >= self.lo - pad) & (x <= self.hi + pad)
+        else:
+            inside = (x >= self.lo) & (x <= self.hi)
+        return inside.all(axis=-1)
 
     def sample(self, rng: np.random.Generator, m: int) -> np.ndarray:
         return rng.uniform(self.lo, self.hi, size=(m, self.dim))

@@ -58,8 +58,12 @@ def hill(x, theta, m):
 
 
 def pwl(x, a, b):
-    """Ramp from 0 at x=a to 1 at x=b, clamped outside; a > b flips it."""
-    return np.clip((np.asarray(x, dtype=float) - a) / (b - a), 0.0, 1.0)
+    """Ramp from 0 at x=a to 1 at x=b, clamped outside; a > b flips it.
+
+    np.clip's bits at a third of its dispatch cost. This operand order keeps
+    its -0.0 at the start of a falling ramp; max(v, 0.0) would give +0.0.
+    """
+    return np.minimum(1.0, np.maximum(0.0, (np.asarray(x, dtype=float) - a) / (b - a)))
 
 
 class _Token:
@@ -230,7 +234,7 @@ def parse_expression(
     The result broadcasts: scalars stay scalars, and an (m, n) batch of
     states yields an (m,) batch of values.
     """
-    fn = _Parser(text, variables, params or {}).parse()
+    fn = _compile(text, variables, params)
 
     def evaluate(X):
         X = np.asarray(X, dtype=float)
@@ -239,3 +243,9 @@ def parse_expression(
         return np.broadcast_to(np.asarray(out, dtype=float), X.shape[:-1]).copy()
 
     return evaluate
+
+
+def _compile(text: str, variables: Sequence[str], params: Mapping[str, float] | None) -> Callable:
+    """The parser's raw closure, with numpy's floating-point error state
+    left to the caller."""
+    return _Parser(text, variables, params or {}).parse()

@@ -28,7 +28,7 @@ import numpy as np
 
 from .domains import Box, Cylinder, Domain
 from .errors import BadParameter, DimensionMismatch
-from .expressions import hill, parse_expression, pwl
+from .expressions import _compile, hill, pwl
 
 # Side length of the default box for globally defined linear fields.
 LINEAR_BOUND = 1e4
@@ -276,12 +276,17 @@ def parse_field(
         raise BadParameter("parsed fields need an explicit domain")
     if domain.dim != n:
         raise DimensionMismatch("domain dimension does not match the expressions")
-    compiled = [parse_expression(text, var_names, params) for text in exprs]
+    compiled = [_compile(text, var_names, params) for text in exprs]
 
     def rhs(x):
+        # One errstate per call and each raw closure written in place: on a
+        # single state, evaluate's errstate, broadcast and copy per
+        # coordinate cost more than the arithmetic.
+        X = np.asarray(x, dtype=float)
         out = np.empty_like(x)
-        for i, fn in enumerate(compiled):
-            out[..., i] = fn(x)
+        with np.errstate(all="ignore"):
+            for i, fn in enumerate(compiled):
+                out[..., i] = fn(X)
         return out
 
     return VectorField(dim=n, rhs=rhs, domain=domain, family="parsed")

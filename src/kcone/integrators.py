@@ -17,6 +17,13 @@ Characteristics
     * Raises StepUnderflow when h < 1e-12 T, NonFiniteState on nan/inf at
       an accepted node.
 
+Each Trajectory counts its run's work, for profiling; no report reads it:
+    n_rhs              right-hand-side calls, f(x0) and exit node included
+    n_accepted         steps appended as nodes (an exit node is not one)
+    n_rejected         steps re-tried for a non-finite stage or error > tol
+    n_kink_retries     steps re-tried at half length for a region change
+    n_exit_bisections  halvings of the interpolant to locate a domain exit
+
 Between accepted nodes the trajectory interpolates with a cubic Hermite
 polynomial through the stored states and right-hand-side values, which is
 why a Trajectory keeps the derivative array alongside the states.
@@ -24,7 +31,8 @@ why a Trajectory keeps the derivative array alongside the states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+import math
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -72,6 +80,11 @@ class Trajectory:
     atol: float
     max_step: float
     events: list[tuple[float, str]] = dc_field(default_factory=list)
+    n_rhs: int = 0
+    n_accepted: int = 0
+    n_rejected: int = 0
+    n_kink_retries: int = 0
+    n_exit_bisections: int = 0
 
     @property
     def dim(self) -> int:
@@ -103,6 +116,8 @@ class Trajectory:
         1e-12 of that node.
         """
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+        if t_arr.size == 0:
+            return np.empty((0, self.dim))
         if t_arr.min() < self.t0 - 1e-12 or t_arr.max() > self.t_end + 1e-12:
             raise BadParameter(
                 f"sample time outside [{self.t0}, {self.t_end}]"
@@ -179,9 +194,13 @@ def integrate(
         raise BadParameter("T must be positive and finite")
     if not (rtol > 0.0 and atol > 0.0):
         raise BadParameter("tolerances must be positive")
+    if not max_step > 0.0:
+        raise BadParameter("max_step must be positive")
     if not bool(field.domain.contains(x0, pad=1e-12 * max(1.0, float(np.abs(x0).max())))):
         raise DomainViolation("x0 lies outside the field domain")
 
+    rhs = field.rhs
+    contains = field.domain.contains
     region = field.region_index
     f0 = np.asarray(field(x0), dtype=float)
     if not np.all(np.isfinite(f0)):
@@ -191,6 +210,8 @@ def integrate(
     ys = [x0.copy()]
     fs = [f0.copy()]
     events: list[tuple[float, str]] = []
+    n_rhs = 1
+    n_accepted = n_rejected = n_kink_retries = n_exit_bisections = 0
 
     t = 0.0
     y = x0.copy()
@@ -206,22 +227,28 @@ def integrate(
 
         K[0] = f
         for i in range(1, 7):
-            K[i] = field(y + h * (K[:i].T @ _A[i]))
+            K[i] = rhs(y + h * (K[:i].T @ _A[i]))
+        n_rhs += 6
         y_new = y + h * (K[:6].T @ _A[6])
-        err = float(np.linalg.norm(h * (K.T @ _E)))
-        tol = atol + rtol * float(np.linalg.norm(y_new))
+        # The 2-norm as np.linalg.norm takes it for a 1-d float array.
+        e = h * (K.T @ _E)
+        err = math.sqrt(e.dot(e))
+        tol = atol + rtol * math.sqrt(y_new.dot(y_new))
 
         # Test K itself: stage 2 has zero weight in both y_new and err.
-        if not (np.isfinite(K).all() and np.isfinite(err)):
+        if not (np.isfinite(K).all() and math.isfinite(err)):
+            n_rejected += 1
             h *= 0.5
             continue
         if err > tol:
+            n_rejected += 1
             h *= _step_factor(tol, err)
             continue
 
         # Kink localization: shrink steps that jump a ramp-region boundary.
         new_region = region(y_new) if region is not None else None
         if new_region != cur_region and h > KINK_FLOOR:
+            n_kink_retries += 1
             h = max(0.5 * h, KINK_FLOOR)
             continue
 
@@ -229,14 +256,14 @@ def integrate(
             raise NonFiniteState(f"state not finite after t = {t:.6g}")
         f_new = K[6].copy()  # FSAL: the 7th stage argument is exactly y_new
 
-        inside = bool(field.domain.contains(y_new))
-        if not inside:
+        if not contains(y_new):
             # Bisect the Hermite interpolant for the last inside point.
             lo_s, hi_s = 0.0, 1.0
             for _ in range(80):
+                n_exit_bisections += 1
                 mid = 0.5 * (lo_s + hi_s)
                 y_mid = _hermite(y, f, y_new, f_new, h, mid)
-                if bool(field.domain.contains(y_mid)):
+                if contains(y_mid):
                     lo_s = mid
                 else:
                     hi_s = mid
@@ -248,6 +275,7 @@ def integrate(
                 ts.append(t_exit)
                 ys.append(y_exit)
                 fs.append(np.asarray(field(y_exit), dtype=float))
+                n_rhs += 1
             events.append((t_exit, "domain_exit"))
             break
 
@@ -259,6 +287,7 @@ def integrate(
         ts.append(t)
         ys.append(y)
         fs.append(f)
+        n_accepted += 1
         h *= _step_factor(tol, err)
         if new_region != cur_region:
             # The step after a kink crossing restarts small.
@@ -273,6 +302,11 @@ def integrate(
         atol=atol,
         max_step=max_step,
         events=events,
+        n_rhs=n_rhs,
+        n_accepted=n_accepted,
+        n_rejected=n_rejected,
+        n_kink_retries=n_kink_retries,
+        n_exit_bisections=n_exit_bisections,
     )
 
 
@@ -299,13 +333,12 @@ def integrate_backward(
         region_index=field.region_index,
     )
     back = integrate(reversed_field, x0, T, rtol=rtol, atol=atol, max_step=max_step)
-    return Trajectory(
+    # The work counters carry over unchanged.
+    return replace(
+        back,
         times=-back.times[::-1],
         states=back.states[::-1].copy(),
         derivs=-back.derivs[::-1],
-        rtol=rtol,
-        atol=atol,
-        max_step=max_step,
         events=[(-t, kind) for (t, kind) in reversed(back.events)],
     )
 

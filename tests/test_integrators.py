@@ -239,6 +239,23 @@ def test_argument_validation():
         integrate(
             make_linear_field([[-1.0]], domain=Box(lo=[0.0], hi=[1.0])), [2.0], 1.0
         )
+    for bad in (0.0, -1.0, -np.inf, np.nan):
+        with pytest.raises(BadParameter, match="max_step"):
+            integrate(field, [1.0], 1.0, max_step=bad)
+        with pytest.raises(BadParameter, match="max_step"):
+            integrate_backward(field, [1.0], 1.0, max_step=bad)
+    assert integrate(field, [1.0], 1.0, max_step=np.inf).max_step == np.inf
+
+
+def test_sampling_no_times_gives_no_rows():
+    field = make_linear_field(ROTATE)
+    traj = integrate(field, [1.0, 0.0], 1.0)
+    for t in (np.array([]), []):
+        out = traj.sample(t)
+        assert out.shape == (0, 2) and out.dtype == np.float64
+    one = integrate(make_linear_field(np.eye(3), domain=Box(lo=-np.ones(3), hi=np.ones(3))),
+                    [1.0, 0.5, -0.25], 1.0)
+    assert len(one.times) == 1 and one.sample(np.array([])).shape == (0, 3)
 
 
 def test_nonfinite_rhs_at_start():
