@@ -13,7 +13,8 @@ a Pass is evidence at the sampled resolution, never a proof.
 
 Four conditions:
   * pairwise_lambda: margin < 0 over sampled pairs (certify_sampled).
-  * smith_epsilon:   margin <= -epsilon over sampled pairs (certify_smith).
+  * smith_epsilon:   margin <= -epsilon over the pairs of a pairwise_lambda
+                     report (certify_smith); it draws no sample of its own.
   * linear_lmi:      for F(x) = A x, max eigenvalue of P A + A^T P + lam P
                      is negative (certify_linear).
   * cyclic_feedback: declared coupling signs hold at sampled points
@@ -25,7 +26,7 @@ the weighted form actually falls step by step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -73,18 +74,27 @@ class ConditionReport:
         return "pass" if self.passed else "fail"
 
 
+def _pair_scorer(field: VectorField, cone: QuadraticCone, X, Y):
+    """The margins of the row pairs (X, Y) as a function of the rate; the
+    field and |x - y|^2 are evaluated once per sample."""
+    D = X - Y
+    dF = np.asarray(field(X)) - np.asarray(field(Y))
+    den = np.einsum("ij,ij->i", D, D)
+    return lambda lam: np.einsum("ij,jk,ik->i", D, cone.p_matrix, dF + lam * D) / den
+
+
 def pair_margin(field: VectorField, cone: QuadraticCone, lam: float, x, y) -> float:
-    """Normalized pairwise decay margin for one pair of domain points."""
+    """Normalized pairwise decay margin for one pair of domain points, scored
+    as a one-row sample: a report's worst_pair gives back its worst_margin
+    when the rhs gives a row the bits it gets in a batch (elementwise rhs do)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if not (bool(field.domain.contains(x)) and bool(field.domain.contains(y))):
         raise DomainViolation("pair_margin needs both points inside the domain")
-    d = x - y
-    gap = float(np.linalg.norm(d))
+    gap = float(np.linalg.norm(x - y))
     if gap <= DISTINCTNESS_RTOL * max(float(np.linalg.norm(x)), float(np.linalg.norm(y)), 1.0):
         raise IdenticalPoints("points coincide within the distinctness cutoff")
-    drift = np.asarray(field(x)) - np.asarray(field(y)) + lam * d
-    return float(d @ (cone.p_matrix @ drift)) / (gap * gap)
+    return float(_pair_scorer(field, cone, x[None], y[None])(lam)[0])
 
 
 def certify_sampled(
@@ -105,32 +115,20 @@ def certify_sampled(
     return lambda_grid_search(field, cone, [lam], domain=domain, n_pairs=n_pairs, seed=seed)[0]
 
 
-def certify_smith(
-    field: VectorField,
-    cone: QuadraticCone,
-    lam: float,
-    epsilon: float,
-    domain: Domain | None = None,
-    n_pairs: int = 10_000,
-    seed: int = 0,
-) -> ConditionReport:
-    """Uniform-gap variant: every sampled margin must be <= -epsilon.
-
-    epsilon_star reports the largest epsilon the sample would support.
-    """
-    if epsilon <= 0.0:
+def certify_smith(base: ConditionReport, epsilon: float) -> ConditionReport:
+    """Uniform-gap reading of a pairwise_lambda report, drawing nothing: every
+    sampled margin must be <= -epsilon. epsilon_star reports the largest
+    epsilon the sample would support."""
+    if base.condition != "pairwise_lambda":
+        raise BadParameter("the uniform-gap check reads a pairwise_lambda report")
+    if not epsilon > 0.0:
         raise BadParameter("epsilon must be positive")
-    base = certify_sampled(field, cone, lam, domain=domain, n_pairs=n_pairs, seed=seed)
-    return ConditionReport(
+    return replace(
+        base,
         condition="smith_epsilon",
-        lam=base.lam,
-        n_samples=base.n_samples,
-        worst_margin=base.worst_margin,
         passed=base.worst_margin <= -epsilon,
         epsilon=float(epsilon),
         epsilon_star=-base.worst_margin,
-        worst_pair=base.worst_pair,
-        boundary_band=cone.boundary_band,
     )
 
 
@@ -234,12 +232,10 @@ def lambda_grid_search(
     if not np.any(keep):
         raise AllPairsDegenerate("all sampled pairs collapsed below the cutoff")
     X, Y = X[keep], Y[keep]
-    D = X - Y
-    dF = np.asarray(field(X)) - np.asarray(field(Y))
-    den = np.einsum("ij,ij->i", D, D)
+    score = _pair_scorer(field, cone, X, Y)
     reports = []
     for lam in grid:
-        margins = np.einsum("ij,jk,ik->i", D, cone.p_matrix, dF + lam * D) / den
+        margins = score(lam)
         if not np.all(np.isfinite(margins)):
             raise NonFiniteDerivative("margin not finite at some sampled pair")
         worst = int(np.argmax(margins))
@@ -279,7 +275,7 @@ def _coupled_field(field: VectorField) -> VectorField:
     n = field.dim
 
     def rhs(z):
-        out = np.empty_like(z)
+        out = np.empty(z.shape)
         out[..., :n] = field.rhs(z[..., :n])
         out[..., n:] = field.rhs(z[..., n:])
         return out

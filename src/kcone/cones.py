@@ -13,11 +13,14 @@ Three concrete constructions:
     the all-ones direction.
   * ConvexUnionCone: K u (-K) itself, the rank-1 convex cone pair.
 
-Every cone exposes a scalar margin(v), normalized so the sign classifies:
-margin < -band means interior (strongly ordered difference), |margin| <= band
-means boundary, margin > band means outside (unordered). For the quadratic
-cone the margin is v^T P v / |v|^2; for the orthant pair it is the signed
-distance of the worst component, over |v|.
+Every cone exposes a margin, normalized so the sign classifies: margin <
+-band means interior (strongly ordered difference), |margin| <= band means
+boundary, margin > band means outside (unordered). For the quadratic cone
+the margin is v^T P v / |v|^2; for the orthant pair it is the signed
+distance of the worst component, over |v|. Each cone writes its margin once,
+as margin_many over the rows of a batch; margin(v), contains(v) and relate
+read that formula on one vector, so a vector gets the bits of its row in
+any batch.
 """
 
 from __future__ import annotations
@@ -70,8 +73,24 @@ def _classify(margin: float, band: float) -> OrderRelation:
     return OrderRelation(OrderClass.UNORDERED, margin)
 
 
+class _Margins:
+    """margin and contains for one vector, both read off margin_many."""
+
+    def _vector(self, v) -> np.ndarray:
+        v = np.asarray(v, dtype=float)
+        if v.shape != (self.dim,):
+            raise DimensionMismatch(f"expected vector of length {self.dim}, got {v.shape}")
+        return v
+
+    def margin(self, v) -> float:
+        return float(self.margin_many(self._vector(v)))
+
+    def contains(self, v) -> bool:
+        return self.margin(v) <= self.boundary_band
+
+
 @dataclass(frozen=True, eq=False)
-class QuadraticCone:
+class QuadraticCone(_Margins):
     """Sublevel cone {v : v^T P v <= 0} of a symmetric nonsingular form."""
 
     p_matrix: np.ndarray
@@ -90,15 +109,11 @@ class QuadraticCone:
         return self.eigenvectors[:, : self.rank_k]
 
     def quad_form(self, v) -> float:
-        """v^T P v, evaluated as a plain dot-product chain."""
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.dim,):
-            raise DimensionMismatch(f"expected vector of length {self.dim}, got {v.shape}")
-        return float(v @ (self.p_matrix @ v))
+        """v^T P v: the numerator of margin_many on one vector."""
+        return float(self._form(self._vector(v)))
 
-    def margin(self, v) -> float:
-        v = np.asarray(v, dtype=float)
-        return self.quad_form(v) / float(v @ v)
+    def _form(self, V) -> np.ndarray:
+        return np.einsum("...i,ij,...j->...", V, self.p_matrix, V)
 
     # The einsums stay even though they are the costliest step of a pair
     # scan: numpy does not sum "...i,...i->..." in sequence (14,970 of 65,536
@@ -109,12 +124,7 @@ class QuadraticCone:
     def margin_many(self, V) -> np.ndarray:
         """Normalized margins for rows of V, shape (m, n) -> (m,)."""
         V = np.asarray(V, dtype=float)
-        num = np.einsum("...i,ij,...j->...", V, self.p_matrix, V)
-        den = np.einsum("...i,...i->...", V, V)
-        return num / den
-
-    def contains(self, v) -> bool:
-        return self.margin(v) <= self.boundary_band
+        return self._form(V) / np.einsum("...i,...i->...", V, V)
 
 
 def make_quadratic_cone(P, boundary_band: float = DEFAULT_BOUNDARY_BAND) -> QuadraticCone:
@@ -145,7 +155,20 @@ def make_quadratic_cone(P, boundary_band: float = DEFAULT_BOUNDARY_BAND) -> Quad
 
 
 @dataclass(frozen=True, eq=False)
-class OrthantComplementCone:
+class _OrthantPair(_Margins):
+    """The two orthant cones are mirror images: their margins are
+    _sign * min(max_i v_i, -min_i v_i) / |v| with opposite signs."""
+
+    dim: int
+    boundary_band: float = DEFAULT_BOUNDARY_BAND
+
+    def margin_many(self, V) -> np.ndarray:
+        V = np.asarray(V, dtype=float)
+        norms = np.linalg.norm(V, axis=-1)
+        return self._sign * np.minimum(V.max(axis=-1), -V.min(axis=-1)) / norms
+
+
+class OrthantComplementCone(_OrthantPair):
     """Closure of R^n minus both open orthants; rank n - 1 and (n-1)-solid.
 
     v belongs iff v has no strict sign (not all components positive, not all
@@ -153,52 +176,21 @@ class OrthantComplementCone:
     has strictly mixed signs (interior), positive when v is one-signed.
     """
 
-    dim: int
-    boundary_band: float = DEFAULT_BOUNDARY_BAND
+    _sign = -1.0
 
     @property
     def rank_k(self) -> int:
         return self.dim - 1
 
-    def margin(self, v) -> float:
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.dim,):
-            raise DimensionMismatch(f"expected vector of length {self.dim}, got {v.shape}")
-        return -min(float(v.max()), -float(v.min())) / float(np.linalg.norm(v))
 
-    def margin_many(self, V) -> np.ndarray:
-        V = np.asarray(V, dtype=float)
-        norms = np.linalg.norm(V, axis=-1)
-        return -np.minimum(V.max(axis=-1), -V.min(axis=-1)) / norms
-
-    def contains(self, v) -> bool:
-        return self.margin(v) <= self.boundary_band
-
-
-@dataclass(frozen=True, eq=False)
-class ConvexUnionCone:
+class ConvexUnionCone(_OrthantPair):
     """The positive orthant united with its negation; the rank-1 convex case."""
 
-    dim: int
-    boundary_band: float = DEFAULT_BOUNDARY_BAND
+    _sign = 1.0
 
     @property
     def rank_k(self) -> int:
         return 1
-
-    def margin(self, v) -> float:
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.dim,):
-            raise DimensionMismatch(f"expected vector of length {self.dim}, got {v.shape}")
-        return min(float(v.max()), -float(v.min())) / float(np.linalg.norm(v))
-
-    def margin_many(self, V) -> np.ndarray:
-        V = np.asarray(V, dtype=float)
-        norms = np.linalg.norm(V, axis=-1)
-        return np.minimum(V.max(axis=-1), -V.min(axis=-1)) / norms
-
-    def contains(self, v) -> bool:
-        return self.margin(v) <= self.boundary_band
 
 
 def make_orthant_complement_cone(n: int, boundary_band: float = DEFAULT_BOUNDARY_BAND) -> OrthantComplementCone:

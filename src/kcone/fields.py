@@ -100,7 +100,7 @@ def make_hopf_cylinder(
 
     def rhs(x):
         r2 = x[..., 0] ** 2 + x[..., 1] ** 2
-        out = np.empty_like(x)
+        out = np.empty(x.shape)
         out[..., 0] = x[..., 0] - omega * x[..., 1] - x[..., 0] * r2
         out[..., 1] = omega * x[..., 0] + x[..., 1] - x[..., 1] * r2
         out[..., 2] = -c * x[..., 2]
@@ -149,7 +149,7 @@ def make_cyclic_feedback(n: int, kind: str = "smooth_goodwin", params: dict | No
             raise BadParameter("smooth_goodwin needs b, theta, m all positive")
 
         def rhs(x):
-            out = np.empty_like(x)
+            out = np.empty(x.shape)
             out[..., 0] = hill(x[..., n - 1], theta, m) - b * x[..., 0]
             for i in range(1, n):
                 out[..., i] = x[..., i - 1] - x[..., i]
@@ -195,7 +195,7 @@ def make_cyclic_feedback(n: int, kind: str = "smooth_goodwin", params: dict | No
             raise BadParameter("glass_pwl needs hi > lo and amp > 0")
 
         def rhs(x):
-            out = np.empty_like(x)
+            out = np.empty(x.shape)
             out[..., 0] = amp * pwl(x[..., n - 1], hi, lo) - x[..., 0]
             for i in range(1, n):
                 out[..., i] = amp * pwl(x[..., i - 1], lo, hi) - x[..., i]
@@ -283,7 +283,7 @@ def parse_field(
         # single state, evaluate's errstate, broadcast and copy per
         # coordinate cost more than the arithmetic.
         X = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
+        out = np.empty_like(X)
         with np.errstate(all="ignore"):
             for i, fn in enumerate(compiled):
                 out[..., i] = fn(X)

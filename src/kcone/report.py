@@ -117,32 +117,34 @@ def _condition_dict(rep) -> dict:
 
 
 def run_certify(scn: Scenario) -> dict:
-    """Run every certificate check the scenario supports; collect reports."""
+    """Run every certificate check the scenario supports; collect reports.
+    The sampled checks share one seeded sample: the uniform-gap check reads
+    the pairwise report at lambda, an extra rate on the grid if there is one."""
     reports = []
+    at_lam = None
     quadratic = isinstance(scn.cone, QuadraticCone)
+    smith = quadratic and scn.lam is not None and scn.epsilon is not None
     if quadratic and scn.lambda_grid is not None:
         lo, hi, step = scn.lambda_grid
-        grid = np.arange(lo, hi + 0.5 * step, step)
+        grid = list(np.arange(lo, hi + 0.5 * step, step))
         reports.extend(
             lambda_grid_search(
-                scn.field, scn.cone, grid, n_pairs=scn.pairs, seed=scn.seed
+                scn.field, scn.cone, grid + [scn.lam] if smith else grid,
+                n_pairs=scn.pairs, seed=scn.seed,
             )
         )
+        if smith:
+            at_lam = reports.pop()
     elif quadratic and scn.lam is not None:
-        reports.append(
-            certify_sampled(
-                scn.field, scn.cone, scn.lam, n_pairs=scn.pairs, seed=scn.seed
-            )
+        at_lam = certify_sampled(
+            scn.field, scn.cone, scn.lam, n_pairs=scn.pairs, seed=scn.seed
         )
+        reports.append(at_lam)
     if quadratic and scn.lam is not None and scn.field.family == "linear":
         A = scn.field.jacobian(np.zeros(scn.field.dim))
         reports.append(certify_linear(A, scn.cone, scn.lam))
-    if quadratic and scn.lam is not None and scn.epsilon is not None:
-        reports.append(
-            certify_smith(
-                scn.field, scn.cone, scn.lam, scn.epsilon, n_pairs=scn.pairs, seed=scn.seed
-            )
-        )
+    if smith:
+        reports.append(certify_smith(at_lam, scn.epsilon))
     if scn.field.components is not None and scn.field.deltas is not None:
         reports.append(
             check_cyclic_feedback(

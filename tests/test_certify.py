@@ -4,10 +4,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from kcone.cones import OrderClass, make_quadratic_cone
 from kcone.certify import (
     ConditionReport,
+    _coupled_field,
     certify_linear,
     certify_sampled,
     certify_smith,
@@ -26,7 +30,12 @@ from kcone.errors import (
     IdenticalPoints,
     NonFiniteDerivative,
 )
-from kcone.fields import make_cyclic_feedback, make_linear_field, parse_field
+from kcone.fields import (
+    make_cyclic_feedback,
+    make_hopf_cylinder,
+    make_linear_field,
+    parse_field,
+)
 
 P_STD = np.diag([-1.0, -1.0, 1.0])
 
@@ -76,6 +85,18 @@ def test_pair_margin_validation():
         pair_margin(field, cone, 0.0, [0.5, 0.0, 0.0], [0.5, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_pair_margin_reproduces_the_worst_margin(seed):
+    """pair_margin and the sampled checks share one scoring kernel, so the
+    recorded worst pair gives back the recorded worst margin bit for bit."""
+    cone = _std_cone()
+    field = make_hopf_cylinder(1.0, 4.0)
+    grid = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
+    for rep in lambda_grid_search(field, cone, grid, n_pairs=2000, seed=seed):
+        got = pair_margin(field, cone, rep.lam, *rep.worst_pair)
+        assert np.float64(got).tobytes() == np.float64(rep.worst_margin).tobytes()
+
+
 def test_certify_linear_exact_eigenvalues():
     cone = _std_cone()
     # A = -P gives P A + A^T P = -2 I: the clean pass, margin exactly -2
@@ -115,6 +136,31 @@ def test_sampled_agrees_with_linear_verdict():
             assert sampled.passed == exact.passed
 
 
+_FORMS = [
+    P_STD,
+    np.diag([-1.0, 1.0, 1.0]),
+    np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    hnp.arrays(float, (3, 3), elements=st.floats(-5.0, 5.0)),
+    st.sampled_from(range(len(_FORMS))),
+    hnp.arrays(float, 3, elements=st.floats(-3.0, 0.0)),
+    hnp.arrays(float, 3, elements=st.floats(0.1, 3.0)),
+    st.integers(0, 2**16),
+)
+def test_sampled_margin_never_exceeds_the_linear_bound(A, form, lo, width, seed):
+    """At lam = 0 a linear field's pair margin is d^T (PA + A^T P) d / 2|d|^2,
+    so no sample can beat half the top eigenvalue certify_linear reports."""
+    cone = make_quadratic_cone(_FORMS[form])
+    field = make_linear_field(A, domain=Box(lo=lo, hi=lo + width))
+    sampled = certify_sampled(field, cone, 0.0, n_pairs=300, seed=seed)
+    exact = certify_linear(A, cone, 0.0)
+    assert sampled.worst_margin <= 0.5 * exact.worst_margin + 1e-12
+
+
 def test_certify_sampled_mechanics():
     cone = _std_cone()
     field = make_linear_field(-P_STD, domain=Box(lo=-2 * np.ones(3), hi=2 * np.ones(3)))
@@ -152,19 +198,35 @@ def test_certify_sampled_nonfinite_margin():
 def test_certify_smith_epsilon_star():
     cone = _std_cone()
     field = make_linear_field(-P_STD, domain=Box(lo=-np.ones(3), hi=np.ones(3)))
-    rep = certify_smith(field, cone, 0.0, epsilon=0.5, n_pairs=2000)
+    base = certify_sampled(field, cone, 0.0, n_pairs=2000)
+    rep = certify_smith(base, epsilon=0.5)
     assert rep.condition == "smith_epsilon"
     assert rep.passed
     assert rep.epsilon == 0.5
     assert rep.epsilon_star == pytest.approx(1.0, abs=1e-12)
-    tight = certify_smith(field, cone, 0.0, epsilon=1.5, n_pairs=2000)
+    tight = certify_smith(base, epsilon=1.5)
     assert not tight.passed
     assert tight.worst_margin == rep.worst_margin
     # pass is exactly epsilon <= epsilon_star
     assert rep.passed == (rep.epsilon <= rep.epsilon_star)
     assert tight.passed == (tight.epsilon <= tight.epsilon_star)
     with pytest.raises(BadParameter):
-        certify_smith(field, cone, 0.0, epsilon=0.0)
+        certify_smith(base, epsilon=0.0)
+
+
+def test_certify_smith_reads_its_base_report():
+    # the uniform-gap check keeps the base sample, rate, pair and band
+    cone = _std_cone()
+    field = make_linear_field(-P_STD, domain=Box(lo=-np.ones(3), hi=np.ones(3)))
+    base = certify_sampled(field, cone, 0.25, n_pairs=500, seed=3)
+    rep = certify_smith(base, epsilon=0.1)
+    for name in ("lam", "n_samples", "worst_margin", "worst_pair", "boundary_band"):
+        assert getattr(rep, name) is getattr(base, name), name
+    assert rep.epsilon_star == -base.worst_margin
+    with pytest.raises(BadParameter):
+        certify_smith(certify_linear(-P_STD, cone, 0.0), epsilon=0.1)
+    with pytest.raises(BadParameter):
+        certify_smith(base, epsilon=float("nan"))
 
 
 def test_cyclic_feedback_signs():
@@ -224,6 +286,14 @@ def test_lambda_grid_search_runs_each_rate():
                 assert getattr(rep, f.name) == getattr(one, f.name), f.name
         for a, b in zip(rep.worst_pair, one.worst_pair):
             assert a.tobytes() == b.tobytes()
+
+
+def test_coupled_field_of_an_integer_state_is_float():
+    coupled = _coupled_field(make_hopf_cylinder(0.5, 0.25))
+    z = np.array([1, 1, 1, 0, 1, 2])
+    got = coupled.rhs(z)
+    assert got.dtype == np.float64
+    assert got.tobytes() == coupled.rhs(z.astype(float)).tobytes()
 
 
 def test_decay_audit_ordered_pair_passes():

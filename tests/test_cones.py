@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import kcone
 from kcone import OrderClass
@@ -35,7 +38,7 @@ def test_margin_many_agrees_with_scalar(std_cone):
     V = rng.normal(size=(40, 3))
     many = std_cone.margin_many(V)
     for i in range(40):
-        assert many[i] == pytest.approx(std_cone.margin(V[i]), abs=1e-14)
+        assert std_cone.margin(V[i]) == many[i]
 
 
 def test_relate_classification_bands(std_cone):
@@ -149,3 +152,114 @@ def test_quad_form_vs_margin_denominator(std_cone):
     q = std_cone.quad_form(v)
     assert q == pytest.approx(-1.0 - 4.0 + 4.0, abs=1e-14)
     assert std_cone.margin(v) == pytest.approx(q / 9.0, abs=1e-15)
+
+
+# ---- one margin formula per cone ----
+
+
+def _cones(n, seed=0):
+    """A rank-2 quadratic cone with a random form and the two orthant cones."""
+    rng = np.random.default_rng(seed)
+    B = rng.normal(size=(n, n)) + n * np.eye(n)
+    P = B.T @ np.diag([-1.0, -1.0] + [1.0] * (n - 2)) @ B
+    return {
+        "quadratic": kcone.make_quadratic_cone(P),
+        "orthant_complement": kcone.make_orthant_complement_cone(n),
+        "orthant_union": kcone.make_orthant_union_cone(n),
+    }
+
+
+CONES_3 = _cones(3)
+
+
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(CONES_3))
+@pytest.mark.parametrize("n, rows", [(3, 20_000), (9, 5_000)])
+def test_one_vector_gets_the_bits_of_its_batch_row(kind, n, rows):
+    """margin, contains and relate read margin_many: each vector gives
+    exactly its row of the batch, with no second formula to drift by an ulp."""
+    cone = _cones(n)[kind]
+    rng = np.random.default_rng(n)
+    X = rng.normal(size=(rows, n)) * rng.choice([1e-3, 1.0, 1e3], size=(rows, 1))
+    Y = rng.normal(size=(rows, n))
+    many = cone.margin_many(X - Y)
+    for x, y, want in zip(X, Y, many):
+        assert _bits(cone.margin(x - y)) == _bits(want)
+        assert cone.contains(x - y) == (want <= cone.boundary_band)
+        assert _bits(kcone.relate(cone, x, y).margin) == _bits(want)
+
+
+def test_orthant_cones_share_one_body():
+    cc = kcone.make_orthant_complement_cone(3)
+    cu = kcone.make_orthant_union_cone(3)
+    assert type(cc).margin_many is type(cu).margin_many
+    assert (cc.rank_k, cu.rank_k) == (2, 1)
+    with pytest.raises(kcone.DimensionMismatch):
+        cc.margin(np.ones(4))
+
+
+_VECTORS = hnp.arrays(float, 3, elements=st.floats(-1e3, 1e3))
+
+
+def _relate_or_skip(cone, x, y):
+    try:
+        return kcone.relate(cone, x, y)
+    except IdenticalPoints:
+        assume(False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(CONES_3)), _VECTORS, _VECTORS)
+def test_relate_is_symmetric(kind, x, y):
+    # y - x is -(x - y) except that an exact zero keeps its + sign, which
+    # can flip the sign of a zero margin; + 0.0 folds -0.0 onto 0.0.
+    cone = CONES_3[kind]
+    a = _relate_or_skip(cone, x, y)
+    b = kcone.relate(cone, y, x)
+    assert a.order is b.order
+    assert _bits(a.margin + 0.0) == _bits(b.margin + 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(sorted(CONES_3)),
+    _VECTORS,
+    _VECTORS,
+    st.floats(1e-3, 1e3),
+    st.sampled_from([-1.0, 1.0]),
+)
+def test_relate_is_scale_invariant(kind, x, y, scale, sign):
+    cone = CONES_3[kind]
+    spread = max(np.linalg.norm(x), np.linalg.norm(y), 1.0)
+    assume(np.linalg.norm(x - y) >= 1e-2 * spread)
+    a = kcone.relate(cone, x, y)
+    b = kcone.relate(cone, sign * scale * x, sign * scale * y)
+    assert abs(a.margin - b.margin) <= 1e-12
+    if abs(abs(a.margin) - cone.boundary_band) > 1e-12:
+        assert a.order is b.order
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(sorted(CONES_3)),
+    hnp.arrays(float, st.tuples(st.integers(1, 12), st.just(6)),
+               elements=st.floats(-1e3, 1e3)),
+)
+def test_margin_reads_the_batch_row(kind, XY):
+    cone = CONES_3[kind]
+    X, Y = XY[:, :3], XY[:, 3:]
+    # Below about 1e-162 a row's squares underflow and its margin is 0/0 or
+    # +-inf; the one formula then gives the same value both ways.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        many = cone.margin_many(X - Y)
+        for x, y, want in zip(X, Y, many):
+            assert _bits(cone.margin(x - y)) == _bits(want)
+            assert cone.contains(x - y) == (want <= cone.boundary_band)
+            try:
+                rel = kcone.relate(cone, x, y)
+            except IdenticalPoints:
+                continue
+            assert _bits(rel.margin) == _bits(want)

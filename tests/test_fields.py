@@ -259,3 +259,23 @@ def test_default_equilibrium_seeds():
     seeds = default_equilibrium_seeds(cyl, extra=[[0.1, 0.2, 0.3]])
     assert len(seeds) == 1 + 6 + 1  # no corner seeds off a box
     assert np.allclose(seeds[-1], [0.1, 0.2, 0.3])
+
+
+@pytest.mark.parametrize(
+    "field, x",
+    [
+        (make_linear_field([[0.5, 0.0], [0.25, -1.0]]), [1, 3]),
+        (make_hopf_cylinder(0.5, 0.25), [1, 1, 1]),
+        (make_cyclic_feedback(3, "smooth_goodwin"), [2, 1, 1]),
+        (make_cyclic_feedback(4, "glass_pwl", {"amp": 3.0}), [1, 1, 1, 1]),
+        (make_competitive_lv([[1.0, 0.5], [0.5, 1.0]], [1.5, 1.0]), [1, 1]),
+        (parse_field(["x1 / 2"], domain=Box(lo=[-5.0], hi=[5.0])), [3]),
+    ],
+    ids=["linear", "hopf", "goodwin", "glass", "lv", "parsed"],
+)
+def test_rhs_of_an_integer_state_is_float(field, x):
+    """An integer state passed straight to rhs is not truncated: the output
+    is float and equals the rhs of the same state as floats."""
+    got = field.rhs(np.array(x))
+    assert got.dtype == np.float64
+    assert got.tobytes() == field.rhs(np.array(x, dtype=float)).tobytes()

@@ -1,5 +1,6 @@
 """Report assembly: determinism, orbit order, serialization, CSV sidecars."""
 
+import dataclasses
 import io
 import json
 import os
@@ -9,10 +10,12 @@ import jsonschema
 import numpy as np
 import pytest
 
+from kcone.certify import certify_sampled, certify_smith
 from kcone.cones import Projector, make_projector, make_quadratic_cone
 from kcone.errors import KconeError
 from kcone.report import (
     REPORT_SCHEMA,
+    _condition_dict,
     build_full_report,
     dump_report,
     emit_plotdata,
@@ -142,6 +145,34 @@ def test_run_certify_lambda_grid():
     assert lams == [0.0, 0.5, 1.0]
     assert all(c["condition"] == "pairwise_lambda" for c in out["checks"])
     assert 0.0 in out["passing_lambdas"]
+
+
+@pytest.mark.parametrize("grid", [None, [0.0, 1.0, 0.25]], ids=["no_grid", "grid"])
+def test_run_certify_draws_one_sample(grid):
+    """The uniform-gap check reads the pairwise report at lambda, scored on
+    the one seeded sample: the field sees each of its 2 x pairs rows once,
+    and the check matches a fresh draw at that rate."""
+    obj = _linear_cert_obj(epsilon=0.5)
+    obj["lambda"] = 0.3
+    if grid is not None:
+        obj["lambda_grid"] = grid
+    scn = parse_scenario(obj)
+    field = scn.field
+    rows = []
+
+    def counting_rhs(x):
+        rows.append(len(x))
+        return field.rhs(x)
+
+    scn.field = dataclasses.replace(field, rhs=counting_rhs)
+    out = run_certify(scn)
+    assert sum(rows) == 2 * scn.pairs
+    base = certify_sampled(field, scn.cone, 0.3, n_pairs=scn.pairs, seed=scn.seed)
+    alone = certify_smith(base, 0.5)
+    smith = [c for c in out["checks"] if c["condition"] == "smith_epsilon"]
+    assert smith == [_condition_dict(alone)]
+    lams = [c["lambda"] for c in out["checks"] if c["condition"] == "pairwise_lambda"]
+    assert lams == ([0.3] if grid is None else [0.0, 0.25, 0.5, 0.75, 1.0])
 
 
 def test_run_certify_feedback_ring():
