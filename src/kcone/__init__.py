@@ -36,8 +36,6 @@ from .errors import (
     NonFiniteState,
     NotConverged,
     NotSymmetric,
-    PreconditionOrdered,
-    PreconditionUnordered,
     RankNotTwo,
     SchemaError,
     StepUnderflow,
@@ -97,17 +95,14 @@ from .limitsets import (
     OrderingAudit,
     PeriodicOrbit,
     TrichotomyReport,
-    WindowResult,
     audit_ordering,
     chain_check,
     classify_orbit,
     detect_periodic,
     estimate_omega,
     ordered_pair_matrix,
-    ordered_window,
     projection_separation,
     trichotomy_report,
-    unordered_window,
 )
 from .scenario import (
     ANALYSIS_DEFAULTS,
@@ -142,8 +137,7 @@ __all__ = [
     "NonFiniteDerivative", "IntegrationFailure", "StepUnderflow",
     "NonFiniteState", "DomainExit", "ExpressionSyntaxError",
     "UnknownIdentifier", "ArityMismatch", "TrajectoryTooShort",
-    "TooFewPoints", "RankNotTwo", "NotConverged", "PreconditionOrdered",
-    "PreconditionUnordered", "SchemaError", "IoError",
+    "TooFewPoints", "RankNotTwo", "NotConverged", "SchemaError", "IoError",
     # linear algebra
     "require_symmetric", "sym_eig",
     # cones and order relations
@@ -169,7 +163,7 @@ __all__ = [
     "audit_ordering", "ordered_pair_matrix", "LimitSetBranch",
     "TrichotomyReport", "trichotomy_report", "PeriodicOrbit",
     "detect_periodic", "projection_separation", "ChainResult",
-    "chain_check", "WindowResult", "unordered_window", "ordered_window",
+    "chain_check",
     # scenarios and reports
     "Scenario", "parse_scenario", "load_scenario", "scenario_digest",
     "canonical_json", "SCENARIO_SCHEMA", "ANALYSIS_DEFAULTS",

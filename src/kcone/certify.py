@@ -30,14 +30,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cones import DISTINCTNESS_RTOL, OrderClass, QuadraticCone, relate
+from .cones import OrderClass, QuadraticCone, _distinct_difference, relate
 from .domains import Domain
 from .errors import (
     AllPairsDegenerate,
     BadParameter,
     DomainExit,
     DomainViolation,
-    IdenticalPoints,
     NonFiniteDerivative,
 )
 from .fields import VectorField
@@ -91,9 +90,7 @@ def pair_margin(field: VectorField, cone: QuadraticCone, lam: float, x, y) -> fl
     y = np.asarray(y, dtype=float)
     if not (bool(field.domain.contains(x)) and bool(field.domain.contains(y))):
         raise DomainViolation("pair_margin needs both points inside the domain")
-    gap = float(np.linalg.norm(x - y))
-    if gap <= DISTINCTNESS_RTOL * max(float(np.linalg.norm(x)), float(np.linalg.norm(y)), 1.0):
-        raise IdenticalPoints("points coincide within the distinctness cutoff")
+    _distinct_difference(x, y)
     return float(_pair_scorer(field, cone, x[None], y[None])(lam)[0])
 
 
@@ -334,9 +331,7 @@ def decay_audit(
     y0 = np.asarray(y0, dtype=float)
     if x0.shape != (field.dim,) or y0.shape != (field.dim,):
         raise BadParameter(f"states must have length {field.dim}")
-    gap = float(np.linalg.norm(x0 - y0))
-    if gap <= DISTINCTNESS_RTOL * max(float(np.linalg.norm(x0)), float(np.linalg.norm(y0)), 1.0):
-        raise IdenticalPoints("audit pair coincides within the distinctness cutoff")
+    _distinct_difference(x0, y0)
     coupled = _coupled_field(field)
     traj = integrate(coupled, np.concatenate([x0, y0]), T, rtol=rtol, atol=atol, max_step=max_step)
     if traj.events:

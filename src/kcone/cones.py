@@ -208,6 +208,16 @@ def make_orthant_union_cone(n: int, boundary_band: float = DEFAULT_BOUNDARY_BAND
 Cone = QuadraticCone | OrthantComplementCone | ConvexUnionCone
 
 
+def _distinct_difference(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x - y; raises IdenticalPoints when |x - y| <= DISTINCTNESS_RTOL
+    max(|x|, |y|, 1)."""
+    v = x - y
+    gap = float(np.linalg.norm(v))
+    if gap <= DISTINCTNESS_RTOL * max(float(np.linalg.norm(x)), float(np.linalg.norm(y)), 1.0):
+        raise IdenticalPoints(f"|x - y| = {gap:.3e} below distinctness cutoff")
+    return v
+
+
 def relate(cone: Cone, x, y) -> OrderRelation:
     """Classify the pair (x, y) by the cone membership of x - y.
 
@@ -219,12 +229,7 @@ def relate(cone: Cone, x, y) -> OrderRelation:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.shape != (cone.dim,):
         raise DimensionMismatch(f"expected two vectors of length {cone.dim}")
-    v = x - y
-    gap = float(np.linalg.norm(v))
-    scale = max(float(np.linalg.norm(x)), float(np.linalg.norm(y)), 1.0)
-    if gap <= DISTINCTNESS_RTOL * scale:
-        raise IdenticalPoints(f"|x - y| = {gap:.3e} below distinctness cutoff")
-    return _classify(cone.margin(v), cone.boundary_band)
+    return _classify(cone.margin(_distinct_difference(x, y)), cone.boundary_band)
 
 
 @dataclass(frozen=True, eq=False)

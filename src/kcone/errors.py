@@ -111,14 +111,6 @@ class NotConverged(KconeError):
     """Limit-set estimate failed its convergence test."""
 
 
-class PreconditionOrdered(KconeError):
-    """Pair is ordered where an unordered pair is required."""
-
-
-class PreconditionUnordered(KconeError):
-    """Pair is unordered where an ordered pair is required."""
-
-
 # ---- scenario / reporting ----
 
 class SchemaError(KconeError):

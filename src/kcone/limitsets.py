@@ -15,20 +15,11 @@ from enum import Enum
 
 import numpy as np
 
-from .cones import (
-    Cone,
-    OrderClass,
-    Projector,
-    QuadraticCone,
-    make_projector,
-    relate,
-)
+from .cones import Cone, Projector, QuadraticCone, make_projector
 from .errors import (
     BadParameter,
     KconeError,
     NotConverged,
-    PreconditionOrdered,
-    PreconditionUnordered,
     RankNotTwo,
     TooFewPoints,
     TrajectoryTooShort,
@@ -549,21 +540,14 @@ def trichotomy_report(
     flagged = not omega.converged
     backward_used = False
 
-    if audit.trivial:
+    if audit.ordered:
+        # A trivial audit (one distinct point) is ordered with no pairs; it
+        # reads as an equilibrium when that point is one.
         branch = (
             LimitSetBranch.UNORDERED_EQUILIBRIA
-            if hits == n_pts
+            if audit.trivial and hits == n_pts
             else LimitSetBranch.ORDERED
         )
-        return TrichotomyReport(
-            branch=branch, ordered_fraction=audit.ordered_fraction,
-            equilibria_hits=hits, n_points=n_pts, core_size=n_pts,
-            dist_eq=dist_eq, flagged_not_converged=flagged,
-            backward_surrogate_used=False, degenerate=True, audit=audit,
-        )
-
-    if audit.ordered:
-        branch = LimitSetBranch.ORDERED
         core_size = n_pts
     elif audit.ordered_fraction == 0.0 and hits == n_pts:
         branch = LimitSetBranch.UNORDERED_EQUILIBRIA
@@ -607,7 +591,7 @@ def trichotomy_report(
         dist_eq=dist_eq,
         flagged_not_converged=flagged,
         backward_surrogate_used=backward_used,
-        degenerate=False,
+        degenerate=audit.trivial,
         audit=audit,
     )
 
@@ -841,112 +825,3 @@ def chain_check(
         results.append(ChainResult(index=i, success=success, hops=hops))
     return results
 
-
-# ---- persistence windows ----
-
-
-@dataclass(frozen=True)
-class WindowResult:
-    value: float
-    truncated: bool
-    backward_exit: bool
-    series: tuple[tuple[float, float], ...] | None = None
-
-
-def _window_scan(field, moving, fixed, cone, t_max, dt, want_unordered, rtol, atol):
-    """Largest t with the required relation on the grid s in [-t, t]."""
-    fwd = integrate(field, moving, t_max, rtol=rtol, atol=atol)
-    bwd = integrate_backward(field, moving, t_max, rtol=rtol, atol=atol)
-    fwd_reach = fwd.t_end
-    bwd_reach = -bwd.t0
-    backward_exit = bool(bwd.events)
-    reach = min(fwd_reach, bwd_reach, t_max)
-
-    k = 1
-    value = 0.0
-    while k * dt <= reach + 1e-12:
-        s = min(k * dt, reach)
-        ok = True
-        for state in (fwd.sample(min(s, fwd_reach)), bwd.sample(max(-s, bwd.t0))):
-            rel = relate(cone, state, fixed)
-            is_unordered = rel.order is OrderClass.UNORDERED
-            if is_unordered != want_unordered:
-                ok = False
-                break
-        if not ok:
-            break
-        value = s
-        k += 1
-    truncated = value >= reach - 1e-12 and reach >= t_max - 1e-12
-    return WindowResult(value=value, truncated=bool(truncated), backward_exit=backward_exit)
-
-
-def unordered_window(
-    field: VectorField,
-    a,
-    b,
-    cone: Cone,
-    t_max: float,
-    dt: float,
-    rtol: float = 1e-8,
-    atol: float = 1e-10,
-) -> WindowResult:
-    """How long the pair (flow(a, s), b) stays unordered for s in [-t, t].
-
-    Scans the grid s = +-dt, +-2 dt, ... and returns the largest covered t,
-    truncated at t_max (flag truncated). A backward domain exit limits the
-    reachable window and is flagged. Requires the pair to start unordered.
-    """
-    if not (dt > 0.0 and dt <= t_max):
-        raise BadParameter("need 0 < dt <= t_max")
-    if relate(cone, np.asarray(a, float), np.asarray(b, float)).is_ordered:
-        raise PreconditionOrdered("pair starts ordered; unordered window undefined")
-    return _window_scan(field, np.asarray(a, float), np.asarray(b, float), cone,
-                        t_max, dt, want_unordered=True, rtol=rtol, atol=atol)
-
-
-def ordered_window(
-    field: VectorField,
-    a,
-    b,
-    cone: Cone,
-    t_max: float,
-    dt: float,
-    push_times=None,
-    rtol: float = 1e-8,
-    atol: float = 1e-10,
-) -> WindowResult:
-    """How long the pair (a, flow(b, s)) stays ordered for s in [-t, t].
-
-    Same grid scan as unordered_window with the roles flipped: the second
-    point flows, the first stays put, and the relation must stay ordered.
-    When push_times is given, the window is re-evaluated after pushing both
-    points forward by each listed time; along a trajectory pair this series
-    should never decrease, which makes it a useful monotonicity diagnostic.
-    """
-    if not (dt > 0.0 and dt <= t_max):
-        raise BadParameter("need 0 < dt <= t_max")
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    if not relate(cone, a, b).is_ordered:
-        raise PreconditionUnordered("pair starts unordered; ordered window undefined")
-    base = _window_scan(field, b, a, cone, t_max, dt, want_unordered=False,
-                        rtol=rtol, atol=atol)
-    series = None
-    if push_times is not None:
-        rows = []
-        for tau in push_times:
-            tau = float(tau)
-            if tau == 0.0:
-                rows.append((0.0, base.value))
-                continue
-            a_t = integrate(field, a, tau, rtol=rtol, atol=atol).final_state
-            b_t = integrate(field, b, tau, rtol=rtol, atol=atol).final_state
-            pushed = _window_scan(field, b_t, a_t, cone, t_max, dt,
-                                  want_unordered=False, rtol=rtol, atol=atol)
-            rows.append((tau, pushed.value))
-        series = tuple(rows)
-    return WindowResult(
-        value=base.value, truncated=base.truncated,
-        backward_exit=base.backward_exit, series=series,
-    )

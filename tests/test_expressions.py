@@ -1,7 +1,12 @@
 """Parser golden values, precedence, broadcasting, and positioned errors."""
 
+import math
+import operator
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kcone.errors import (
     ArityMismatch,
@@ -47,6 +52,42 @@ def test_golden_values(text, variables, params, state, expected):
     fn = parse_expression(text, variables, params)
     got = float(fn(np.asarray(state)))
     assert got == pytest.approx(expected, rel=1e-15, abs=1e-15)
+
+
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# Binary + - * / trees over x1, x2 and non-negative literals.
+_TREES = st.recursive(
+    st.one_of(st.sampled_from(["x1", "x2"]), st.floats(min_value=0.0, allow_infinity=False)),
+    lambda sub: st.tuples(st.sampled_from(sorted(_ARITHMETIC)), sub, sub),
+    max_leaves=12,
+)
+
+
+def _tree_text(tree) -> str:
+    if isinstance(tree, tuple):
+        op, a, b = tree
+        return f"({_tree_text(a)} {op} {_tree_text(b)})"
+    return tree if isinstance(tree, str) else repr(tree)
+
+
+def _tree_value(tree, env: dict) -> float:
+    if isinstance(tree, tuple):
+        op, a, b = tree
+        return _ARITHMETIC[op](_tree_value(a, env), _tree_value(b, env))
+    return env[tree] if isinstance(tree, str) else tree
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TREES, _FINITE, _FINITE)
+def test_arithmetic_agrees_with_python_floats(tree, x1, x2):
+    """Both sides round each IEEE operation once, so the bits must match."""
+    try:
+        want = _tree_value(tree, {"x1": x1, "x2": x2})
+    except ZeroDivisionError:
+        assume(False)
+    got = float(parse_expression(_tree_text(tree), ("x1", "x2"))(np.array([x1, x2])))
+    assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 def test_variable_shadows_parameter():

@@ -1,6 +1,7 @@
 """Every name a kcone module imports is used in that module, every
-module-level private name is used somewhere in the package, no module
-reads the process environment, and no handler catches every exception.
+module-level private name is used somewhere in the package, every error
+type is raised, no module reads the process environment, and no handler
+catches every exception.
 
 No linter ships with the project's toolchain, so these AST scans stand in for
 one. The package __init__ is exempt from the import scan: its imports are the
@@ -82,6 +83,53 @@ def test_private_scan_flags_an_unread_name():
 def test_no_unreferenced_private_names():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
     assert unreferenced_private_names(sources) == []
+
+
+def unraised_error_types(sources: dict[str, str]) -> list[str]:
+    """KconeError subclasses in sources["errors"] that no module raises,
+    either directly or through a subclass that is raised."""
+    bases: dict[str, list[str]] = {}
+    for node in ast.parse(sources["errors"]).body:
+        if isinstance(node, ast.ClassDef):
+            bases[node.name] = [b.id for b in node.bases if isinstance(b, ast.Name)]
+    live: set[str] = set()
+    stack: list[str] = []
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                stack.append(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", ""))
+    while stack:
+        name = stack.pop()
+        if name in bases and name not in live:
+            live.add(name)
+            stack += bases[name]
+
+    def is_kcone_error(name: str) -> bool:
+        return name == "KconeError" or any(is_kcone_error(b) for b in bases.get(name, []))
+
+    return [name for name in bases if is_kcone_error(name) and name not in live]
+
+
+def test_error_scan_flags_an_unraised_type():
+    sources = {
+        "errors": "class KconeError(Exception):\n    pass\n"
+                  "class A(KconeError):\n    pass\n"
+                  "class B(A):\n    pass\n"
+                  "class C(KconeError):\n    pass\n"
+                  "class Dead(KconeError):\n    pass\n"
+                  "class Other(Exception):\n    pass\n",
+        "m": "from . import errors\nfrom .errors import B\n"
+             "def f():\n    raise B('x')\n"
+             "def g():\n    raise errors.C from None\n",
+    }
+    assert unraised_error_types(sources) == ["Dead"]
+
+
+def test_every_error_type_is_raised():
+    """An error type nothing raises is a contract no caller can meet."""
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert unraised_error_types(sources) == []
 
 
 _ENV_READS = {"environ", "getenv"}

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from kcone.domains import Box
 from kcone.errors import (
@@ -102,6 +103,16 @@ def test_sampling_at_the_nodes_returns_the_nodes(run):
     A, x0, T = run
     traj = integrate(make_linear_field(A), x0, T)
     assert np.array_equal(traj.sample(traj.times), traj.states)
+
+
+@settings(max_examples=30, deadline=None)
+@given(stable_linear_runs())
+def test_linear_run_matches_matrix_exponential(run):
+    """The flow contracts in the max norm, so local errors do not grow and
+    the endpoint stays within ten times rtol of the exact expm(A T) x0."""
+    A, x0, T = run
+    traj = integrate(make_linear_field(A), x0, T)
+    assert np.max(np.abs(traj.final_state - expm(A * T) @ x0)) <= 1e-7
 
 
 def test_matches_scipy_reference():

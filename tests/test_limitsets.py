@@ -1,4 +1,4 @@
-"""Tail estimates, order census, trichotomy, loops, chains, windows."""
+"""Tail estimates, order census, trichotomy, loops, chains."""
 
 import dataclasses
 
@@ -6,12 +6,9 @@ import numpy as np
 import pytest
 
 from kcone.cones import make_projector, make_quadratic_cone
-from kcone.domains import Box
 from kcone.errors import (
     BadParameter,
     NotConverged,
-    PreconditionOrdered,
-    PreconditionUnordered,
     RankNotTwo,
     TooFewPoints,
     TrajectoryTooShort,
@@ -29,13 +26,9 @@ from kcone.limitsets import (
     detect_periodic,
     estimate_omega,
     ordered_pair_matrix,
-    ordered_window,
     projection_separation,
     trichotomy_report,
-    unordered_window,
 )
-
-P_STD = np.diag([-1.0, -1.0, 1.0])
 
 
 def _constant_trajectory(point, n=12):
@@ -356,61 +349,3 @@ def test_projection_separation(hopf_omega, std_cone):
     assert projection_separation(axis, proj) == 0.0
     assert projection_separation(np.zeros((1, 3)), proj) == 1.0
 
-
-def test_unordered_window_axis_pair(sink_field, std_cone):
-    # both points live on the vertical axis, so the pair never orders
-    res = unordered_window(
-        sink_field, [0.0, 0.0, 1.0], [0.0, 0.0, -1.0], std_cone, t_max=2.0, dt=0.25
-    )
-    assert res.value == pytest.approx(2.0)
-    assert res.truncated
-    assert not res.backward_exit
-    assert res.series is None
-
-
-def test_unordered_window_backward_exit(std_cone):
-    field = make_linear_field(-P_STD, domain=Box(lo=-2 * np.ones(3), hi=2 * np.ones(3)))
-    res = unordered_window(
-        field, [0.0, 0.0, 1.0], [0.0, 0.0, -1.0], std_cone, t_max=2.0, dt=0.5
-    )
-    assert res.backward_exit  # the axis expands backward and leaves the box
-    assert res.value == pytest.approx(0.5)
-    assert not res.truncated
-
-
-def test_ordered_window_fixed_equilibrium(sink_field, std_cone):
-    res = ordered_window(
-        sink_field, [1.0, 0.0, 0.0], [0.0, 0.0, 0.0], std_cone, t_max=3.0, dt=0.5
-    )
-    assert res.value == pytest.approx(3.0)
-    assert res.truncated
-    assert not res.backward_exit
-
-
-def test_ordered_window_push_series(hopf_field, std_cone):
-    res = ordered_window(
-        hopf_field, [0.3, 0.0, 0.2], [0.1, 0.1, 0.1], std_cone,
-        t_max=2.0, dt=0.25, push_times=[0.0, 1.0, 2.0, 3.0],
-    )
-    assert res.series is not None
-    taus = [tau for tau, _ in res.series]
-    values = [v for _, v in res.series]
-    assert taus == [0.0, 1.0, 2.0, 3.0]
-    assert values[0] == res.value
-    # pushing an ordering pair forward can only widen its window
-    for earlier, later in zip(values, values[1:]):
-        assert later >= earlier - 1e-9
-    assert values[-1] > values[0]
-
-
-def test_window_preconditions(sink_field, std_cone):
-    ordered_pair = ([1.0, 0.0, 0.0], [0.0, 0.0, 0.0])
-    unordered_pair = ([0.0, 0.0, 1.0], [0.0, 0.0, -1.0])
-    with pytest.raises(PreconditionOrdered):
-        unordered_window(sink_field, *ordered_pair, std_cone, t_max=1.0, dt=0.5)
-    with pytest.raises(PreconditionUnordered):
-        ordered_window(sink_field, *unordered_pair, std_cone, t_max=1.0, dt=0.5)
-    with pytest.raises(BadParameter):
-        unordered_window(sink_field, *unordered_pair, std_cone, t_max=1.0, dt=2.0)
-    with pytest.raises(BadParameter):
-        ordered_window(sink_field, *ordered_pair, std_cone, t_max=1.0, dt=0.0)
