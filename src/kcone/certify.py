@@ -155,17 +155,16 @@ def check_cyclic_feedback(
     domain: Domain,
     n_samples: int = 1000,
     seed: int = 0,
-    fd_step_rel: float = FEEDBACK_FD_RTOL,
 ) -> ConditionReport:
     """Verify declared coupling signs of a feedback ring by sampling.
 
     components[i](x_i, x_prev) is the i-th coordinate function of the ring
     (prev meaning i - 1 cyclically); deltas[i] its declared coupling sign.
     At n_samples points, the partial derivative in the coupling slot is
-    estimated by central differences with step 1e-5 of the coordinate's
-    range; Pass iff delta_i times the estimate is positive everywhere.
-    The margin convention matches the other checks: negative is good, so
-    worst_margin is the largest value of -delta_i * estimate.
+    estimated by central differences with step FEEDBACK_FD_RTOL (1e-5) of
+    the coordinate's range; Pass iff delta_i times the estimate is positive
+    everywhere. The margin convention matches the other checks: negative is
+    good, so worst_margin is the largest value of -delta_i * estimate.
     """
     n = len(components)
     if len(deltas) != n:
@@ -181,7 +180,7 @@ def check_cyclic_feedback(
     worst_point = None
     for i in range(n):
         prev = (i - 1) % n
-        h = fd_step_rel * float(widths[prev])
+        h = FEEDBACK_FD_RTOL * float(widths[prev])
         xi = X[:, i]
         xp = X[:, prev]
         est = (np.asarray(components[i](xi, xp + h)) - np.asarray(components[i](xi, xp - h))) / (2.0 * h)
@@ -290,6 +289,19 @@ def _coupled_field(field: VectorField) -> VectorField:
     )
 
 
+def _pair_run(field: VectorField, x0, y0, T: float, **settings):
+    """Integrate the pair (x0, y0) as one coupled system, so the two
+    trajectories share accepted steps exactly. Returns (times, xs, ys);
+    raises DomainExit if either trajectory leaves the domain before T."""
+    z0 = np.concatenate([np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)])
+    traj = integrate(_coupled_field(field), z0, T, **settings)
+    if traj.events:
+        t_ev, kind = traj.events[0]
+        raise DomainExit(f"pair left the domain at t = {t_ev:.6g} ({kind})")
+    n = field.dim
+    return traj.times, traj.states[:, :n], traj.states[:, n:]
+
+
 @dataclass(frozen=True)
 class DecayAudit:
     """Step-by-step record of the weighted quadratic form along one pair."""
@@ -332,16 +344,9 @@ def decay_audit(
     if x0.shape != (field.dim,) or y0.shape != (field.dim,):
         raise BadParameter(f"states must have length {field.dim}")
     _distinct_difference(x0, y0)
-    coupled = _coupled_field(field)
-    traj = integrate(coupled, np.concatenate([x0, y0]), T, rtol=rtol, atol=atol, max_step=max_step)
-    if traj.events:
-        t_ev, kind = traj.events[0]
-        raise DomainExit(f"pair left the domain at t = {t_ev:.6g} ({kind})")
-
-    n = field.dim
-    diffs = traj.states[:, :n] - traj.states[:, n:]
-    V = np.einsum("ij,jk,ik->i", diffs, cone.p_matrix, diffs)
-    g = np.exp(2.0 * lam * traj.times) * V
+    times, xs, ys = _pair_run(field, x0, y0, T, rtol=rtol, atol=atol, max_step=max_step)
+    V = cone._form(xs - ys)
+    g = np.exp(2.0 * lam * times) * V
 
     rises = g[1:] - g[:-1]
     allowance = DECAY_SLACK_RTOL * np.abs(g[:-1])
@@ -357,7 +362,7 @@ def decay_audit(
     passed = monotone_ok and (interior_after if started_ordered else True)
 
     return DecayAudit(
-        times=traj.times.copy(),
+        times=times,
         values=g,
         lam=float(lam),
         monotone_ok=monotone_ok,
@@ -377,14 +382,7 @@ def ordered_pair_transport(
     rtol: float = 1e-8,
     atol: float = 1e-10,
 ) -> list[OrderClass]:
-    """Order classes of (x(t), y(t)) at every accepted node after t = 0."""
-    coupled = _coupled_field(field)
-    traj = integrate(coupled, np.concatenate([np.asarray(x0, float), np.asarray(y0, float)]), T,
-                     rtol=rtol, atol=atol)
-    if traj.events:
-        raise DomainExit("pair left the domain during transport check")
-    n = field.dim
-    out = []
-    for k in range(1, len(traj.times)):
-        out.append(relate(cone, traj.states[k, :n], traj.states[k, n:]).order)
-    return out
+    """Order classes of (x(t), y(t)) at every accepted node after t = 0;
+    raises DomainExit if either trajectory leaves the domain before T."""
+    _, xs, ys = _pair_run(field, x0, y0, T, rtol=rtol, atol=atol)
+    return [relate(cone, x, y).order for x, y in zip(xs[1:], ys[1:])]

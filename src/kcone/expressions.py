@@ -38,18 +38,6 @@ _TOKEN_RE = re.compile(
     r"|(?P<op>[-+*/^(),]))"
 )
 
-_FUNCTIONS: dict[str, tuple[int, Callable]] = {
-    "sin": (1, np.sin),
-    "cos": (1, np.cos),
-    "exp": (1, np.exp),
-    "tanh": (1, np.tanh),
-    "abs": (1, np.abs),
-    "min": (2, np.minimum),
-    "max": (2, np.maximum),
-    "hill": (3, None),  # handled specially below
-    "pwl": (3, None),
-}
-
 
 def hill(x, theta, m):
     """Repressive Hill curve theta^m / (theta^m + x^m)."""
@@ -64,6 +52,19 @@ def pwl(x, a, b):
     its -0.0 at the start of a falling ramp; max(v, 0.0) would give +0.0.
     """
     return np.minimum(1.0, np.maximum(0.0, (np.asarray(x, dtype=float) - a) / (b - a)))
+
+
+_FUNCTIONS: dict[str, tuple[int, Callable]] = {
+    "sin": (1, np.sin),
+    "cos": (1, np.cos),
+    "exp": (1, np.exp),
+    "tanh": (1, np.tanh),
+    "abs": (1, np.abs),
+    "min": (2, np.minimum),
+    "max": (2, np.maximum),
+    "hill": (3, hill),
+    "pwl": (3, pwl),
+}
 
 
 class _Token:
@@ -211,17 +212,14 @@ class _Parser:
             raise ArityMismatch(
                 f"{name} takes {arity} argument(s), got {len(args)}", name_tok.pos
             )
-        if name == "hill":
-            a0, a1, a2 = args
-            return lambda X: hill(a0(X), a1(X), a2(X))
-        if name == "pwl":
-            a0, a1, a2 = args
-            return lambda X: pwl(a0(X), a1(X), a2(X))
         if arity == 1:
             (a0,) = args
             return lambda X: impl(a0(X))
-        a0, a1 = args
-        return lambda X: impl(a0(X), a1(X))
+        if arity == 2:
+            a0, a1 = args
+            return lambda X: impl(a0(X), a1(X))
+        a0, a1, a2 = args
+        return lambda X: impl(a0(X), a1(X), a2(X))
 
 
 def parse_expression(

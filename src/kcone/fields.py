@@ -34,6 +34,11 @@ from .expressions import _compile, hill, pwl
 LINEAR_BOUND = 1e4
 # Relative step for the forward-difference Jacobian inside Newton.
 NEWTON_FD_STEP = 1e-7
+# Newton's residual target and iteration cap, and the distance below which
+# two roots are one equilibrium.
+NEWTON_TOL = 1e-10
+NEWTON_MAX_ITER = 100
+EQUILIBRIUM_DEDUPE_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,6 +129,10 @@ def make_hopf_cylinder(
 def make_cyclic_feedback(n: int, kind: str = "smooth_goodwin", params: dict | None = None) -> VectorField:
     """Feedback ring x_i' = f_i(x_i, x_{i-1}) with declared coupling signs.
 
+    Each f_i is written once, as components[i](x_i, x_prev) (prev meaning
+    i - 1 cyclically); the rhs evaluates exactly these functions, so the
+    coupling-sign check reads the field that is integrated.
+
     smooth_goodwin: f_1 = hill(x_n, theta, m) - b x_1 and f_i = x_{i-1} - x_i
     for i >= 2; coupling signs (-1, +1, ..., +1), a negative loop. Domain
     box [0.05, 3]^n.
@@ -138,6 +147,7 @@ def make_cyclic_feedback(n: int, kind: str = "smooth_goodwin", params: dict | No
     if n < 2:
         raise BadParameter("a feedback ring needs at least 2 coordinates")
     p = dict(params or {})
+    jac = region = None
 
     if kind == "smooth_goodwin":
         b = float(p.pop("b", 1.0))
@@ -148,12 +158,10 @@ def make_cyclic_feedback(n: int, kind: str = "smooth_goodwin", params: dict | No
         if b <= 0 or theta <= 0 or m <= 0:
             raise BadParameter("smooth_goodwin needs b, theta, m all positive")
 
-        def rhs(x):
-            out = np.empty(x.shape)
-            out[..., 0] = hill(x[..., n - 1], theta, m) - b * x[..., 0]
-            for i in range(1, n):
-                out[..., i] = x[..., i - 1] - x[..., i]
-            return out
+        first, rest = (
+            lambda xi, xp: hill(xp, theta, m) - b * xi,
+            lambda xi, xp: xp - xi,
+        )
 
         def hill_slope(x):
             tm = theta**m
@@ -169,23 +177,9 @@ def make_cyclic_feedback(n: int, kind: str = "smooth_goodwin", params: dict | No
                 J[i, i] = -1.0
             return J
 
-        components = tuple(
-            [lambda xi, xp: hill(xp, theta, m) - b * xi]
-            + [(lambda xi, xp: xp - xi) for _ in range(1, n)]
-        )
-        deltas = (-1,) + (1,) * (n - 1)
         domain = Box(lo=0.05 * np.ones(n), hi=3.0 * np.ones(n))
-        return VectorField(
-            dim=n,
-            rhs=rhs,
-            domain=domain,
-            family="cyclic_feedback",
-            jacobian=jac,
-            components=components,
-            deltas=deltas,
-        )
 
-    if kind == "glass_pwl":
+    elif kind == "glass_pwl":
         lo = float(p.pop("lo", 0.25))
         hi = float(p.pop("hi", 1.75))
         amp = float(p.pop("amp", 2.0))
@@ -194,12 +188,10 @@ def make_cyclic_feedback(n: int, kind: str = "smooth_goodwin", params: dict | No
         if not (hi > lo and amp > 0):
             raise BadParameter("glass_pwl needs hi > lo and amp > 0")
 
-        def rhs(x):
-            out = np.empty(x.shape)
-            out[..., 0] = amp * pwl(x[..., n - 1], hi, lo) - x[..., 0]
-            for i in range(1, n):
-                out[..., i] = amp * pwl(x[..., i - 1], lo, hi) - x[..., i]
-            return out
+        first, rest = (
+            lambda xi, xp: amp * pwl(xp, hi, lo) - xi,
+            lambda xi, xp: amp * pwl(xp, lo, hi) - xi,
+        )
 
         def region(x):
             # One digit per coupling coordinate: 0 below, 1 inside, 2 above
@@ -210,25 +202,31 @@ def make_cyclic_feedback(n: int, kind: str = "smooth_goodwin", params: dict | No
                 sig.append(0 if v < lo else (1 if v <= hi else 2))
             return tuple(sig)
 
-        components = tuple(
-            [lambda xi, xp: amp * pwl(xp, hi, lo) - xi]
-            + [(lambda xi, xp: amp * pwl(xp, lo, hi) - xi) for _ in range(1, n)]
-        )
-        deltas = (-1,) + (1,) * (n - 1)
         # Strictly inside the ramp band so the couplings keep a nonzero slope.
         pad = 0.05 * (hi - lo)
         domain = Box(lo=(lo + pad) * np.ones(n), hi=(hi - pad) * np.ones(n))
-        return VectorField(
-            dim=n,
-            rhs=rhs,
-            domain=domain,
-            family="cyclic_feedback",
-            components=components,
-            deltas=deltas,
-            region_index=region,
-        )
 
-    raise BadParameter(f"unknown cyclic feedback kind {kind!r}")
+    else:
+        raise BadParameter(f"unknown cyclic feedback kind {kind!r}")
+
+    components = (first,) + (rest,) * (n - 1)
+
+    def rhs(x):
+        out = np.empty(x.shape)
+        for i, f in enumerate(components):
+            out[..., i] = f(x[..., i], x[..., i - 1])
+        return out
+
+    return VectorField(
+        dim=n,
+        rhs=rhs,
+        domain=domain,
+        family="cyclic_feedback",
+        jacobian=jac,
+        components=components,
+        deltas=(-1,) + (1,) * (n - 1),
+        region_index=region,
+    )
 
 
 def make_competitive_lv(A, r, domain: Domain | None = None) -> VectorField:
@@ -307,19 +305,15 @@ class EquilibriaResult:
     dropped: int
 
 
-def find_equilibria(
-    field: VectorField,
-    seeds,
-    tol_eq: float = 1e-10,
-    max_iter: int = 100,
-    dedupe_tol: float = 1e-6,
-) -> EquilibriaResult:
+def find_equilibria(field: VectorField, seeds) -> EquilibriaResult:
     """Damped Newton from each seed; converged roots deduplicated.
 
     The Jacobian comes from the field when it carries one and from forward
     differences otherwise. A step that fails to reduce the residual is
-    halved, up to 30 times. Seeds that do not reach residual <= tol_eq in
-    max_iter iterations are dropped and counted, never reported.
+    halved, up to 30 times. Seeds that do not reach residual <= NEWTON_TOL
+    in NEWTON_MAX_ITER iterations are dropped and counted, never reported;
+    roots within EQUILIBRIUM_DEDUPE_TOL of each other count once, as the
+    one with the smaller residual.
     """
     found: list[Equilibrium] = []
     dropped = 0
@@ -328,12 +322,12 @@ def find_equilibria(
         if x.shape != (field.dim,):
             raise DimensionMismatch("seed dimension does not match the field")
         ok = False
-        for _ in range(max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             fx = np.asarray(field(x))
             res = float(np.linalg.norm(fx))
             if not np.isfinite(res):
                 break
-            if res <= tol_eq:
+            if res <= NEWTON_TOL:
                 ok = True
                 break
             J = (
@@ -364,7 +358,7 @@ def find_equilibria(
     unique: list[Equilibrium] = []
     for eq in found:
         for j, kept in enumerate(unique):
-            if np.linalg.norm(eq.point - kept.point) <= dedupe_tol:
+            if np.linalg.norm(eq.point - kept.point) <= EQUILIBRIUM_DEDUPE_TOL:
                 if eq.residual < kept.residual:
                     unique[j] = eq
                 break

@@ -34,6 +34,8 @@ PAIR_DISTINCT_TOL = 1e-12
 _PAIR_BLOCK = 1 << 16
 # Default relative tolerance of the tail-convergence test.
 OMEGA_TOL_RTOL = 1e-4
+# Backward flow time of the trichotomy's homoclinic surrogate.
+BACKWARD_T = 5.0
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -58,8 +60,7 @@ _GAP_CHUNK = 256
 # the same region several times needs more than the single nearest node:
 # the best segment may hang off a node from another pass.
 _GAP_NEIGHBORS = 8
-# Nodes per k-d leaf and queries per block of the pruned nearest-node
-# search. Below four leaves every query scans the whole curve.
+# Nodes per k-d leaf and queries per block of the pruned nearest-node search.
 _GAP_LEAF = 32
 _GAP_BLOCK = 64
 
@@ -93,17 +94,22 @@ def _squared_distances(Q: np.ndarray, BT: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _leaf_nearest(A: np.ndarray, B: np.ndarray, k: int):
-    """Yield (rows, near, nd2) per block of queries: row indices into A,
-    the indices of each row's k nearest rows of B, and their squared
-    distances. Rows whose k-set the pruned search cannot settle exactly
-    are left out."""
+def _leaf_nearest(A: np.ndarray, B: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(near, nd2): for each row of A, the indices of its k nearest rows of
+    B and their squared distances, one row of each per row of A.
+
+    A k-d search pruned by leaf boxes settles most rows. Rows it cannot
+    settle exactly, tied at the k-th distance or in a block that keeps at
+    most k nodes, take argpartition over the full row of d2, in B's order."""
+    near = np.empty((A.shape[0], k), dtype=np.intp)
+    nd2 = np.empty((A.shape[0], k))
     perm, bounds = _kd_order(B)
     sizes = np.diff(bounds)
     P = B[perm]
     lo = np.minimum.reduceat(P, bounds[:-1])
     hi = np.maximum.reduceat(P, bounds[:-1])
     PT = np.ascontiguousarray(P.T)
+    BT = np.ascontiguousarray(B.T)
     leaf = np.repeat(np.arange(sizes.size), sizes)
     order = _kd_order(A)[0]
     for b0 in range(0, order.size, _GAP_BLOCK):
@@ -125,14 +131,20 @@ def _leaf_nearest(A: np.ndarray, B: np.ndarray, k: int):
         cols = np.flatnonzero(near_leaf[leaf])
         U = np.partition(_squared_distances(Q, PT[:, cols]), k - 1, axis=1)[:, k - 1]
         cols = np.flatnonzero((lb <= U[:, None]).any(axis=0)[leaf])
-        if cols.size <= k:
-            continue
-        d2 = _squared_distances(Q, PT[:, cols])
-        part = np.argpartition(d2, k, axis=1)[:, :k + 1]
-        pd2 = np.take_along_axis(d2, part, axis=1)
-        nd2 = pd2[:, :k]
-        unique = nd2.max(axis=1) < pd2[:, k]
-        yield rows[unique], perm[cols[part[unique, :k]]], nd2[unique]
+        if cols.size > k:
+            d2 = _squared_distances(Q, PT[:, cols])
+            part = np.argpartition(d2, k, axis=1)[:, :k + 1]
+            pd2 = np.take_along_axis(d2, part, axis=1)
+            near[rows] = perm[cols[part[:, :k]]]
+            nd2[rows] = pd2[:, :k]
+            tied = pd2[:, :k].max(axis=1) >= pd2[:, k]
+            rows, Q = rows[tied], Q[tied]
+        if rows.size:
+            d2 = _squared_distances(Q, BT)
+            idx = np.argpartition(d2, k - 1, axis=1)[:, :k]
+            near[rows] = idx
+            nd2[rows] = np.take_along_axis(d2, idx, axis=1)
+    return near, nd2
 
 
 # Each query's candidates are its k = _GAP_NEIGHBORS nearest B nodes by
@@ -152,7 +164,7 @@ def _leaf_nearest(A: np.ndarray, B: np.ndarray, k: int):
 # row returns that same set. Rows tied at the k-th distance and blocks
 # that keep too few nodes take argpartition over the full row instead. The
 # refinement below then sees the same candidate set per row, in the same
-# chunks of input rows, whichever search found it.
+# chunks of input rows, whichever way the search found it.
 #
 # A curve with a non-finite coordinate has no gap to report: the result is
 # NaN, which fails the convergence test gap <= tol. (A max over chunks would
@@ -163,23 +175,7 @@ def _directed_curve_gap(A: np.ndarray, B: np.ndarray) -> float:
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
         return float("nan")
     m = B.shape[0]
-    k = min(_GAP_NEIGHBORS, m)
-    near = np.empty((A.shape[0], k), dtype=np.intp)
-    near_d2 = np.empty((A.shape[0], k))
-    todo = np.ones(A.shape[0], dtype=bool)
-    if m >= 4 * _GAP_LEAF:
-        for rows, idx, d2 in _leaf_nearest(A, B, k):
-            near[rows] = idx
-            near_d2[rows] = d2
-            todo[rows] = False
-    BT = np.ascontiguousarray(B.T)
-    rest = np.flatnonzero(todo)
-    for lo in range(0, rest.size, _GAP_CHUNK):
-        rows = rest[lo:lo + _GAP_CHUNK]
-        d2 = _squared_distances(A[rows], BT)
-        idx = np.argpartition(d2, k - 1, axis=1)[:, :k]
-        near[rows] = idx
-        near_d2[rows] = np.take_along_axis(d2, idx, axis=1)
+    near, near_d2 = _leaf_nearest(A, B, min(_GAP_NEIGHBORS, m))
     worst = 0.0
     for lo in range(0, A.shape[0], _GAP_CHUNK):
         Q = A[lo:lo + _GAP_CHUNK]
@@ -512,7 +508,6 @@ def trichotomy_report(
     cone: Cone,
     field: VectorField | None = None,
     dist_eq: float = 1e-6,
-    backward_T: float = 5.0,
     approach_tol: float | None = None,
     rtol: float = 1e-8,
     atol: float = 1e-10,
@@ -523,7 +518,7 @@ def trichotomy_report(
     no pair is ordered and every point sits within dist_eq of a found
     equilibrium. ordered_homoclinic_suspected: the audit is mixed, but the
     points ordered against the whole estimate form a nonempty core and
-    every non-core point flows backward (over backward_T) to within
+    every non-core point flows backward (over BACKWARD_T) to within
     approach_tol of an equilibrium near that core; this is only ever a
     suspicion at finite resolution. Everything else is undetermined. A
     non-converged estimate never raises; the report carries a flag.
@@ -569,7 +564,7 @@ def trichotomy_report(
                 all_connect = True
                 for p in pts[~core_mask]:
                     try:
-                        back = integrate_backward(field, p, backward_T, rtol=rtol, atol=atol)
+                        back = integrate_backward(field, p, BACKWARD_T, rtol=rtol, atol=atol)
                     except KconeError:
                         all_connect = False
                         break
@@ -761,7 +756,6 @@ def chain_check(
     t_max: float | None = None,
     rtol: float = 1e-8,
     atol: float = 1e-10,
-    max_hops: int | None = None,
 ) -> list[ChainResult]:
     """Try to close an (eps, r)-chain from each point back to itself.
 
@@ -769,8 +763,8 @@ def chain_check(
     chain point. The search is modest by design: first a single hop back
     to the start (scanning flow times in [r, t_max] for a return), then a
     greedy multi-hop walk that after each r-length hop jumps to the nearest
-    supplied point within eps. Failure means this search failed, not that
-    no chain exists.
+    supplied point within eps, for at most m + 2 hops over m points.
+    Failure means this search failed, not that no chain exists.
     """
     if eps <= 0 or r <= 0:
         raise BadParameter("eps and r must be positive")
@@ -779,7 +773,6 @@ def chain_check(
     horizon = t_max if t_max is not None else 10.0 * r
     if horizon < r:
         raise BadParameter("t_max must be at least r")
-    cap = max_hops if max_hops is not None else m + 2
     results: list[ChainResult] = []
 
     for i in range(m):
@@ -808,7 +801,7 @@ def chain_check(
         if not success and m > 1:
             cur = y
             walked: list[tuple[float, float]] = []
-            for _ in range(cap):
+            for _ in range(m + 2):
                 z = integrate(field, cur, r, rtol=rtol, atol=atol).final_state
                 back_gap = float(np.linalg.norm(z - y))
                 if back_gap < eps and walked:

@@ -187,17 +187,12 @@ def _build_domain(spec: dict) -> Domain:
     return Cylinder(radius=float(spec["radius"]), rest=Box(lo=rest_lo, hi=rest_hi))
 
 
-def _build_field(spec: dict, domain: Domain | None) -> VectorField:
-    params = dict(spec.get("params", {}))
-    if "exprs" in spec:
-        if domain is None:
-            raise SchemaError("parsed fields need an explicit domain", "/domain")
-        return parse_field(spec["exprs"], params=params, domain=domain)
-    family = spec["family"]
+def _family_field(family: str, params: dict) -> VectorField:
+    """The named family's field, on the family's own domain."""
     if family == "linear":
         if "A" not in params:
             raise SchemaError("linear family needs params.A", "/field/params/A")
-        return make_linear_field(params["A"], domain=domain)
+        return make_linear_field(params["A"])
     if family == "hopf_cylinder":
         kwargs = {}
         for key in ("omega", "c", "radius", "z_bound"):
@@ -211,13 +206,34 @@ def _build_field(spec: dict, domain: Domain | None) -> VectorField:
         kind = params.pop("kind", "smooth_goodwin")
         if n is None:
             raise SchemaError("cyclic_feedback needs params.n", "/field/params/n")
-        fld = make_cyclic_feedback(int(n), kind=kind, params=params)
-        return fld if domain is None else replace(fld, domain=domain)
-    if family == "competitive_lv":
-        if "A" not in params or "r" not in params:
-            raise SchemaError("competitive_lv needs params.A and params.r", "/field/params")
-        return make_competitive_lv(params["A"], params["r"], domain=domain)
-    raise SchemaError(f"unknown family {family!r}", "/field/family")
+        return make_cyclic_feedback(int(n), kind=kind, params=params)
+    # The schema's enum admits no other family.
+    if "A" not in params or "r" not in params:
+        raise SchemaError("competitive_lv needs params.A and params.r", "/field/params")
+    return make_competitive_lv(params["A"], params["r"])
+
+
+def _check_domain_dim(domain: Domain, n: int) -> None:
+    if domain.dim != n:
+        raise SchemaError(
+            f"domain dimension {domain.dim} does not match field dimension {n}", "/domain"
+        )
+
+
+def _build_field(spec: dict, domain: Domain | None) -> VectorField:
+    """The scenario's field. An explicit domain replaces a family's own;
+    parsed fields need one. Its dimension must match the field's."""
+    params = dict(spec.get("params", {}))
+    if "exprs" in spec:
+        if domain is None:
+            raise SchemaError("parsed fields need an explicit domain", "/domain")
+        _check_domain_dim(domain, len(spec["exprs"]))
+        return parse_field(spec["exprs"], params=params, domain=domain)
+    field = _family_field(spec["family"], params)
+    if domain is None:
+        return field
+    _check_domain_dim(domain, field.dim)
+    return replace(field, domain=domain)
 
 
 def _build_cone(spec: dict) -> Cone:

@@ -372,3 +372,29 @@ def test_ordered_pair_transport_domain_exit():
     field = make_linear_field(-P_STD, domain=Box(lo=-2 * np.ones(3), hi=2 * np.ones(3)))
     with pytest.raises(DomainExit):
         ordered_pair_transport(field, cone, [1.0, 0.0, 0.0], [0.0, 0.0, 0.0], T=5.0)
+
+
+def test_decay_audit_localizes_the_kinks_of_both_states(monkeypatch):
+    """On the Glass ring the coupled run carries the pair of region
+    signatures, so steps that carry either state across a ramp threshold
+    are re-tried shorter; the audit reads that run's nodes."""
+    from kcone import certify
+
+    runs = []
+    integrate = certify.integrate
+
+    def recording(*args, **kwargs):
+        runs.append(integrate(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(certify, "integrate", recording)
+    glass = make_cyclic_feedback(3, "glass_pwl", {"amp": 4.0})
+    glass = dataclasses.replace(glass, domain=Box(lo=[-0.5] * 3, hi=[4.5] * 3))
+    x0, y0 = [0.1, 2.0, 1.0], [3.0, 0.2, 1.5]
+    for field in (glass, dataclasses.replace(glass, region_index=None)):
+        audit = decay_audit(field, _std_cone(), 0.0, x0, y0, T=3.0)
+        assert np.array_equal(audit.times, runs[-1].times)
+        assert audit.values[0] == _std_cone().quad_form(np.subtract(x0, y0))
+    with_kinks, without = runs
+    assert with_kinks.n_kink_retries > 0
+    assert without.n_kink_retries == 0

@@ -259,3 +259,44 @@ def test_report_command_writes_bundle(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "report.json" in out
     assert "plot-data" in out
+
+
+def test_poincare_unsettled_tail_exit_code(tmp_path, capsys):
+    # From r = 0.1 the orbit is still spiralling out to the unit circle at
+    # T = 6, so the two halves of the tail window differ.
+    scn = _write(tmp_path, _hopf_obj(T=6.0))
+    assert main(["poincare", "--scenario", scn]) == 4
+    assert "tail has not settled" in capsys.readouterr().out
+
+
+def test_analysis_error_exits_incomplete(tmp_path, capsys):
+    """A kcone error that is neither a schema nor an integration failure
+    exits 4 as incomplete. Here orbit 1 leaves the box at t ~ 0.1, too
+    short for a tail window of spacing 0.1."""
+    obj = _linear_obj(
+        domain={"type": "box", "lo": [-1.0, -1.0, -1.0], "hi": [1.0, 1.0, 1.0]},
+        x0=[[0.0, 0.0, 0.5], [0.9, 0.0, 0.0]],
+        T=20.0,
+    )
+    scn = _write(tmp_path, obj)
+    assert main(["report", "--scenario", scn, "--out", str(tmp_path / "out")]) == 4
+    assert capsys.readouterr().err.startswith("kcone: incomplete: ")
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        {"family": "cyclic_feedback", "params": {"n": 3}},
+        {"family": "linear", "params": {"A": [[-1.0, 0, 0], [0, -1.0, 0], [0, 0, -1.0]]}},
+        {"family": "hopf_cylinder", "params": {"omega": 1.0, "c": 4.0}},
+        {"exprs": ["x2", "0 - x1", "0 - x3"]},
+    ],
+    ids=["cyclic_feedback", "linear", "hopf_cylinder", "exprs"],
+)
+def test_domain_of_the_wrong_dimension_is_a_schema_error(tmp_path, capsys, field):
+    obj = _linear_obj(field=field, domain={"type": "box", "lo": [0.1, 0.1], "hi": [2.0, 2.0]})
+    scn = _write(tmp_path, obj)
+    assert main(["certify", "--scenario", scn]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("kcone: ")
+    assert "/domain" in err

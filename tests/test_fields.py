@@ -86,11 +86,36 @@ def test_goodwin_structure():
     assert field.deltas == (-1, 1, 1)
     assert int(np.prod(field.deltas)) == -1
     # per-coordinate components agree with the assembled right-hand side
-    assert field.components[0](x[0], x[2]) == pytest.approx(f[0])
-    assert field.components[1](x[1], x[0]) == pytest.approx(f[1])
-    assert field.components[2](x[2], x[1]) == pytest.approx(f[2])
+    assert field.components[0](x[0], x[2]) == f[0]
+    assert field.components[1](x[1], x[0]) == f[1]
+    assert field.components[2](x[2], x[1]) == f[2]
     J = field.jacobian(x)
     assert np.allclose(J, fd_jacobian(field, x), atol=1e-7)
+
+
+# Ring states: signed zeros, the default ramp thresholds 0.25 and 1.75 and
+# their neighbouring floats, the band middle, and values past either end.
+_RING_VALUES = np.array([
+    0.0, -0.0, 0.25, np.nextafter(0.25, 0.0), np.nextafter(0.25, 1.0), 1.0,
+    1.75, np.nextafter(1.75, 0.0), np.nextafter(1.75, 2.0), 0.05, 3.0, 4.5,
+])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("kind", ["smooth_goodwin", "glass_pwl"])
+def test_ring_rhs_is_its_components(kind, n):
+    """rhs(X)[..., i] is components[i](X[..., i], X[..., i - 1]) bit for
+    bit, on single states and on batch rows: the coupling-sign check reads
+    the very functions the integrator runs."""
+    field = make_cyclic_feedback(n, kind)
+    rng = np.random.default_rng(n)
+    X = rng.choice(_RING_VALUES, size=(200, n))
+    X[: _RING_VALUES.size] = _RING_VALUES[:, None]
+    for states in [X, *X[:40]]:
+        out = field.rhs(states)
+        for i in range(n):
+            want = np.asarray(field.components[i](states[..., i], states[..., i - 1]))
+            assert out[..., i].tobytes() == want.tobytes(), (kind, n, i)
 
 
 def test_goodwin_validation():

@@ -110,6 +110,33 @@ def test_exprs_field_and_cylinder_domain():
     assert np.allclose(scn.field([0.5, 0.25, 0.1]), [0.25, -0.5, -0.1])
 
 
+def test_explicit_domain_replaces_the_family_domain():
+    box = {"type": "box", "lo": [-0.5, -0.5, -0.5], "hi": [0.5, 0.5, 0.5]}
+    scn = parse_scenario(_hopf_obj(domain=box))
+    assert isinstance(scn.field.domain, Box)
+    assert np.array_equal(scn.field.domain.lo, box["lo"])
+    assert np.array_equal(scn.field.domain.hi, box["hi"])
+    # Without a domain key the family keeps its own cylinder.
+    assert isinstance(parse_scenario(_hopf_obj()).field.domain, Cylinder)
+
+
+def test_competitive_lv_scenario():
+    A = [[1.0, 0.5], [0.5, 1.0]]
+    obj = {
+        "field": {"family": "competitive_lv", "params": {"A": A, "r": [1.5, 1.0]}},
+        "cone": {"type": "orthant_complement", "n": 2},
+    }
+    scn = parse_scenario(obj)
+    assert scn.field.family == "competitive_lv"
+    assert np.allclose(scn.field([1.0, 1.0]), [0.0, -0.5])
+    # The family's own box reaches twice the largest carrying capacity.
+    assert np.array_equal(scn.domain.hi, [3.0, 3.0])
+    obj["field"]["params"] = {"A": A}
+    with pytest.raises(SchemaError) as e:
+        parse_scenario(obj)
+    assert _pointer_of(e) == "/field/params"
+
+
 def test_orthant_cones_by_dimension():
     obj = {
         "field": {"family": "linear", "params": {"A": [[-1.0, 0.0], [0.5, -1.0]]}},
