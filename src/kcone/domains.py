@@ -74,8 +74,11 @@ class Cylinder:
 
     def contains(self, x, pad: float = 0.0):
         x = np.asarray(x, dtype=float)
-        planar = np.sqrt(x[..., 0] ** 2 + x[..., 1] ** 2) <= self.radius + pad
-        return planar & self.rest.contains(x[..., 2:], pad=pad)
+        # Coordinate-first, as in the field closures: numpy float64 scalars
+        # for one state, transposed columns (transposed back) for a batch.
+        X = x.T
+        planar = np.sqrt(X[0] * X[0] + X[1] * X[1]) <= self.radius + pad
+        return planar.T & self.rest.contains(x[..., 2:], pad=pad)
 
     def sample(self, rng: np.random.Generator, m: int) -> np.ndarray:
         # Rejection from the bounding box; acceptance rate pi/4 keeps the

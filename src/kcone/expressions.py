@@ -17,9 +17,13 @@ Built-ins: sin, cos, exp, tanh, abs (arity 1), min, max (arity 2),
 hill(x, theta, m) = theta^m / (theta^m + x^m), and the two-threshold ramp
 pwl(x, a, b) = clip((x - a) / (b - a), 0, 1), which decreases when a > b.
 
-Parsing produces a closure evaluating on numpy arrays of shape (..., n),
-one column per variable, so a parsed field evaluates pointwise and in batch
-through the same object.
+Parsing produces a closure of the coordinate-first array X, the transpose
+of a state array of shape (..., n): the variable with index j reads X[j].
+For one state of shape (n,), X[j] is a numpy float64 and the closure runs
+on scalars; for a batch, X[j] is the column x[..., j] transposed, and the
+closure's value is the batch of values transposed the same way. Every
+operation is elementwise, so a parsed field evaluates pointwise and in
+batch through the same closure, with the same bits.
 """
 
 from __future__ import annotations
@@ -50,8 +54,11 @@ def pwl(x, a, b):
 
     np.clip's bits at a third of its dispatch cost. This operand order keeps
     its -0.0 at the start of a falling ramp; max(v, 0.0) would give +0.0.
+    A numpy float64 x stays a scalar. The divisor is taken as np.float64,
+    the identity on numpy values, so that Python floats divide by numpy's
+    rules too: a == b gives inf or nan, not ZeroDivisionError.
     """
-    return np.minimum(1.0, np.maximum(0.0, (np.asarray(x, dtype=float) - a) / (b - a)))
+    return np.minimum(1.0, np.maximum(0.0, (x - a) / np.float64(b - a)))
 
 
 _FUNCTIONS: dict[str, tuple[int, Callable]] = {
@@ -122,7 +129,8 @@ class _Parser:
             raise ExpressionSyntaxError(f"expected {op!r}, found {found}", tok.pos)
         self.advance()
 
-    # --- grammar rules, each returning a closure of X: (..., n) array ---
+    # --- grammar rules, each returning a closure of X, the coordinate-first
+    # (n, ...) view of the states ---
 
     def parse(self) -> Callable:
         fn = self.expr()
@@ -183,7 +191,7 @@ class _Parser:
                 return self.call(tok)
             if tok.text in self.var_index:
                 j = self.var_index[tok.text]
-                return lambda X: X[..., j]
+                return lambda X: X[j]
             if tok.text in self.params:
                 value = float(self.params[tok.text])
                 return lambda X: value
@@ -229,21 +237,28 @@ def parse_expression(
 ) -> Callable:
     """Compile one expression into a callable of an (..., n) state array.
 
-    The result broadcasts: scalars stay scalars, and an (m, n) batch of
-    states yields an (m,) batch of values.
+    The result broadcasts: one state of shape (n,) yields a 0-d array, and
+    an (..., n) batch of states yields an (...) batch of values. The
+    compiled closure is called on the coordinate-first view X.T and its
+    value transposed back.
     """
     fn = _compile(text, variables, params)
 
     def evaluate(X):
         X = np.asarray(X, dtype=float)
         with np.errstate(all="ignore"):
-            out = fn(X)
-        return np.broadcast_to(np.asarray(out, dtype=float), X.shape[:-1]).copy()
+            out = fn(X.T)
+        return np.broadcast_to(np.asarray(out, dtype=float).T, X.shape[:-1]).copy()
 
     return evaluate
 
 
 def _compile(text: str, variables: Sequence[str], params: Mapping[str, float] | None) -> Callable:
     """The parser's raw closure, with numpy's floating-point error state
-    left to the caller."""
+    left to the caller.
+
+    The closure takes the coordinate-first view X = x.T of a state array x
+    of shape (..., n), reads variable j as X[j], and returns a value shaped
+    like X[0] (a numpy float64 for one state), or a constant when the
+    expression reads no variable."""
     return _Parser(text, variables, params or {}).parse()

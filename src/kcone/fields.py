@@ -17,6 +17,13 @@ Families:
     piecewise-linear ramps.
   * competitive_lv: x_i' = x_i (r_i - sum_j A_ij x_j), all interactions
     nonnegative.
+
+The Hopf, ring and parsed right-hand sides read a state x of shape (n,) or
+a batch of shape (..., n) through its coordinate-first view X = x.T, and
+write coordinate i into out.T[i]. On one state X[i] is a numpy float64, so
+the arithmetic runs at scalar speed; on a batch it is the column x[..., i],
+transposed the same way as out.T[i]. Every operation is elementwise, so one
+closure gives one state and a batch the same bits.
 """
 
 from __future__ import annotations
@@ -104,11 +111,13 @@ def make_hopf_cylinder(
         raise BadParameter("c must be positive and finite")
 
     def rhs(x):
-        r2 = x[..., 0] ** 2 + x[..., 1] ** 2
+        x1, x2, x3 = x.T
+        r2 = x1 * x1 + x2 * x2
         out = np.empty(x.shape)
-        out[..., 0] = x[..., 0] - omega * x[..., 1] - x[..., 0] * r2
-        out[..., 1] = omega * x[..., 0] + x[..., 1] - x[..., 1] * r2
-        out[..., 2] = -c * x[..., 2]
+        O = out.T
+        O[0] = x1 - omega * x2 - x1 * r2
+        O[1] = omega * x1 + x2 - x2 * r2
+        O[2] = -c * x3
         return out
 
     def jac(x):
@@ -212,9 +221,11 @@ def make_cyclic_feedback(n: int, kind: str = "smooth_goodwin", params: dict | No
     components = (first,) + (rest,) * (n - 1)
 
     def rhs(x):
+        X = x.T
         out = np.empty(x.shape)
+        O = out.T
         for i, f in enumerate(components):
-            out[..., i] = f(x[..., i], x[..., i - 1])
+            O[i] = f(X[i], X[i - 1])
         return out
 
     return VectorField(
@@ -280,11 +291,13 @@ def parse_field(
         # One errstate per call and each raw closure written in place: on a
         # single state, evaluate's errstate, broadcast and copy per
         # coordinate cost more than the arithmetic.
-        X = np.asarray(x, dtype=float)
-        out = np.empty_like(X)
+        x = np.asarray(x, dtype=float)
+        X = x.T
+        out = np.empty_like(x)
+        O = out.T
         with np.errstate(all="ignore"):
             for i, fn in enumerate(compiled):
-                out[..., i] = fn(X)
+                O[i] = fn(X)
         return out
 
     return VectorField(dim=n, rhs=rhs, domain=domain, family="parsed")

@@ -7,7 +7,9 @@ Characteristics
       re-tried at half length; all six stages are evaluated before the test.
     * Step update factor 0.9 (tol/err)^(1/5), clamped to [0.2, 5], on both
       rejected and accepted steps.
-    * First-same-as-last: the 7th stage of an accepted step seeds the next.
+    * First-same-as-last: the 7th stage is evaluated at y_new itself, the
+      5th-order solution computed once per attempted step, and an accepted
+      step's 7th stage seeds the next.
     * Stops with a recorded event when the state leaves the field's domain;
       the exit time is localized by bisection on the step interpolant.
     * Fields that expose a region signature (piecewise-linear ramps) get
@@ -220,18 +222,22 @@ def integrate(
     cur_region = region(y) if region is not None else None
 
     K = np.empty((7, field.dim))
+    # KT[i] is K[:i].T, the first i stages: views, bound once, that read K
+    # as each step fills it.
+    KT = [K[:i].T for i in range(8)]
     while t < T:
         h = min(h, T - t, max_step)
         if h < UNDERFLOW_FRACTION * T:
             raise StepUnderflow(f"step {h:.3e} below {UNDERFLOW_FRACTION:.0e} T")
 
         K[0] = f
-        for i in range(1, 7):
-            K[i] = rhs(y + h * (K[:i].T @ _A[i]))
+        for i in range(1, 6):
+            K[i] = rhs(y + h * (KT[i] @ _A[i]))
+        y_new = y + h * (KT[6] @ _A[6])
+        K[6] = rhs(y_new)  # FSAL: the 7th stage's argument is y_new
         n_rhs += 6
-        y_new = y + h * (K[:6].T @ _A[6])
         # The 2-norm as np.linalg.norm takes it for a 1-d float array.
-        e = h * (K.T @ _E)
+        e = h * (KT[7] @ _E)
         err = math.sqrt(e.dot(e))
         tol = atol + rtol * math.sqrt(y_new.dot(y_new))
 
@@ -254,7 +260,7 @@ def integrate(
 
         if not np.isfinite(y_new).all():
             raise NonFiniteState(f"state not finite after t = {t:.6g}")
-        f_new = K[6].copy()  # FSAL: the 7th stage argument is exactly y_new
+        f_new = K[6].copy()
 
         if not contains(y_new):
             # Bisect the Hermite interpolant for the last inside point.

@@ -94,16 +94,19 @@ def _squared_distances(Q: np.ndarray, BT: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _leaf_nearest(A: np.ndarray, B: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _leaf_nearest(
+    A: np.ndarray, B: np.ndarray, k: int, kd_a: tuple, kd_b: tuple
+) -> tuple[np.ndarray, np.ndarray]:
     """(near, nd2): for each row of A, the indices of its k nearest rows of
-    B and their squared distances, one row of each per row of A.
+    B and their squared distances, one row of each per row of A. kd_a and
+    kd_b are _kd_order(A) and _kd_order(B).
 
     A k-d search pruned by leaf boxes settles most rows. Rows it cannot
     settle exactly, tied at the k-th distance or in a block that keeps at
     most k nodes, take argpartition over the full row of d2, in B's order."""
     near = np.empty((A.shape[0], k), dtype=np.intp)
     nd2 = np.empty((A.shape[0], k))
-    perm, bounds = _kd_order(B)
+    perm, bounds = kd_b
     sizes = np.diff(bounds)
     P = B[perm]
     lo = np.minimum.reduceat(P, bounds[:-1])
@@ -111,7 +114,7 @@ def _leaf_nearest(A: np.ndarray, B: np.ndarray, k: int) -> tuple[np.ndarray, np.
     PT = np.ascontiguousarray(P.T)
     BT = np.ascontiguousarray(B.T)
     leaf = np.repeat(np.arange(sizes.size), sizes)
-    order = _kd_order(A)[0]
+    order = kd_a[0]
     for b0 in range(0, order.size, _GAP_BLOCK):
         rows = order[b0:b0 + _GAP_BLOCK]
         Q = A[rows]
@@ -169,13 +172,18 @@ def _leaf_nearest(A: np.ndarray, B: np.ndarray, k: int) -> tuple[np.ndarray, np.
 # A curve with a non-finite coordinate has no gap to report: the result is
 # NaN, which fails the convergence test gap <= tol. (A max over chunks would
 # drop a NaN and could read such a curve as converged.)
-def _directed_curve_gap(A: np.ndarray, B: np.ndarray) -> float:
+def _directed_curve_gap(
+    A: np.ndarray, B: np.ndarray, kd_a: tuple | None = None, kd_b: tuple | None = None
+) -> float:
     """max over a in A of the distance from a to the polyline through B;
-    NaN when A or B has a non-finite coordinate."""
+    NaN when A or B has a non-finite coordinate. A caller that measures
+    both directions passes each curve's _kd_order, built once."""
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
         return float("nan")
     m = B.shape[0]
-    near, near_d2 = _leaf_nearest(A, B, min(_GAP_NEIGHBORS, m))
+    near, near_d2 = _leaf_nearest(
+        A, B, min(_GAP_NEIGHBORS, m), kd_a or _kd_order(A), kd_b or _kd_order(B)
+    )
     worst = 0.0
     for lo in range(0, A.shape[0], _GAP_CHUNK):
         Q = A[lo:lo + _GAP_CHUNK]
@@ -206,7 +214,8 @@ def _half_window_gap(traj: Trajectory, t_start: float, mid: float) -> float:
     tb = np.linspace(mid, traj.t_end, _GAP_SAMPLES)
     A = traj.sample(ta)
     B = traj.sample(tb)
-    return max(_directed_curve_gap(A, B), _directed_curve_gap(B, A))
+    kd_a, kd_b = _kd_order(A), _kd_order(B)
+    return max(_directed_curve_gap(A, B, kd_a, kd_b), _directed_curve_gap(B, A, kd_b, kd_a))
 
 
 def estimate_omega(

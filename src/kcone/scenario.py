@@ -40,6 +40,18 @@ _MATRIX = {
 }
 _VECTOR = {"type": "array", "minItems": 1, "items": _NUMBER}
 
+# The numeric params each family reads; other keys are left to the family.
+_FAMILY_PARAMS = {
+    "linear": {"A": _MATRIX},
+    "hopf_cylinder": {key: _NUMBER for key in ("omega", "c", "radius", "z_bound")},
+    "cyclic_feedback": {
+        "n": {"type": "integer"},
+        "kind": {"enum": ["smooth_goodwin", "glass_pwl"]},
+        **{key: _NUMBER for key in ("b", "theta", "m", "lo", "hi", "amp")},
+    },
+    "competitive_lv": {"A": _MATRIX, "r": _VECTOR},
+}
+
 SCENARIO_SCHEMA: dict[str, Any] = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "title": "kcone scenario",
@@ -52,13 +64,25 @@ SCENARIO_SCHEMA: dict[str, Any] = {
             "type": "object",
             "oneOf": [{"required": ["family"]}, {"required": ["exprs"]}],
             "properties": {
-                "family": {
-                    "enum": ["linear", "hopf_cylinder", "cyclic_feedback", "competitive_lv"]
-                },
+                "family": {"enum": list(_FAMILY_PARAMS)},
                 "params": {"type": "object"},
                 "exprs": {"type": "array", "minItems": 1, "items": {"type": "string"}},
             },
             "additionalProperties": False,
+            # Params are typed by family; a parsed field's are all numbers.
+            "allOf": [
+                {
+                    "if": {"required": ["family"], "properties": {"family": {"const": family}}},
+                    "then": {"properties": {"params": {"properties": params}}},
+                }
+                for family, params in _FAMILY_PARAMS.items()
+            ]
+            + [
+                {
+                    "if": {"required": ["exprs"]},
+                    "then": {"properties": {"params": {"additionalProperties": _NUMBER}}},
+                }
+            ],
         },
         "cone": {
             "type": "object",
@@ -187,12 +211,19 @@ def _build_domain(spec: dict) -> Domain:
     return Cylinder(radius=float(spec["radius"]), rest=Box(lo=rest_lo, hi=rest_hi))
 
 
+def _matrix(rows: list, pointer: str) -> list:
+    """A schema-valid matrix whose rows all have one length."""
+    if len({len(row) for row in rows}) != 1:
+        raise SchemaError("matrix rows must all have the same length", pointer)
+    return rows
+
+
 def _family_field(family: str, params: dict) -> VectorField:
     """The named family's field, on the family's own domain."""
     if family == "linear":
         if "A" not in params:
             raise SchemaError("linear family needs params.A", "/field/params/A")
-        return make_linear_field(params["A"])
+        return make_linear_field(_matrix(params["A"], "/field/params/A"))
     if family == "hopf_cylinder":
         kwargs = {}
         for key in ("omega", "c", "radius", "z_bound"):
@@ -210,7 +241,7 @@ def _family_field(family: str, params: dict) -> VectorField:
     # The schema's enum admits no other family.
     if "A" not in params or "r" not in params:
         raise SchemaError("competitive_lv needs params.A and params.r", "/field/params")
-    return make_competitive_lv(params["A"], params["r"])
+    return make_competitive_lv(_matrix(params["A"], "/field/params/A"), params["r"])
 
 
 def _check_domain_dim(domain: Domain, n: int) -> None:
@@ -243,7 +274,7 @@ def _build_cone(spec: dict) -> Cone:
     if kind == "quadratic":
         if "P" not in spec:
             raise SchemaError("quadratic cone needs a matrix P", "/cone/P")
-        return make_quadratic_cone(spec["P"], **kwargs)
+        return make_quadratic_cone(_matrix(spec["P"], "/cone/P"), **kwargs)
     if "n" not in spec:
         raise SchemaError(f"{kind} cone needs a dimension n", "/cone/n")
     if kind == "orthant_complement":

@@ -300,3 +300,39 @@ def test_domain_of_the_wrong_dimension_is_a_schema_error(tmp_path, capsys, field
     err = capsys.readouterr().err
     assert err.startswith("kcone: ")
     assert "/domain" in err
+
+
+@pytest.mark.parametrize(
+    "field, pointer",
+    [
+        ({"family": "hopf_cylinder", "params": {"omega": "fast", "c": 4.0}},
+         "/field/params/omega"),
+        ({"family": "cyclic_feedback", "params": {"n": "abc"}}, "/field/params/n"),
+        ({"family": "cyclic_feedback", "params": {"n": 3, "b": "x"}}, "/field/params/b"),
+        ({"family": "cyclic_feedback", "params": {"n": 3, "kind": "ring"}},
+         "/field/params/kind"),
+        ({"family": "linear", "params": {"A": [[1.0, 0, 0], [0, 1.0], [0, 0, -1.0]]}},
+         "/field/params/A"),
+        ({"family": "competitive_lv",
+          "params": {"A": [[1.0, 0.5, 0.5], [0.5, 1.0], [0.5, 0.5, 1.0]], "r": [1.0] * 3}},
+         "/field/params/A"),
+        ({"exprs": ["a * x1", "x2", "x3"], "params": {"a": "q"}}, "/field/params/a"),
+    ],
+    ids=["hopf_omega", "ring_n", "goodwin_b", "ring_kind", "linear_ragged_A",
+         "lv_ragged_A", "exprs_param"],
+)
+def test_non_numeric_family_params_are_schema_errors(tmp_path, capsys, field, pointer):
+    """Params of the wrong type exit 2 with a pointer to the param, not a
+    ValueError traceback."""
+    scn = _write(tmp_path, _linear_obj(field=field))
+    assert main(["certify", "--scenario", scn]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("kcone: ")
+    assert f"'{pointer}'" in err
+
+
+def test_ragged_cone_matrix_is_a_schema_error(tmp_path, capsys):
+    scn = _write(tmp_path, _linear_obj(cone={"type": "quadratic",
+                                             "P": [[-1.0, 0.0], [0.0, -1.0, 0.0], P_STD[2]]}))
+    assert main(["certify", "--scenario", scn]) == 2
+    assert "'/cone/P'" in capsys.readouterr().err

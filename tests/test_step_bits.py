@@ -1,23 +1,31 @@
-"""Same bits as the plain forms: the DP5 loop, the parsed rhs, pwl, contains.
+"""Same bits as the plain forms: the DP5 loop, the rhs closures, the parse,
+pwl, contains.
 
-The single-state path binds the rhs and the membership test once per run,
-takes its norms as sqrt(v.dot(v)), evaluates parsed fields inside one
-errstate, ramps with np.minimum/np.maximum and skips a zero pad. Each of
-those must give exactly the floats and Booleans of the straightforward
-form kept here as the oracle: the step loop as it read before (field(...)
-per stage, np.linalg.norm, np.isfinite), per-coordinate parse_expression,
-np.clip and the padded comparisons.
+The single-state path binds the rhs, the membership test and the stage
+views once per run, computes y_new once as the 7th stage's argument, takes
+its norms as sqrt(v.dot(v)), evaluates parsed fields inside one errstate,
+ramps with np.minimum/np.maximum and skips a zero pad. The Hopf, ring and
+parsed closures and Cylinder.contains read the coordinate-first view x.T,
+so a single state runs on numpy float64 scalars. Each of those must give
+exactly the floats and Booleans of the straightforward form kept here as
+the oracle: the step loop as it read before (field(...) per stage, y_new
+computed apart from the 7th stage, np.linalg.norm, np.isfinite), closures
+that index x[..., j] (0-d arrays on a single state), np.clip ramps and the
+padded comparisons. The oracle loop runs the oracle closures, so the two
+sides share no rhs.
 """
 
 import dataclasses
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from kcone import expressions
 from kcone.domains import Box, Cylinder
 from kcone.errors import NonFiniteState, StepUnderflow
-from kcone.expressions import parse_expression, pwl
+from kcone.expressions import _Parser, hill, parse_expression, pwl
 from kcone.fields import (
     VectorField,
     make_competitive_lv,
@@ -122,8 +130,40 @@ def clip_pwl(x, a, b):
     return np.clip((np.asarray(x, dtype=float) - a) / (b - a), 0.0, 1.0)
 
 
+def asarray_pwl(x, a, b):
+    """pwl on np.asarray(x): a scalar x becomes a 0-d array first."""
+    return np.minimum(1.0, np.maximum(0.0, (np.asarray(x, dtype=float) - a) / (b - a)))
+
+
+def plain_hopf(field, omega, c):
+    """The Hopf closure indexing x[..., j], with ** 2 on the columns."""
+
+    def rhs(x):
+        r2 = x[..., 0] ** 2 + x[..., 1] ** 2
+        out = np.empty(x.shape)
+        out[..., 0] = x[..., 0] - omega * x[..., 1] - x[..., 0] * r2
+        out[..., 1] = omega * x[..., 0] + x[..., 1] - x[..., 1] * r2
+        out[..., 2] = -c * x[..., 2]
+        return out
+
+    return dataclasses.replace(field, rhs=rhs)
+
+
+def plain_goodwin(field, n, b=1.0, theta=1.0, m=4.0):
+    """The Goodwin ring indexing x[..., j]."""
+
+    def rhs(x):
+        out = np.empty(x.shape)
+        out[..., 0] = hill(x[..., n - 1], theta, m) - b * x[..., 0]
+        for i in range(1, n):
+            out[..., i] = x[..., i - 1] - x[..., i]
+        return out
+
+    return dataclasses.replace(field, rhs=rhs)
+
+
 def plain_glass(field, n, lo=0.25, hi=1.75, amp=4.0):
-    """The Glass ring with its ramps taken through np.clip."""
+    """The Glass ring indexing x[..., j], its ramps taken through np.clip."""
 
     def rhs(x):
         out = np.empty_like(x)
@@ -135,10 +175,38 @@ def plain_glass(field, n, lo=0.25, hi=1.75, amp=4.0):
     return dataclasses.replace(field, rhs=rhs)
 
 
+class PlainParser(_Parser):
+    """The parser with each variable read as X[..., j] from the state array."""
+
+    def atom(self):
+        tok = self.peek()
+        if tok.kind == "name" and tok.text in self.var_index:
+            nxt = self.tokens[self.i + 1]
+            if not (nxt.kind == "op" and nxt.text == "("):
+                self.advance()
+                j = self.var_index[tok.text]
+                return lambda X: X[..., j]
+        return super().atom()
+
+
+def plain_expression(text, names, params=None):
+    """parse_expression over state-last closures, pwl on np.asarray."""
+    with mock.patch.dict(expressions._FUNCTIONS, {"pwl": (3, asarray_pwl)}):
+        fn = PlainParser(text, names, params or {}).parse()
+
+    def evaluate(X):
+        X = np.asarray(X, dtype=float)
+        with np.errstate(all="ignore"):
+            out = fn(X)
+        return np.broadcast_to(np.asarray(out, dtype=float), X.shape[:-1]).copy()
+
+    return evaluate
+
+
 def plain_parsed(exprs, domain, params=None):
-    """A parsed field evaluated coordinate by coordinate through parse_expression."""
+    """A parsed field evaluated coordinate by coordinate by the plain parse."""
     names = tuple(f"x{i + 1}" for i in range(len(exprs)))
-    compiled = [parse_expression(text, names, params) for text in exprs]
+    compiled = [plain_expression(text, names, params) for text in exprs]
 
     def rhs(x):
         out = np.empty_like(x)
@@ -165,23 +233,26 @@ LV = make_competitive_lv(
 )
 SINK = make_linear_field(np.diag([1.0, 1.0, -1.0]), domain=Box(lo=-np.ones(3), hi=np.ones(3)))
 
+HOPF = make_hopf_cylinder(1.0, 4.0)
+HOPF_TIGHT = make_hopf_cylinder(2.0, 1.0)
+GOODWIN = make_cyclic_feedback(3, "smooth_goodwin", {"m": 4.0})
+
 # name -> (field the change runs, plain field, x0, T, keyword arguments)
 CASES = {
-    "hopf": (make_hopf_cylinder(1.0, 4.0), None, [0.3, -0.5, 0.7], 30.0, {}),
+    "hopf": (HOPF, plain_hopf(HOPF, 1.0, 4.0), [0.3, -0.5, 0.7], 30.0, {}),
     "hopf_exprs": (
         parse_field(HOPF_EXPRS, domain=HOPF_DOMAIN),
         plain_parsed(HOPF_EXPRS, HOPF_DOMAIN),
         [0.9, 0.2, -0.6], 30.0, {},
     ),
     "glass": (GLASS, plain_glass(GLASS, 3), [3.1, 0.2, 1.7], 50.0, {}),
-    "goodwin": (make_cyclic_feedback(3, "smooth_goodwin", {"m": 4.0}), None,
-                [0.4, 0.9, 0.2], 60.0, {}),
+    "goodwin": (GOODWIN, plain_goodwin(GOODWIN, 3), [0.4, 0.9, 0.2], 60.0, {}),
     "lv": (LV, None, [0.3, 1.4, 0.6], 60.0, {}),
     "domain_exit": (SINK, None, [0.2, 0.1, 0.5], 20.0, {}),
-    "max_step": (make_hopf_cylinder(1.0, 4.0), None, [0.5, 0.0, 0.1], 10.0,
+    "max_step": (HOPF, plain_hopf(HOPF, 1.0, 4.0), [0.5, 0.0, 0.1], 10.0,
                  {"max_step": 0.05}),
     "nan_stage": (nan_below_zero(), None, [1.0], 40.0, {}),
-    "tight": (make_hopf_cylinder(2.0, 1.0), None, [0.1, 0.0, 0.5], 20.0,
+    "tight": (HOPF_TIGHT, plain_hopf(HOPF_TIGHT, 2.0, 1.0), [0.1, 0.0, 0.5], 20.0,
               {"rtol": 1e-11, "atol": 1e-13}),
 }
 
@@ -239,7 +310,7 @@ def test_work_counters(name):
 # ---- the parsed rhs ----
 
 SPECIAL = np.array([np.nan, np.inf, -np.inf, 1e200, -1e200, 1e155, 0.0, -0.0,
-                    5e-324, -2.2e-308, 1.0, -1.0, 0.25, 1.75])
+                    5e-324, -2.2e-308, 1.0, -1.0, 0.25, 1.75, 1e-200, -1e-200])
 EXPRS = [
     "x1 - x2 - x1*(x1^2 + x2^2)",
     "exp(x3) / x1 + sin(x2)",
@@ -282,6 +353,53 @@ def test_parsed_rhs_converts_its_input_like_parse_expression():
     assert same_bits(field([3, 4]), np.array([1.5, 2.0]))
 
 
+# ---- the closures against their plain forms, on every shape ----
+
+def shaped(X):
+    """States of shape (n,), one (m, n) batch and one (a, b, n) batch."""
+    a = 7
+    return [*X[::97], X, X[:a * (len(X) // a)].reshape(a, -1, X.shape[-1])]
+
+
+PARSED_DOMAIN = Box(lo=-np.ones(3), hi=np.ones(3))
+# name -> (field the change runs, field with the plain closure)
+RHS_ORACLES = {
+    "hopf": (HOPF, plain_hopf(HOPF, 1.0, 4.0)),
+    "hopf_tight": (HOPF_TIGHT, plain_hopf(HOPF_TIGHT, 2.0, 1.0)),
+    "goodwin": (GOODWIN, plain_goodwin(GOODWIN, 3)),
+    "glass": (GLASS, plain_glass(GLASS, 3)),
+    "parsed": (parse_field(EXPRS[:3], params={"a": 2.0}, domain=PARSED_DOMAIN),
+               plain_parsed(EXPRS[:3], PARSED_DOMAIN, params={"a": 2.0})),
+    "parsed_more": (parse_field(EXPRS[3:6], domain=PARSED_DOMAIN),
+                    plain_parsed(EXPRS[3:6], PARSED_DOMAIN)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RHS_ORACLES))
+def test_rhs_equals_the_plain_closure(name):
+    field, plain = RHS_ORACLES[name]
+    X = special_states()
+    for x in shaped(X):
+        with np.errstate(all="ignore"):
+            assert same_bits(field.rhs(x), plain.rhs(x)), x.shape
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(field.rhs(X)).all()  # the grid reaches NaN and inf
+
+
+@pytest.mark.parametrize("text", EXPRS + [
+    "pwl(x1, x2, x3)", "pwl(x1, 2, 2)", "pwl(1, 2, 2) + x2", "pwl(0.5, 0, 1)",
+    "x1^2 + x2^3 - 2^x3", "-x1 / -0", "hill(x1, x2, x3) * (x1 - x2)",
+])
+def test_parse_expression_equals_the_plain_parse(text):
+    names = ("x1", "x2", "x3")
+    new = parse_expression(text, names, {"a": 2.0})
+    old = plain_expression(text, names, {"a": 2.0})
+    for x in shaped(special_states()):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert same_bits(new(x), old(x)), x.shape
+
+
 # ---- pwl ----
 
 def ramp_grid(a, b):
@@ -305,6 +423,17 @@ def test_pwl_equals_np_clip(a, b):
         scalar = pwl(float(v), a, b)
         assert type(scalar) is type(clip_pwl(float(v), a, b))
         assert same_bits(scalar, clip_pwl(float(v), a, b))
+
+
+def test_pwl_divides_python_floats_by_numpy_rules():
+    """A zero-width ramp on Python floats gives what it gives on arrays."""
+    with np.errstate(all="ignore"):
+        for x in (1.0, 2.0, 3.0):
+            got = pwl(x, 2.0, 2.0)
+            assert type(got) is np.float64
+            assert same_bits(got, asarray_pwl(x, 2.0, 2.0))
+    with pytest.warns(RuntimeWarning):
+        pwl(1.0, 2.0, 2.0)
 
 
 def test_falling_ramp_keeps_negative_zero_at_its_start():
@@ -331,8 +460,9 @@ def boundary_points(domain, rng):
         ring[:, 0] = domain.radius * np.cos(ang)
         ring[:, 1] = domain.radius * np.sin(ang)
         pts += [ring, np.nextafter(ring, np.inf), np.nextafter(ring, 0.0)]
-    special = np.zeros((4, domain.dim))
+    special = np.zeros((6, domain.dim))
     special[0, 0], special[1, 0], special[2, -1], special[3, -1] = np.nan, np.inf, -np.inf, -0.0
+    special[4, 0], special[5, -1] = 1e200, -1e-200
     return np.concatenate(pts + [special])
 
 
@@ -345,9 +475,10 @@ def boundary_points(domain, rng):
 @pytest.mark.parametrize("pad", [0.0, -0.0, 1e-12, 0.1])
 def test_contains_equals_the_padded_comparison(domain, pad):
     X = boundary_points(domain, np.random.default_rng(3))
-    got = domain.contains(X, pad=pad)
-    assert same_bits(got, plain_contains(domain, X, pad))
-    for x in X[::37]:
-        one = domain.contains(x, pad=pad)
-        assert type(one) is np.bool_
-        assert one == plain_contains(domain, x, pad)
+    with np.errstate(over="ignore"):
+        for x in shaped(X)[-2:]:
+            assert same_bits(domain.contains(x, pad=pad), plain_contains(domain, x, pad))
+        for x in [*X[::37], *X[-6:]]:
+            one = domain.contains(x, pad=pad)
+            assert type(one) is np.bool_
+            assert one == plain_contains(domain, x, pad)
