@@ -77,7 +77,10 @@ def _pair_scorer(field: VectorField, cone: QuadraticCone, X, Y):
     """The margins of the row pairs (X, Y) as a function of the rate; the
     field and |x - y|^2 are evaluated once per sample."""
     D = X - Y
-    dF = np.asarray(field(X)) - np.asarray(field(Y))
+    # inf - inf where the field is infinite: a NaN margin, which the caller
+    # refuses as NonFiniteDerivative, not a warning.
+    with np.errstate(invalid="ignore"):
+        dF = np.asarray(field(X)) - np.asarray(field(Y))
     den = np.einsum("ij,ij->i", D, D)
     return lambda lam: np.einsum("ij,jk,ik->i", D, cone.p_matrix, dF + lam * D) / den
 

@@ -183,7 +183,7 @@ class _Parser:
     def atom(self) -> Callable:
         tok = self.advance()
         if tok.kind == "num":
-            value = float(tok.text)
+            value = np.float64(tok.text)
             return lambda X: value
         if tok.kind == "name":
             nxt = self.peek()
@@ -193,7 +193,7 @@ class _Parser:
                 j = self.var_index[tok.text]
                 return lambda X: X[j]
             if tok.text in self.params:
-                value = float(self.params[tok.text])
+                value = np.float64(self.params[tok.text])
                 return lambda X: value
             raise UnknownIdentifier(f"unknown name {tok.text!r}", tok.pos)
         if tok.kind == "op" and tok.text == "(":

@@ -27,7 +27,7 @@ from .certify import (
     lambda_grid_search,
 )
 from .cones import QuadraticCone, make_projector
-from .errors import KconeError
+from .errors import SchemaError
 from .fields import default_equilibrium_seeds, find_equilibria
 from .integrators import integrate
 from .limitsets import (
@@ -313,7 +313,7 @@ def run_classify(scn: Scenario) -> tuple[dict, list[dict]]:
     belong to the scenario's i-th initial condition.
     """
     if not scn.x0s:
-        raise KconeError("scenario has no initial conditions to classify")
+        raise SchemaError("classify needs an x0 in the scenario", "/x0")
     sections: list[dict] = []
     artifacts: list[dict] = []
     for i, x0 in enumerate(scn.x0s):

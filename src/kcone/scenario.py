@@ -2,15 +2,19 @@
 
 A scenario is one self-contained JSON object naming a vector field, a cone,
 and the run parameters. Numbers are plain JSON decimals, matrices row-major
-nested arrays. The schema below is part of the tool's interface; validation
-failures surface as SchemaError with a JSON pointer to the offending spot.
+nested arrays. The schema below is part of the tool's interface and the one
+definition of which members a scenario has: each family's params, each cone
+and domain type's members, required and optional, and no others. The
+constructors judge the values. Every refused scenario raises SchemaError
+with a JSON pointer: to the offending member for a schema violation, to its
+section for a constructor's error.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 from typing import Any
 
 import jsonschema
@@ -22,7 +26,7 @@ from .cones import (
     make_quadratic_cone,
 )
 from .domains import Box, Cylinder, Domain
-from .errors import IoError, SchemaError
+from .errors import IoError, KconeError, SchemaError
 from .fields import (
     VectorField,
     make_competitive_lv,
@@ -39,17 +43,61 @@ _MATRIX = {
     "items": {"type": "array", "minItems": 1, "items": _NUMBER},
 }
 _VECTOR = {"type": "array", "minItems": 1, "items": _NUMBER}
+_BAND = {"type": "number", "minimum": 0}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 
-# The numeric params each family reads; other keys are left to the family.
+
+def _members(required: dict, optional: dict) -> dict:
+    """An object with every required member, any optional one, and no other."""
+    return {
+        "type": "object",
+        "required": list(required),
+        "properties": {**required, **optional},
+        "additionalProperties": False,
+    }
+
+
+def _cases(tag: str, cases: dict) -> list:
+    """One if/then branch per value of the tag member: the object has the
+    tag and that case's (required, optional) members, and no others."""
+    return [
+        {
+            "if": {"required": [tag], "properties": {tag: {"const": value}}},
+            "then": _members({tag: {}, **required}, optional),
+        }
+        for value, (required, optional) in cases.items()
+    ]
+
+
+def _tagged(tag: str, cases: dict) -> dict:
+    """An object whose required tag member names the case it follows."""
+    return {
+        "type": "object",
+        "required": [tag],
+        "properties": {tag: {"enum": list(cases)}},
+        "allOf": _cases(tag, cases),
+    }
+
+
+_RING = {"n": {"type": "integer"}}
+_ORTHANTS = ("orthant_complement", "orthant_union")
+_ORTHANT = ({"n": {"type": "integer", "minimum": 2}}, {"band": _BAND})
+
+# The params each family reads. A ring has n, its kind (smooth_goodwin unless
+# it says glass_pwl) and that kind's shape params.
 _FAMILY_PARAMS = {
-    "linear": {"A": _MATRIX},
-    "hopf_cylinder": {key: _NUMBER for key in ("omega", "c", "radius", "z_bound")},
+    "linear": _members({"A": _MATRIX}, {}),
+    "hopf_cylinder": _members(
+        {"omega": _NUMBER, "c": _NUMBER}, {"radius": _NUMBER, "z_bound": _NUMBER}
+    ),
     "cyclic_feedback": {
-        "n": {"type": "integer"},
-        "kind": {"enum": ["smooth_goodwin", "glass_pwl"]},
-        **{key: _NUMBER for key in ("b", "theta", "m", "lo", "hi", "amp")},
+        "type": "object",
+        "properties": {"kind": {"enum": ["smooth_goodwin", "glass_pwl"]}},
+        "if": {"required": ["kind"], "properties": {"kind": {"const": "glass_pwl"}}},
+        "then": _members(_RING, {"kind": {}, **dict.fromkeys(("lo", "hi", "amp"), _NUMBER)}),
+        "else": _members(_RING, {"kind": {}, **dict.fromkeys(("b", "theta", "m"), _NUMBER)}),
     },
-    "competitive_lv": {"A": _MATRIX, "r": _VECTOR},
+    "competitive_lv": _members({"A": _MATRIX, "r": _VECTOR}, {}),
 }
 
 SCENARIO_SCHEMA: dict[str, Any] = {
@@ -58,87 +106,58 @@ SCENARIO_SCHEMA: dict[str, Any] = {
     "type": "object",
     "required": ["field", "cone"],
     "additionalProperties": False,
+    # A parsed field has no domain of its own.
+    "if": {
+        "required": ["field"],
+        "properties": {"field": {"type": "object", "required": ["exprs"]}},
+    },
+    "then": {"required": ["domain"]},
     "properties": {
         "name": {"type": "string"},
+        # A field is parsed from expressions, whose params are all numbers,
+        # or is a family's, with the family's params.
         "field": {
             "type": "object",
-            "oneOf": [{"required": ["family"]}, {"required": ["exprs"]}],
-            "properties": {
-                "family": {"enum": list(_FAMILY_PARAMS)},
-                "params": {"type": "object"},
-                "exprs": {"type": "array", "minItems": 1, "items": {"type": "string"}},
+            "properties": {"family": {"enum": list(_FAMILY_PARAMS)}},
+            "if": {"required": ["exprs"]},
+            "then": _members(
+                {"exprs": {"type": "array", "minItems": 1, "items": {"type": "string"}}},
+                {"params": {"type": "object", "additionalProperties": _NUMBER}},
+            ),
+            "else": {
+                "required": ["family"],
+                "allOf": _cases(
+                    "family", {f: ({"params": p}, {}) for f, p in _FAMILY_PARAMS.items()}
+                ),
             },
-            "additionalProperties": False,
-            # Params are typed by family; a parsed field's are all numbers.
-            "allOf": [
-                {
-                    "if": {"required": ["family"], "properties": {"family": {"const": family}}},
-                    "then": {"properties": {"params": {"properties": params}}},
-                }
-                for family, params in _FAMILY_PARAMS.items()
-            ]
-            + [
-                {
-                    "if": {"required": ["exprs"]},
-                    "then": {"properties": {"params": {"additionalProperties": _NUMBER}}},
-                }
-            ],
         },
-        "cone": {
-            "type": "object",
-            "required": ["type"],
-            "properties": {
-                "type": {"enum": ["quadratic", "orthant_complement", "orthant_union"]},
-                "P": _MATRIX,
-                "n": {"type": "integer", "minimum": 2},
-                "band": {"type": "number", "minimum": 0},
+        "cone": _tagged(
+            "type",
+            {"quadratic": ({"P": _MATRIX}, {"band": _BAND}), **dict.fromkeys(_ORTHANTS, _ORTHANT)},
+        ),
+        "domain": _tagged(
+            "type",
+            {
+                "box": ({"lo": _VECTOR, "hi": _VECTOR}, {}),
+                "cylinder": ({"radius": _POSITIVE, "rest_lo": _VECTOR, "rest_hi": _VECTOR}, {}),
             },
-            "additionalProperties": False,
-        },
-        "domain": {
-            "type": "object",
-            "required": ["type"],
-            "properties": {
-                "type": {"enum": ["box", "cylinder"]},
-                "lo": _VECTOR,
-                "hi": _VECTOR,
-                "radius": {"type": "number", "exclusiveMinimum": 0},
-                "rest_lo": _VECTOR,
-                "rest_hi": _VECTOR,
-            },
-            "additionalProperties": False,
-        },
+        ),
         "lambda": _NUMBER,
-        "lambda_grid": {
-            "type": "array",
-            "items": _NUMBER,
-            "minItems": 3,
-            "maxItems": 3,
-        },
-        "epsilon": {"type": "number", "exclusiveMinimum": 0},
+        "lambda_grid": {"type": "array", "items": _NUMBER, "minItems": 3, "maxItems": 3},
+        "epsilon": _POSITIVE,
         "pairs": {"type": "integer", "minimum": 1},
         "seed": {"type": "integer", "minimum": 0},
-        "x0": {
-            "oneOf": [
-                _VECTOR,
-                {"type": "array", "minItems": 1, "items": _VECTOR},
-            ]
-        },
-        "T": {"type": "number", "exclusiveMinimum": 0},
-        "rtol": {"type": "number", "exclusiveMinimum": 0},
-        "atol": {"type": "number", "exclusiveMinimum": 0},
-        "max_step": {"type": "number", "exclusiveMinimum": 0},
+        "x0": {"oneOf": [_VECTOR, {"type": "array", "minItems": 1, "items": _VECTOR}]},
+        **dict.fromkeys(("T", "rtol", "atol", "max_step"), _POSITIVE),
         "analysis": {
             "type": "object",
             "properties": {
                 "window_fraction": {"type": "number", "exclusiveMinimum": 0, "maximum": 0.5},
-                "spacing": {"type": "number", "exclusiveMinimum": 0},
-                "tol_omega_rel": {"type": "number", "exclusiveMinimum": 0},
-                "tol_period": {"type": "number", "exclusiveMinimum": 0},
-                "dist_eq_rel": {"type": "number", "exclusiveMinimum": 0},
-                "eps_chain": {"type": "number", "exclusiveMinimum": 0},
-                "r_chain": {"type": "number", "exclusiveMinimum": 0},
-                "t_max_chain": {"type": "number", "exclusiveMinimum": 0},
+                **dict.fromkeys(
+                    ("spacing", "tol_omega_rel", "tol_period", "dist_eq_rel", "eps_chain",
+                     "r_chain", "t_max_chain"),
+                    _POSITIVE,
+                ),
                 "chain_points": {"type": "integer", "minimum": 1},
             },
             "additionalProperties": False,
@@ -162,21 +181,23 @@ ANALYSIS_DEFAULTS = {
 
 @dataclass(eq=False)
 class Scenario:
+    """A parsed scenario, as parse_scenario builds it with every default."""
+
     raw: dict
     field: VectorField
     cone: Cone
-    name: str = ""
-    lam: float | None = None
-    lambda_grid: tuple[float, float, float] | None = None
-    epsilon: float | None = None
-    pairs: int = 10_000
-    seed: int = 0
-    x0s: list = dc_field(default_factory=list)
-    T: float = 100.0
-    rtol: float = 1e-10
-    atol: float = 1e-12
-    max_step: float = float("inf")
-    analysis: dict = dc_field(default_factory=dict)
+    name: str
+    lam: float | None
+    lambda_grid: tuple[float, float, float] | None
+    epsilon: float | None
+    pairs: int
+    seed: int
+    x0s: list
+    T: float
+    rtol: float
+    atol: float
+    max_step: float
+    analysis: dict
 
     @property
     def domain(self) -> Domain:
@@ -191,24 +212,23 @@ def scenario_digest(obj: dict) -> str:
     return hashlib.sha256(canonical_json(obj).encode("ascii")).hexdigest()
 
 
-def _pointer(path) -> str:
-    return "".join(f"/{p}" for p in path)
+def _section(pointer: str, build, *args):
+    """build(*args), with a constructor's KconeError made the scenario's
+    SchemaError at pointer."""
+    try:
+        return build(*args)
+    except SchemaError:
+        raise
+    except KconeError as exc:
+        raise SchemaError(str(exc), pointer) from exc
 
 
 def _build_domain(spec: dict) -> Domain:
     if spec["type"] == "box":
-        if "lo" not in spec or "hi" not in spec:
-            raise SchemaError("box domain needs lo and hi", "/domain")
         return Box(lo=spec["lo"], hi=spec["hi"])
-    if "radius" not in spec:
-        raise SchemaError("cylinder domain needs a radius", "/domain/radius")
-    rest_lo = spec.get("rest_lo", [])
-    rest_hi = spec.get("rest_hi", [])
-    if len(rest_lo) != len(rest_hi):
-        raise SchemaError("rest_lo and rest_hi must have equal length", "/domain")
-    if len(rest_lo) == 0:
-        raise SchemaError("cylinder domain needs rest bounds", "/domain/rest_lo")
-    return Cylinder(radius=float(spec["radius"]), rest=Box(lo=rest_lo, hi=rest_hi))
+    return Cylinder(
+        radius=float(spec["radius"]), rest=Box(lo=spec["rest_lo"], hi=spec["rest_hi"])
+    )
 
 
 def _matrix(rows: list, pointer: str) -> list:
@@ -221,62 +241,21 @@ def _matrix(rows: list, pointer: str) -> list:
 def _family_field(family: str, params: dict) -> VectorField:
     """The named family's field, on the family's own domain."""
     if family == "linear":
-        if "A" not in params:
-            raise SchemaError("linear family needs params.A", "/field/params/A")
         return make_linear_field(_matrix(params["A"], "/field/params/A"))
     if family == "hopf_cylinder":
-        kwargs = {}
-        for key in ("omega", "c", "radius", "z_bound"):
-            if key in params:
-                kwargs[key] = float(params[key])
-        if "omega" not in kwargs or "c" not in kwargs:
-            raise SchemaError("hopf_cylinder needs params.omega and params.c", "/field/params")
-        return make_hopf_cylinder(**kwargs)
+        return make_hopf_cylinder(**{key: float(v) for key, v in params.items()})
     if family == "cyclic_feedback":
-        n = params.pop("n", None)
-        kind = params.pop("kind", "smooth_goodwin")
-        if n is None:
-            raise SchemaError("cyclic_feedback needs params.n", "/field/params/n")
-        return make_cyclic_feedback(int(n), kind=kind, params=params)
-    # The schema's enum admits no other family.
-    if "A" not in params or "r" not in params:
-        raise SchemaError("competitive_lv needs params.A and params.r", "/field/params")
+        shape = dict(params)
+        n = int(shape.pop("n"))
+        return make_cyclic_feedback(n, kind=shape.pop("kind", "smooth_goodwin"), params=shape)
     return make_competitive_lv(_matrix(params["A"], "/field/params/A"), params["r"])
-
-
-def _check_domain_dim(domain: Domain, n: int) -> None:
-    if domain.dim != n:
-        raise SchemaError(
-            f"domain dimension {domain.dim} does not match field dimension {n}", "/domain"
-        )
-
-
-def _build_field(spec: dict, domain: Domain | None) -> VectorField:
-    """The scenario's field. An explicit domain replaces a family's own;
-    parsed fields need one. Its dimension must match the field's."""
-    params = dict(spec.get("params", {}))
-    if "exprs" in spec:
-        if domain is None:
-            raise SchemaError("parsed fields need an explicit domain", "/domain")
-        _check_domain_dim(domain, len(spec["exprs"]))
-        return parse_field(spec["exprs"], params=params, domain=domain)
-    field = _family_field(spec["family"], params)
-    if domain is None:
-        return field
-    _check_domain_dim(domain, field.dim)
-    return replace(field, domain=domain)
 
 
 def _build_cone(spec: dict) -> Cone:
     kind = spec["type"]
-    band = spec.get("band")
-    kwargs = {} if band is None else {"boundary_band": float(band)}
+    kwargs = {"boundary_band": float(spec["band"])} if "band" in spec else {}
     if kind == "quadratic":
-        if "P" not in spec:
-            raise SchemaError("quadratic cone needs a matrix P", "/cone/P")
         return make_quadratic_cone(_matrix(spec["P"], "/cone/P"), **kwargs)
-    if "n" not in spec:
-        raise SchemaError(f"{kind} cone needs a dimension n", "/cone/n")
     if kind == "orthant_complement":
         return make_orthant_complement_cone(int(spec["n"]), **kwargs)
     return make_orthant_union_cone(int(spec["n"]), **kwargs)
@@ -285,30 +264,45 @@ def _build_cone(spec: dict) -> Cone:
 def parse_scenario(obj: dict) -> Scenario:
     """Validate a scenario object against the schema and construct it.
 
-    Structural violations raise SchemaError with a JSON pointer; domain
-    errors from the constructed objects (asymmetric P, degenerate rank,
-    and so on) propagate as their own types.
+    The schema decides which members a scenario has; the constructors decide
+    whether their values make a field, cone and domain (an asymmetric P, an
+    empty box, an expression that does not parse). Either way the error is a
+    SchemaError with a JSON pointer: to the member for a schema violation, to
+    the section (/domain, /field/params, /field/exprs or /cone) for a
+    constructor's error, which is chained as its __cause__. An explicit
+    domain replaces a family's own and must match the field's dimension, as
+    must the cone's.
     """
     validator = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
     errors = sorted(validator.iter_errors(obj), key=lambda e: list(e.absolute_path))
     if errors:
         err = errors[0]
         path = list(err.absolute_path)
+        # Point at the missing or unknown member itself.
         if err.validator == "required":
-            # Point at the missing property itself.
-            missing = err.message.split("'")[1]
-            path = path + [missing]
-        raise SchemaError(err.message, _pointer(path))
+            path.append(err.message.split("'")[1])
+        elif err.validator == "additionalProperties":
+            path.append(min(set(err.instance) - set(err.schema["properties"])))
+        raise SchemaError(err.message, "".join(f"/{p}" for p in path))
 
-    domain = _build_domain(obj["domain"]) if "domain" in obj else None
-    field = _build_field(obj["field"], domain)
-    cone = _build_cone(obj["cone"])
-
-    n = field.dim
-    if hasattr(cone, "dim") and cone.dim != n:
-        raise SchemaError(
-            f"cone dimension {cone.dim} does not match field dimension {n}", "/cone"
-        )
+    spec = obj["field"]
+    domain = _section("/domain", _build_domain, obj["domain"]) if "domain" in obj else None
+    cone = _section("/cone", _build_cone, obj["cone"])
+    if "exprs" in spec:
+        n = len(spec["exprs"])
+    else:
+        field = _section("/field/params", _family_field, spec["family"], spec["params"])
+        n = field.dim
+    for pointer, part in (("/domain", domain), ("/cone", cone)):
+        if part is not None and part.dim != n:
+            raise SchemaError(
+                f"{pointer[1:]} dimension {part.dim} does not match field dimension {n}",
+                pointer,
+            )
+    if "exprs" in spec:
+        field = _section("/field/exprs", parse_field, spec["exprs"], spec.get("params"), domain)
+    elif domain is not None:
+        field = replace(field, domain=domain)
 
     x0_raw = obj.get("x0")
     x0s: list = []

@@ -246,6 +246,22 @@ def test_poincare_needs_initial_condition(tmp_path, capsys):
     assert "/x0" in capsys.readouterr().err
 
 
+def test_classify_needs_initial_condition(tmp_path, capsys):
+    obj = _hopf_obj()
+    del obj["x0"]
+    scn = _write(tmp_path, obj)
+    assert main(["classify", "--scenario", scn]) == 2
+    assert "'/x0'" in capsys.readouterr().err
+
+
+def test_constant_division_by_zero_is_a_non_finite_margin(tmp_path, capsys):
+    """1/0 in a parsed field is inf by numpy's rules, and the certificate
+    refuses the resulting NaN margins as incomplete, with no warning."""
+    scn = _write(tmp_path, _linear_obj(field={"exprs": ["1/0 + x1", "x2", "x3"]}))
+    assert main(["certify", "--scenario", scn]) == 4
+    assert capsys.readouterr().err == "kcone: incomplete: margin not finite at some sampled pair\n"
+
+
 def test_report_command_writes_bundle(tmp_path, capsys):
     scn = _write(tmp_path, _decay_obj())
     outdir = tmp_path / "bundle"

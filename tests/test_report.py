@@ -12,7 +12,7 @@ import pytest
 
 from kcone.certify import certify_sampled, certify_smith
 from kcone.cones import Projector, make_projector, make_quadratic_cone
-from kcone.errors import KconeError
+from kcone.errors import SchemaError
 from kcone.report import (
     REPORT_SCHEMA,
     _condition_dict,
@@ -108,8 +108,9 @@ def test_classify_orbits_in_input_order(hopf_run):
 def test_classify_requires_initial_conditions():
     scn = parse_scenario(_hopf_obj())
     scn.x0s = []
-    with pytest.raises(KconeError):
+    with pytest.raises(SchemaError) as e:
         run_classify(scn)
+    assert e.value.pointer == "/x0"
 
 
 def _linear_cert_obj(**extra):

@@ -1,15 +1,32 @@
 """Scenario JSON: schema validation, construction, digests, file loading."""
 
 import json
+from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
+from kcone.cli import main
 from kcone.cones import OrthantComplementCone, QuadraticCone
 from kcone.domains import Box, Cylinder
-from kcone.errors import IoError, SchemaError
+from kcone.errors import (
+    ArityMismatch,
+    BadParameter,
+    DegenerateRank,
+    DimensionMismatch,
+    EmptyDomain,
+    ExpressionSyntaxError,
+    IoError,
+    NearSingular,
+    NotSymmetric,
+    SchemaError,
+    UnknownIdentifier,
+)
+from kcone.report import REPORT_SCHEMA
 from kcone.scenario import (
     ANALYSIS_DEFAULTS,
+    SCENARIO_SCHEMA,
     canonical_json,
     load_scenario,
     parse_scenario,
@@ -134,7 +151,7 @@ def test_competitive_lv_scenario():
     obj["field"]["params"] = {"A": A}
     with pytest.raises(SchemaError) as e:
         parse_scenario(obj)
-    assert _pointer_of(e) == "/field/params"
+    assert _pointer_of(e) == "/field/params/r"
 
 
 def test_orthant_cones_by_dimension():
@@ -212,7 +229,7 @@ def test_missing_family_requirements():
         parse_scenario(
             {"field": {"family": "linear"}, "cone": {"type": "quadratic", "P": P_STD}}
         )
-    assert _pointer_of(e) == "/field/params/A"
+    assert _pointer_of(e) == "/field/params"
     with pytest.raises(SchemaError) as e:
         parse_scenario(
             {
@@ -220,7 +237,7 @@ def test_missing_family_requirements():
                 "cone": {"type": "quadratic", "P": P_STD},
             }
         )
-    assert _pointer_of(e) == "/field/params/n"
+    assert _pointer_of(e) == "/field/params"
     with pytest.raises(SchemaError) as e:
         parse_scenario(
             {
@@ -235,7 +252,7 @@ def test_domain_requirements():
     obj = _hopf_obj(domain={"type": "box", "lo": [-1.0, -1.0, -1.0]})
     with pytest.raises(SchemaError) as e:
         parse_scenario(obj)
-    assert _pointer_of(e) == "/domain"
+    assert _pointer_of(e) == "/domain/hi"
     obj = _hopf_obj(domain={"type": "cylinder", "radius": 1.0})
     with pytest.raises(SchemaError) as e:
         parse_scenario(obj)
@@ -275,3 +292,202 @@ def test_load_scenario_errors(tmp_path):
     arr.write_text("[1, 2, 3]", encoding="utf-8")
     with pytest.raises(SchemaError):
         load_scenario(arr)
+
+
+def test_published_schemas_are_valid_draft_2020_12():
+    jsonschema.Draft202012Validator.check_schema(SCENARIO_SCHEMA)
+    jsonschema.Draft202012Validator.check_schema(REPORT_SCHEMA)
+
+
+def test_readme_minimal_scenario_parses():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Minimal example:", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    scn = parse_scenario(json.loads(block))
+    assert scn.name == "rotating cylinder"
+    assert scn.lam == 3.5
+
+
+# The probe scenarios: a 3-d linear field on a box, with one section changed
+# (None deletes it).
+BASE = {
+    "field": {"family": "linear", "params": {"A": [[-1.0, 0, 0], [0, -2.0, 0], [0, 0, -3.0]]}},
+    "cone": {"type": "quadratic", "P": P_STD},
+    "domain": {"type": "box", "lo": [-2.0] * 3, "hi": [2.0] * 3},
+    "lambda": 0.0,
+    "pairs": 200,
+}
+BOX = BASE["domain"]
+CYLINDER = {"type": "cylinder", "radius": 1.0, "rest_lo": [-1.0], "rest_hi": [1.0]}
+
+
+def _probe(**sections):
+    obj = json.loads(json.dumps(BASE))
+    for key, value in sections.items():
+        if value is None:
+            del obj[key]
+        else:
+            obj[key] = value
+    return obj
+
+
+def _family(family, **params):
+    return {"family": family, "params": params}
+
+
+# (scenario, pointer of the missing or unknown member)
+STRUCTURE_DEFECTS = {
+    "linear_no_params": (_probe(field={"family": "linear"}), "/field/params"),
+    "linear_no_A": (_probe(field=_family("linear")), "/field/params/A"),
+    "linear_extra_key": (
+        _probe(field=_family("linear", A=BASE["field"]["params"]["A"], B=1.0)),
+        "/field/params/B",
+    ),
+    "hopf_no_c": (_probe(field=_family("hopf_cylinder", omega=1.0)), "/field/params/c"),
+    "hopf_typo": (
+        _probe(field=_family("hopf_cylinder", omega=1.0, c=4.0, radis=2.0)),
+        "/field/params/radis",
+    ),
+    "ring_no_n": (_probe(field=_family("cyclic_feedback", kind="glass_pwl")), "/field/params/n"),
+    "goodwin_glass_param": (
+        _probe(field=_family("cyclic_feedback", n=3, lo=0.5)), "/field/params/lo"
+    ),
+    "glass_goodwin_param": (
+        _probe(field=_family("cyclic_feedback", n=3, kind="glass_pwl", b=2.0)),
+        "/field/params/b",
+    ),
+    "lv_no_r": (_probe(field=_family("competitive_lv", A=[[1.0]])), "/field/params/r"),
+    "field_extra_key": (
+        _probe(field={**BASE["field"], "domain": BOX}), "/field/domain"
+    ),
+    "exprs_no_domain": (_probe(field={"exprs": ["x2", "x3", "x1"]}, domain=None), "/domain"),
+    "quadratic_no_P": (_probe(cone={"type": "quadratic"}), "/cone/P"),
+    "quadratic_with_n": (_probe(cone={"type": "quadratic", "P": P_STD, "n": 3}), "/cone/n"),
+    "orthant_no_n": (_probe(cone={"type": "orthant_union"}), "/cone/n"),
+    "orthant_with_P": (
+        _probe(cone={"type": "orthant_complement", "n": 3, "P": P_STD}), "/cone/P"
+    ),
+    "cone_no_type": (_probe(cone={"P": P_STD}), "/cone/type"),
+    "box_no_hi": (_probe(domain={"type": "box", "lo": [-1.0] * 3}), "/domain/hi"),
+    "box_with_radius": (_probe(domain={**BOX, "radius": 1.0}), "/domain/radius"),
+    "cylinder_no_radius": (
+        _probe(domain={k: v for k, v in CYLINDER.items() if k != "radius"}), "/domain/radius"
+    ),
+    "cylinder_no_rest_hi": (
+        _probe(domain={k: v for k, v in CYLINDER.items() if k != "rest_hi"}), "/domain/rest_hi"
+    ),
+    "top_level_extra_key": (_probe(lambda_=1.0), "/lambda_"),
+}
+
+# (scenario, section pointer, the constructor's error type)
+VALUE_DEFECTS = {
+    "linear_non_square_A": (
+        _probe(field=_family("linear", A=[[1.0, 0], [0, 1.0], [0, 0]])),
+        "/field/params",
+        DimensionMismatch,
+    ),
+    "hopf_omega_zero": (
+        _probe(field=_family("hopf_cylinder", omega=0, c=4.0), domain=None),
+        "/field/params",
+        BadParameter,
+    ),
+    "ring_n_one": (_probe(field=_family("cyclic_feedback", n=1)), "/field/params", BadParameter),
+    "goodwin_negative_b": (
+        _probe(field=_family("cyclic_feedback", n=3, b=-1.0)), "/field/params", BadParameter
+    ),
+    "glass_hi_below_lo": (
+        _probe(field=_family("cyclic_feedback", n=3, kind="glass_pwl", lo=1.0, hi=0.5)),
+        "/field/params",
+        BadParameter,
+    ),
+    "lv_r_wrong_length": (
+        _probe(field=_family("competitive_lv", A=[[1.0, 0.5], [0.5, 1.0]], r=[1.0] * 3)),
+        "/field/params",
+        DimensionMismatch,
+    ),
+    "lv_negative_A": (
+        _probe(field=_family("competitive_lv", A=[[1.0, -0.5], [0.5, 1.0]], r=[1.0] * 2)),
+        "/field/params",
+        BadParameter,
+    ),
+    "exprs_syntax": (
+        _probe(field={"exprs": ["x1 +", "x2", "x3"]}), "/field/exprs", ExpressionSyntaxError
+    ),
+    "exprs_unknown_name": (
+        _probe(field={"exprs": ["a * x1", "x2", "x3"]}), "/field/exprs", UnknownIdentifier
+    ),
+    "exprs_arity": (
+        _probe(field={"exprs": ["sin(x1, x2)", "x2", "x3"]}), "/field/exprs", ArityMismatch
+    ),
+    "P_asymmetric": (
+        _probe(cone={"type": "quadratic", "P": [[-1.0, 1.0, 0], [0, -1.0, 0], [0, 0, 1.0]]}),
+        "/cone",
+        NotSymmetric,
+    ),
+    "P_non_square": (
+        _probe(cone={"type": "quadratic", "P": [[-1.0, 0, 0], [0, 1.0, 0]]}),
+        "/cone",
+        DimensionMismatch,
+    ),
+    "P_rank_zero": (
+        _probe(cone={"type": "quadratic", "P": [[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]]}),
+        "/cone",
+        DegenerateRank,
+    ),
+    "P_singular": (
+        _probe(cone={"type": "quadratic", "P": [[-1.0, 0, 0], [0, 0.0, 0], [0, 0, 1.0]]}),
+        "/cone",
+        NearSingular,
+    ),
+    "box_hi_at_lo": (
+        _probe(domain={"type": "box", "lo": [-1.0] * 3, "hi": [1.0, -1.0, 1.0]}),
+        "/domain",
+        EmptyDomain,
+    ),
+    "box_unequal_bounds": (
+        _probe(domain={"type": "box", "lo": [-1.0] * 3, "hi": [1.0] * 2}),
+        "/domain",
+        DimensionMismatch,
+    ),
+    "cylinder_unequal_rest": (
+        _probe(
+            field=_family("hopf_cylinder", omega=1.0, c=4.0),
+            domain={**CYLINDER, "rest_hi": [1.0, 1.0]},
+        ),
+        "/domain",
+        DimensionMismatch,
+    ),
+}
+
+
+def _cli_error(tmp_path, capsys, obj) -> tuple[int, str]:
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    rc = main(["certify", "--scenario", str(path)])
+    return rc, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURE_DEFECTS))
+def test_missing_or_unknown_member_is_refused_by_the_schema(tmp_path, capsys, name):
+    obj, pointer = STRUCTURE_DEFECTS[name]
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(obj, SCENARIO_SCHEMA)
+    with pytest.raises(SchemaError) as e:
+        parse_scenario(obj)
+    assert _pointer_of(e) == pointer
+    rc, err = _cli_error(tmp_path, capsys, obj)
+    assert rc == 2
+    assert f"(at JSON pointer '{pointer}')" in err
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_DEFECTS))
+def test_value_defect_is_refused_at_its_section(tmp_path, capsys, name):
+    obj, pointer, cause = VALUE_DEFECTS[name]
+    jsonschema.validate(obj, SCENARIO_SCHEMA)
+    with pytest.raises(SchemaError) as e:
+        parse_scenario(obj)
+    assert _pointer_of(e) == pointer
+    assert type(e.value.__cause__) is cause
+    assert str(e.value) == f"{e.value.__cause__} (at JSON pointer '{pointer}')"
+    rc, err = _cli_error(tmp_path, capsys, obj)
+    assert rc == 2
+    assert err == f"kcone: {e.value}\n"
