@@ -22,12 +22,10 @@ import sys
 import time
 
 from ._version import __version__
-from .cones import QuadraticCone, make_projector
+from .cones import make_projector
 from .errors import IntegrationFailure, IoError, KconeError, SchemaError
-from .limitsets import detect_periodic
 from .report import (
-    _orbit_tail,
-    _report_header,
+    _seek_loop,
     build_full_report,
     dump_report,
     emit_plotdata,
@@ -78,12 +76,9 @@ def _emit(args, report: dict, wall: float) -> None:
 def _cmd_certify(args) -> int:
     scn = _load(args)
     t0 = time.perf_counter()
-    cert = run_certify(scn)
-    report = _report_header(
-        scn, certificates=cert["checks"], passing_lambdas=cert["passing_lambdas"]
-    )
+    report = run_certify(scn)
     if args.out:
-        for c in cert["checks"]:
+        for c in report["certificates"]:
             lam = c.get("lambda")
             lam_s = "-" if lam is None else f"{lam:g}"
             _say(
@@ -118,17 +113,12 @@ def _cmd_poincare(args) -> int:
     scn = _load(args)
     if not scn.x0s:
         raise SchemaError("poincare needs an x0 in the scenario", pointer="/x0")
-    if not (isinstance(scn.cone, QuadraticCone) and scn.cone.rank_k == 2):
-        raise SchemaError(
-            "poincare needs a rank-2 quadratic cone", pointer="/cone"
-        )
-    traj, omega = _orbit_tail(scn, scn.x0s[0])
-    if not omega.converged:
+    loop, why = _seek_loop(scn, scn.x0s[0])
+    if why == "not rank 2":
+        raise SchemaError("poincare needs a rank-2 quadratic cone", pointer="/cone")
+    if why == "not converged":
         _say(args, "tail has not settled; no loop extracted")
         return 4
-    loop = detect_periodic(
-        omega, traj, scn.cone, scn.field, tol_per=scn.analysis["tol_period"]
-    )
     if loop is None:
         _say(args, "no periodic loop detected")
         return 4

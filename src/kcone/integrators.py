@@ -155,13 +155,14 @@ def _step_factor(tol: float, err: float) -> float:
 
 
 def _norm(v) -> float:
-    """Euclidean norm of v. Where the plain sum of squares overflows, v is
-    rescaled by max|v| first; every other vector gets the plain norm's bits."""
-    with np.errstate(over="ignore"):
-        n = float(np.linalg.norm(v))
-    if np.isinf(n) and np.isfinite(v).all():
+    """sqrt(v.dot(v)), the bits of np.linalg.norm on a 1-d float array, or
+    where that sum of squares overflows (silently, under the callers'
+    errstate), the norm of v rescaled by max|v|."""
+    n = math.sqrt(v.dot(v))
+    if n == math.inf and np.isfinite(v).all():
         m = float(np.abs(v).max())
-        n = m * float(np.linalg.norm(v / m))
+        w = v / m
+        n = m * math.sqrt(w.dot(w))
     return n
 
 
@@ -218,87 +219,86 @@ def integrate(
     t = 0.0
     y = x0.copy()
     f = f0
-    h = _initial_step(f0, x0, T, max_step, rtol, atol)
     cur_region = region(y) if region is not None else None
 
     K = np.empty((7, field.dim))
     # KT[i] is K[:i].T, the first i stages: views, bound once, that read K
     # as each step fills it.
     KT = [K[:i].T for i in range(8)]
-    while t < T:
-        h = min(h, T - t, max_step)
-        if h < UNDERFLOW_FRACTION * T:
-            raise StepUnderflow(f"step {h:.3e} below {UNDERFLOW_FRACTION:.0e} T")
+    with np.errstate(over="ignore"):  # _norm rescales an overflowed sum of squares
+        h = _initial_step(f0, x0, T, max_step, rtol, atol)
+        while t < T:
+            h = min(h, T - t, max_step)
+            if h < UNDERFLOW_FRACTION * T:
+                raise StepUnderflow(f"step {h:.3e} below {UNDERFLOW_FRACTION:.0e} T")
 
-        K[0] = f
-        for i in range(1, 6):
-            K[i] = rhs(y + h * (KT[i] @ _A[i]))
-        y_new = y + h * (KT[6] @ _A[6])
-        K[6] = rhs(y_new)  # FSAL: the 7th stage's argument is y_new
-        n_rhs += 6
-        # The 2-norm as np.linalg.norm takes it for a 1-d float array.
-        e = h * (KT[7] @ _E)
-        err = math.sqrt(e.dot(e))
-        tol = atol + rtol * math.sqrt(y_new.dot(y_new))
+            K[0] = f
+            for i in range(1, 6):
+                K[i] = rhs(y + h * (KT[i] @ _A[i]))
+            y_new = y + h * (KT[6] @ _A[6])
+            K[6] = rhs(y_new)  # FSAL: the 7th stage's argument is y_new
+            n_rhs += 6
+            err = _norm(h * (KT[7] @ _E))
+            tol = atol + rtol * _norm(y_new)
 
-        # Test K itself: stage 2 has zero weight in both y_new and err.
-        if not (np.isfinite(K).all() and math.isfinite(err)):
-            n_rejected += 1
-            h *= 0.5
-            continue
-        if err > tol:
-            n_rejected += 1
+            # Test K itself: stage 2 has zero weight in both y_new and err.
+            if not (np.isfinite(K).all() and math.isfinite(err)):
+                n_rejected += 1
+                h *= 0.5
+                continue
+            if err > tol:
+                n_rejected += 1
+                h *= _step_factor(tol, err)
+                continue
+
+            # Kink localization: shrink steps that jump a ramp-region boundary.
+            new_region = region(y_new) if region is not None else None
+            if new_region != cur_region and h > KINK_FLOOR:
+                n_kink_retries += 1
+                h = max(0.5 * h, KINK_FLOOR)
+                continue
+
+            if not np.isfinite(y_new).all():
+                raise NonFiniteState(f"state not finite after t = {t:.6g}")
+            f_new = K[6].copy()
+
+            if not contains(y_new):
+                # Bisect the Hermite interpolant for the last inside point.
+                lo_s, hi_s = 0.0, 1.0
+                for _ in range(80):
+                    n_exit_bisections += 1
+                    mid = 0.5 * (lo_s + hi_s)
+                    y_mid = _hermite(y, f, y_new, f_new, h, mid)
+                    if contains(y_mid):
+                        lo_s = mid
+                    else:
+                        hi_s = mid
+                    if (hi_s - lo_s) * h < 1e-14 * max(1.0, abs(t)):
+                        break
+                t_exit = t + lo_s * h
+                y_exit = _hermite(y, f, y_new, f_new, h, lo_s)
+                if lo_s > 0.0:
+                    ts.append(t_exit)
+                    ys.append(y_exit)
+                    fs.append(np.asarray(field(y_exit), dtype=float))
+                    n_rhs += 1
+                events.append((t_exit, "domain_exit"))
+                break
+
+            # The last step lands on T itself: from t < T/2, t + (T - t) may
+            # round an ulp short of T and leave an underflowing step behind.
+            t = T if h == T - t else t + h
+            y = y_new
+            f = f_new
+            ts.append(t)
+            ys.append(y)
+            fs.append(f)
+            n_accepted += 1
             h *= _step_factor(tol, err)
-            continue
-
-        # Kink localization: shrink steps that jump a ramp-region boundary.
-        new_region = region(y_new) if region is not None else None
-        if new_region != cur_region and h > KINK_FLOOR:
-            n_kink_retries += 1
-            h = max(0.5 * h, KINK_FLOOR)
-            continue
-
-        if not np.isfinite(y_new).all():
-            raise NonFiniteState(f"state not finite after t = {t:.6g}")
-        f_new = K[6].copy()
-
-        if not contains(y_new):
-            # Bisect the Hermite interpolant for the last inside point.
-            lo_s, hi_s = 0.0, 1.0
-            for _ in range(80):
-                n_exit_bisections += 1
-                mid = 0.5 * (lo_s + hi_s)
-                y_mid = _hermite(y, f, y_new, f_new, h, mid)
-                if contains(y_mid):
-                    lo_s = mid
-                else:
-                    hi_s = mid
-                if (hi_s - lo_s) * h < 1e-14 * max(1.0, abs(t)):
-                    break
-            t_exit = t + lo_s * h
-            y_exit = _hermite(y, f, y_new, f_new, h, lo_s)
-            if lo_s > 0.0:
-                ts.append(t_exit)
-                ys.append(y_exit)
-                fs.append(np.asarray(field(y_exit), dtype=float))
-                n_rhs += 1
-            events.append((t_exit, "domain_exit"))
-            break
-
-        # The last step lands on T itself: from t < T/2, t + (T - t) may
-        # round an ulp short of T and leave an underflowing step behind.
-        t = T if h == T - t else t + h
-        y = y_new
-        f = f_new
-        ts.append(t)
-        ys.append(y)
-        fs.append(f)
-        n_accepted += 1
-        h *= _step_factor(tol, err)
-        if new_region != cur_region:
-            # The step after a kink crossing restarts small.
-            cur_region = new_region
-            h = min(h, KINK_RESTART)
+            if new_region != cur_region:
+                # The step after a kink crossing restarts small.
+                cur_region = new_region
+                h = min(h, KINK_RESTART)
 
     return Trajectory(
         times=np.asarray(ts),

@@ -234,14 +234,14 @@ def estimate_omega(
     projection so the measure is of the curves rather than of any finite
     sampling of them) is at most tol_rel times the trajectory extent: a
     tail that has stopped moving traces the same set in both halves.
-    Raises TrajectoryTooShort unless the run covers two windows.
+    With window_fraction <= 0.5 the run covers two windows whatever its
+    span, so TrajectoryTooShort means a run that spans no time.
     """
     if not (0.0 < window_fraction <= 0.5):
         raise BadParameter("window_fraction must lie in (0, 0.5]")
-    span = traj.span()
-    window = window_fraction * span
-    if span < 2.0 * window - 1e-12 or window <= 0.0:
-        raise TrajectoryTooShort("trajectory does not cover two analysis windows")
+    window = window_fraction * traj.span()
+    if window <= 0.0:
+        raise TrajectoryTooShort("trajectory spans no time")
     if not (0.0 < spacing <= window):
         raise BadParameter("spacing must be positive and at most the window")
 
@@ -274,29 +274,23 @@ def estimate_omega(
 # ---- pair scans ----
 
 
-def _distinct_tol(P: np.ndarray) -> float:
-    """Gap above which two rows of P are distinct points:
-    PAIR_DISTINCT_TOL * max(1, max|P|). Raises BadParameter when P has a
-    non-finite coordinate, since no gap to such a point is meaningful."""
-    scale = float(np.abs(P).max())
-    if not np.isfinite(scale):
-        raise BadParameter("pair scans need finite coordinates")
-    return PAIR_DISTINCT_TOL * max(1.0, scale)
-
-
 def _distinct_pairs(P: np.ndarray):
     """Yield (i, j, D, gaps) for the distinct pairs i < j of the rows of P.
 
     Pairs come in (i, j) order, in blocks of at most _PAIR_BLOCK, with
     D = P[i] - P[j] and gaps = |D|; blocks with no distinct pair are
-    skipped. Two points are distinct when their gap exceeds _distinct_tol.
-    Each block is filled from row ranges, a row split where the block ends;
-    its arrays are fresh, so a caller may keep them.
+    skipped. Two points are distinct when their gap exceeds
+    PAIR_DISTINCT_TOL * max(1, max|P|); a non-finite coordinate, to which
+    no gap is meaningful, raises BadParameter. Each block is filled from row
+    ranges, a row split where the block ends; its arrays are fresh.
     """
     m, n = P.shape
     if m == 0:
         return
-    tol = _distinct_tol(P)
+    scale = float(np.abs(P).max())
+    if not np.isfinite(scale):
+        raise BadParameter("pair scans need finite coordinates")
+    tol = PAIR_DISTINCT_TOL * max(1.0, scale)
     cols = np.arange(m)
     sq = np.empty((m - 1, n))
     r, lo = 0, 1  # the next pair is (r, lo)
@@ -356,7 +350,7 @@ def classify_orbit(traj: Trajectory, cone: Cone, max_states: int = 512) -> Orbit
     The first pair (in time order) whose difference lies in the cone, the
     boundary band included, makes the orbit pseudo-ordered and is reported
     as the witness. If every distinct pair is unordered the orbit counts as
-    unordered; if all states coincide the orbit is trivial.
+    unordered; with no distinct pair, as in audit_ordering, it is trivial.
     """
     m_all = len(traj.times)
     if m_all < 10:
@@ -366,13 +360,9 @@ def classify_orbit(traj: Trajectory, cone: Cone, max_states: int = 512) -> Orbit
     ts = traj.times[take]
     m = len(take)
 
-    span = float(np.linalg.norm(S.max(axis=0) - S.min(axis=0)))
-    if span <= _distinct_tol(S):
-        return OrbitClassification(
-            kind=OrbitClass.TRIVIAL, witness_times=None, witness_margin=None, n_states=m
-        )
-
+    kind = OrbitClass.TRIVIAL
     for i, j, D, _ in _distinct_pairs(S):
+        kind = OrbitClass.UNORDERED
         margins = cone.margin_many(D)
         ordered = margins <= cone.boundary_band
         if np.any(ordered):
@@ -383,9 +373,7 @@ def classify_orbit(traj: Trajectory, cone: Cone, max_states: int = 512) -> Orbit
                 witness_margin=float(margins[k]),
                 n_states=m,
             )
-    return OrbitClassification(
-        kind=OrbitClass.UNORDERED, witness_times=None, witness_margin=None, n_states=m
-    )
+    return OrbitClassification(kind=kind, witness_times=None, witness_margin=None, n_states=m)
 
 
 # ---- ordering audit ----
@@ -715,9 +703,8 @@ def detect_periodic(
     if candidate is None:
         return None
 
+    # candidate < rep, and tail times increase, so T_coarse > 0.
     T_coarse = t_p - float(omega.times[candidate])
-    if T_coarse <= 0.0:
-        return None
 
     # Refine on a fresh integration from the representative.
     speed = max(float(np.linalg.norm(np.asarray(field(p)))), 1e-12)
@@ -734,17 +721,16 @@ def detect_periodic(
     T_star, gap = _golden_min(gap_at, lo, T_hi, tol=1e-10 * max(1.0, T_coarse))
 
     loop_times = np.linspace(0.0, T_star, n_loop_points)
-    loop_states = fresh.sample(loop_times)
-    loop_diam = float(np.linalg.norm(loop_states.max(axis=0) - loop_states.min(axis=0)))
-    if not (gap <= tol_per * max(loop_diam, 1e-300)):
-        return None
-    return PeriodicOrbit(
+    loop = PeriodicOrbit(
         period=float(T_star),
         times=loop_times,
-        states=loop_states,
+        states=fresh.sample(loop_times),
         closure_gap=float(gap),
         representative=p.copy(),
     )
+    if not (gap <= tol_per * max(loop.loop_diameter(), 1e-300)):
+        return None
+    return loop
 
 
 # ---- chain recurrence ----

@@ -117,9 +117,10 @@ def _condition_dict(rep) -> dict:
 
 
 def run_certify(scn: Scenario) -> dict:
-    """Run every certificate check the scenario supports; collect reports.
-    The sampled checks share one seeded sample: the uniform-gap check reads
-    the pairwise report at lambda, an extra rate on the grid if there is one."""
+    """The certificate report object: one certificates entry per check the
+    scenario supports, and passing_lambdas. The sampled checks share one
+    seeded sample: the uniform-gap check reads the pairwise report at
+    lambda, an extra rate on the grid if there is one."""
     reports = []
     at_lam = None
     quadratic = isinstance(scn.cone, QuadraticCone)
@@ -151,11 +152,13 @@ def run_certify(scn: Scenario) -> dict:
                 scn.field.components, scn.field.deltas, scn.field.domain, seed=scn.seed
             )
         )
-    passing = [r.lam for r in reports if r.condition == "pairwise_lambda" and r.passed]
-    return {
-        "checks": [_condition_dict(r) for r in reports],
-        "passing_lambdas": passing,
-    }
+    return _report_header(
+        scn,
+        certificates=[_condition_dict(r) for r in reports],
+        passing_lambdas=[
+            r.lam for r in reports if r.condition == "pairwise_lambda" and r.passed
+        ],
+    )
 
 
 def _report_header(scn: Scenario, **sections) -> dict:
@@ -182,6 +185,23 @@ def _orbit_tail(scn: Scenario, x0):
         tol_rel=a["tol_omega_rel"],
     )
     return traj, omega
+
+
+def _seek_loop(scn: Scenario, x0, tail=None) -> tuple[Any, str | None]:
+    """(loop, None), or (None, why) with why "not rank 2", "not converged"
+    or "no loop". A loop is sought, at analysis tol_period, only for a
+    rank-2 quadratic cone and a converged tail. tail is the orbit's
+    (trajectory, omega estimate); without it the orbit from x0 is
+    integrated here, after the cone test."""
+    if not (isinstance(scn.cone, QuadraticCone) and scn.cone.rank_k == 2):
+        return None, "not rank 2"
+    traj, omega = tail or _orbit_tail(scn, x0)
+    if not omega.converged:
+        return None, "not converged"
+    loop = detect_periodic(
+        omega, traj, scn.cone, scn.field, tol_per=scn.analysis["tol_period"]
+    )
+    return loop, None if loop is not None else "no loop"
 
 
 def _analyze_orbit(scn: Scenario, index: int, x0) -> tuple[dict, dict]:
@@ -260,15 +280,7 @@ def _analyze_orbit(scn: Scenario, index: int, x0) -> tuple[dict, dict]:
         "worst_unordered": list(audit.worst_unordered) if audit.worst_unordered else None,
     }
 
-    loop = None
-    if (
-        isinstance(scn.cone, QuadraticCone)
-        and scn.cone.rank_k == 2
-        and omega.converged
-    ):
-        loop = detect_periodic(
-            omega, traj, scn.cone, scn.field, tol_per=a["tol_period"]
-        )
+    loop, _ = _seek_loop(scn, x0, (traj, omega))
     artifacts["loop"] = loop
     if loop is not None:
         proj = make_projector(scn.cone)
@@ -327,19 +339,14 @@ def run_classify(scn: Scenario) -> tuple[dict, list[dict]]:
 
 
 def build_full_report(scn: Scenario) -> tuple[dict, list[dict]]:
-    """Certificates plus per-orbit analyses in one report object."""
-    cert = run_certify(scn)
-    report = _report_header(
-        scn, certificates=cert["checks"], passing_lambdas=cert["passing_lambdas"]
+    """Certificates plus per-orbit analyses in one report object: the
+    run_certify object with the orbits and incomplete of run_classify."""
+    report = run_certify(scn)
+    classify, artifacts = (
+        run_classify(scn) if scn.x0s else ({"orbits": [], "incomplete": False}, [])
     )
-    artifacts: list[dict] = []
-    if scn.x0s:
-        classify, artifacts = run_classify(scn)
-        report["orbits"] = classify["orbits"]
-        report["incomplete"] = classify["incomplete"]
-    else:
-        report["orbits"] = []
-        report["incomplete"] = False
+    report["orbits"] = classify["orbits"]
+    report["incomplete"] = classify["incomplete"]
     return report, artifacts
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -36,15 +37,17 @@ from .fields import (
     parse_field,
 )
 
-_NUMBER = {"type": "number"}
+# A scenario number is a finite double: JSON admits integers beyond the
+# largest one, and Python's reader inf for 1e400 and NaN and Infinity.
+_NUMBER = {"type": "number", "minimum": -sys.float_info.max, "maximum": sys.float_info.max}
 _MATRIX = {
     "type": "array",
     "minItems": 1,
     "items": {"type": "array", "minItems": 1, "items": _NUMBER},
 }
 _VECTOR = {"type": "array", "minItems": 1, "items": _NUMBER}
-_BAND = {"type": "number", "minimum": 0}
-_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_BAND = {**_NUMBER, "minimum": 0}
+_POSITIVE = {**_NUMBER, "exclusiveMinimum": 0}
 
 
 def _members(required: dict, optional: dict) -> dict:
@@ -318,7 +321,7 @@ def parse_scenario(obj: dict) -> Scenario:
     grid = obj.get("lambda_grid")
     if grid is not None:
         lo, hi, step = (float(v) for v in grid)
-        if step <= 0 or hi < lo:
+        if not (step > 0 and hi >= lo):
             raise SchemaError("lambda_grid must be [min, max, step] with step > 0", "/lambda_grid")
         grid = (lo, hi, step)
 
@@ -344,11 +347,15 @@ def parse_scenario(obj: dict) -> Scenario:
     )
 
 
+def _refuse_constant(name: str):
+    raise SchemaError(f"scenario numbers must be finite, got {name}")
+
+
 def _read_scenario_object(path) -> dict:
     """The JSON object in a scenario file, before any validation."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, parse_constant=_refuse_constant)
     except OSError as exc:
         raise IoError(f"cannot read scenario file: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -261,6 +261,13 @@ def test_cyclic_feedback_validation():
         check_cyclic_feedback(field.components, field.deltas, field.domain, n_samples=0)
 
 
+def test_cyclic_feedback_refuses_a_non_finite_coupling_derivative():
+    nan = (lambda xi, xp: np.full(np.shape(xi), np.nan),) * 3
+    box = Box(lo=[0.0, 0.0, 0.0], hi=[1.0, 1.0, 1.0])
+    with pytest.raises(NonFiniteDerivative, match="component 0"):
+        check_cyclic_feedback(nan, (-1, 1, 1), box, n_samples=10)
+
+
 def test_lambda_grid_search_runs_each_rate():
     cone = _std_cone()
     field = make_linear_field(-P_STD, domain=Box(lo=-np.ones(3), hi=np.ones(3)))

@@ -1,11 +1,14 @@
 """Command line behavior: exit codes, stdout documents, sidecar files."""
 
+import copy
 import json
 import os
 
 import pytest
 
 from kcone.cli import main
+from kcone.report import dump_report, run_certify, wrap_report
+from kcone.scenario import parse_scenario
 
 P_STD = [[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]]
 
@@ -109,6 +112,59 @@ def test_certify_lambda_grid_flag_malformed(tmp_path, capsys):
     scn = _write(tmp_path, _linear_obj())
     assert main(["certify", "--scenario", scn, "--lambda-grid", "0:1"]) == 2
     assert capsys.readouterr().err.startswith("kcone: ")
+
+
+@pytest.mark.parametrize("grid", ["0:x:1", "nan:1:0.5", "0:nan:0.5", "0:1:nan"])
+def test_certify_lambda_grid_flag_not_numbers(tmp_path, capsys, grid):
+    scn = _write(tmp_path, _linear_obj())
+    assert main(["certify", "--scenario", scn, "--lambda-grid", grid]) == 2
+    assert "'/lambda_grid'" in capsys.readouterr().err
+
+
+def test_certify_document_is_run_certify(tmp_path, capsys):
+    """kcone certify writes the run_certify object as its report."""
+    obj = _linear_obj(epsilon=0.5)
+    scn = _write(tmp_path, obj)
+    assert main(["certify", "--scenario", scn]) == 0
+    written = json.loads(capsys.readouterr().out)["report"]
+    expected = run_certify(parse_scenario(obj))
+    assert written == json.loads(dump_report(wrap_report(expected, 0.0)))["report"]
+
+
+# Each scenario number must be a finite double. JSON admits integers past
+# the largest double, and Python's reader gives inf for 1e400 and reads the
+# non-JSON constants NaN and Infinity; all of them exit 2, at the member's
+# pointer, or at / for a constant refused while the file is read.
+_BIG = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("slot, text, pointer", [
+    ("/field/params/omega", _BIG, None),
+    ("/T", _BIG, None),
+    ("/lambda", _BIG, None),
+    ("/x0/1", _BIG, "/x0"),
+    ("/cone/P/1/1", _BIG, None),
+    ("/field/params/A/0/0", _BIG, None),
+    ("/cone/band", _BIG, None),
+    ("/T", "1e400", None),
+    ("/lambda", "-1e400", None),
+    ("/T", "NaN", "/"),
+    ("/T", "Infinity", "/"),
+    ("/lambda", "-Infinity", "/"),
+], ids=lambda v: "1e400-digit-int" if v == _BIG else v)
+def test_non_finite_scenario_numbers_exit_2(tmp_path, capsys, slot, text, pointer):
+    obj = copy.deepcopy((_decay_obj if "/A/" in slot else _hopf_obj)(**{"lambda": 0.0}))
+    obj["cone"]["band"] = 0.0
+    *path, last = (int(k) if k.isdigit() else k for k in slot[1:].split("/"))
+    target = obj
+    for key in path:
+        target = target[key]
+    target[last] = "@"
+    scn = tmp_path / "scn.json"
+    scn.write_text(json.dumps(obj).replace('"@"', text), encoding="utf-8")
+    assert main(["report", "--scenario", str(scn), "--out", str(tmp_path / "out")]) == 2
+    assert f"(at JSON pointer '{pointer or slot}')" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_certify_pairs_flag(tmp_path, capsys):
@@ -223,6 +279,17 @@ def test_poincare_out_file(tmp_path, capsys):
     assert main(["poincare", "--scenario", scn, "--out", str(out)]) == 0
     assert "period" in capsys.readouterr().out
     assert out.read_text(encoding="utf-8").startswith("t,x1,x2,x3,u1,u2\n")
+
+
+def test_poincare_csv_is_the_report_loop_csv(tmp_path, capsys):
+    """poincare and report seek the loop through one gate and write the
+    same bytes."""
+    scn = _write(tmp_path, _hopf_obj())
+    assert main(["poincare", "--scenario", scn, "--out", str(tmp_path / "loop.csv")]) == 0
+    assert main(["report", "--scenario", scn, "--out", str(tmp_path / "bundle")]) == 0
+    loop = (tmp_path / "loop.csv").read_bytes()
+    assert loop == (tmp_path / "bundle" / "loop.csv").read_bytes()
+    assert loop.startswith(b"t,x1,x2,x3,u1,u2\n")
 
 
 def test_poincare_no_loop_exit_code(tmp_path, capsys):

@@ -11,6 +11,7 @@ from kcone import OrderClass
 from kcone.errors import (
     BadParameter,
     DegenerateRank,
+    DimensionMismatch,
     IdenticalPoints,
     NearSingular,
 )
@@ -112,6 +113,15 @@ def test_projector_coords_shape(std_cone):
     proj = kcone.make_projector(std_cone)
     U = proj.coords(np.ones((7, 3)))
     assert U.shape == (7, 2)
+
+
+def test_constructor_and_argument_errors(std_cone):
+    with pytest.raises(BadParameter, match="dimension >= 2"):
+        kcone.make_orthant_union_cone(1)
+    with pytest.raises(DimensionMismatch, match="length 3"):
+        kcone.relate(std_cone, np.zeros(2), np.ones(2))
+    with pytest.raises(BadParameter, match="quadratic cones only"):
+        kcone.make_projector(kcone.make_orthant_complement_cone(3))
 
 
 def test_orthant_complement_margins():

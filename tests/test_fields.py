@@ -172,6 +172,11 @@ def test_lv_sign_structure_and_jacobian():
     assert np.allclose(field(x), x * (r - A @ x))
 
 
+def test_lv_domain_of_the_wrong_dimension():
+    with pytest.raises(DimensionMismatch, match="domain dimension"):
+        make_competitive_lv(np.eye(2), np.ones(2), domain=Box(lo=[0.0] * 3, hi=[1.0] * 3))
+
+
 def test_lv_validation():
     good = np.eye(2)
     with pytest.raises(DimensionMismatch):

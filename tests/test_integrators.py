@@ -295,6 +295,18 @@ def test_initial_step_survives_a_huge_rate():
     assert traj.states[-1, 0] == pytest.approx(1e-10, rel=1e-12)
 
 
+def test_error_control_holds_where_the_squared_norm_overflows():
+    # |y| = 1e160 squares past the largest double; the error and tolerance
+    # norms must stay finite, so x' = x still ends on e x0 at rtol 1e-10
+    # (with plain sqrt(y.dot(y)) tol was inf and the end 7e-8 off)
+    field = make_linear_field(np.eye(3), domain=Box(lo=[-1e200] * 3, hi=[1e200] * 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate(field, [1e160, 0.0, 0.0], 1.0, rtol=1e-10)
+    assert traj.t_end == 1.0
+    assert traj.final_state[0] == pytest.approx(np.e * 1e160, rel=1e-10)
+
+
 def test_dormand_prince_tableau():
     nodes = [0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0]
     assert np.allclose([row.sum() for row in _A], nodes, rtol=0.0, atol=1e-15)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kcone.cones import make_projector, make_quadratic_cone
+from kcone.domains import Box
 from kcone.errors import (
     BadParameter,
     NotConverged,
@@ -295,6 +296,35 @@ def test_detect_periodic_guards(hopf_omega, hopf_traj, hopf_field, std_cone, sin
     # a tail collapsed onto an equilibrium has no loop
     omega = estimate_omega(sink_traj)
     assert detect_periodic(omega, sink_traj, std_cone, sink_field) is None
+
+
+def test_classify_orbit_reads_coincident_states_as_audit_ordering_does(std_cone):
+    """Three states pairwise within the distinctness cutoff (1e-12 at unit
+    scale), whose bounding-box diagonal is above it: no pair is distinct,
+    so the orbit is trivial, as the audit of the same states is."""
+    d = 0.65e-12  # pair gaps d * sqrt(2) < 1e-12 < d * sqrt(3), the diagonal
+    corners = 0.5 + d * np.eye(3)
+    states = np.tile(corners, (4, 1))
+    traj = Trajectory(
+        times=np.arange(12.0), states=states, derivs=np.zeros_like(states),
+        rtol=1e-8, atol=1e-10, max_step=np.inf,
+    )
+    assert classify_orbit(traj, std_cone).kind is OrbitClass.TRIVIAL
+    assert audit_ordering(states, std_cone).trivial
+
+
+def test_detect_periodic_finds_no_loop(hopf_omega, hopf_traj, hopf_field, std_cone):
+    # a tail of fewer than 4 points
+    short = dataclasses.replace(
+        hopf_omega, points=hopf_omega.points[-3:], times=hopf_omega.times[-3:]
+    )
+    assert detect_periodic(short, hopf_traj, std_cone, hopf_field) is None
+    # the refinement run from the representative leaves a domain around it
+    p = hopf_omega.points[-1]
+    boxed = dataclasses.replace(hopf_field, domain=Box(lo=p - 0.05, hi=p + 0.05))
+    assert detect_periodic(hopf_omega, hopf_traj, std_cone, boxed) is None
+    # a closure gap above tol_per times the loop diameter
+    assert detect_periodic(hopf_omega, hopf_traj, std_cone, hopf_field, tol_per=1e-15) is None
 
 
 def test_chain_check_rotation_ring():

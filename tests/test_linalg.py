@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from kcone.errors import DimensionMismatch, NoConvergence, NotSymmetric
+from kcone.errors import BadParameter, DimensionMismatch, NoConvergence, NotSymmetric
 from kcone.linalg import require_symmetric, sym_eig
 
 
@@ -60,6 +60,11 @@ def test_require_symmetric_errors():
         require_symmetric(np.zeros((2, 3)))
     with pytest.raises(DimensionMismatch):
         require_symmetric(np.zeros(4))
+
+
+def test_require_symmetric_refuses_non_finite_entries():
+    with pytest.raises(BadParameter, match="finite"):
+        require_symmetric(np.array([[1.0, np.inf], [np.inf, 1.0]]))
 
 
 def test_require_symmetric_symmetrizes_roundoff():

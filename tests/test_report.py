@@ -129,11 +129,11 @@ def test_run_certify_linear_bundle():
     obj = _linear_cert_obj(epsilon=0.5)
     obj["lambda"] = 0.0
     out = run_certify(parse_scenario(obj))
-    conditions = [c["condition"] for c in out["checks"]]
+    conditions = [c["condition"] for c in out["certificates"]]
     assert conditions == ["pairwise_lambda", "linear_lmi", "smith_epsilon"]
-    by_name = {c["condition"]: c for c in out["checks"]}
+    by_name = {c["condition"]: c for c in out["certificates"]}
     assert by_name["linear_lmi"]["worst_margin"] == pytest.approx(-2.0, abs=1e-12)
-    assert all(c["verdict"] == "pass" for c in out["checks"])
+    assert all(c["verdict"] == "pass" for c in out["certificates"])
     assert out["passing_lambdas"] == [0.0]
     assert by_name["smith_epsilon"]["epsilon_star"] == pytest.approx(1.0, abs=1e-9)
 
@@ -142,9 +142,9 @@ def test_run_certify_lambda_grid():
     obj = _linear_cert_obj()
     obj["lambda_grid"] = [0.0, 1.0, 0.5]
     out = run_certify(parse_scenario(obj))
-    lams = [c["lambda"] for c in out["checks"]]
+    lams = [c["lambda"] for c in out["certificates"]]
     assert lams == [0.0, 0.5, 1.0]
-    assert all(c["condition"] == "pairwise_lambda" for c in out["checks"])
+    assert all(c["condition"] == "pairwise_lambda" for c in out["certificates"])
     assert 0.0 in out["passing_lambdas"]
 
 
@@ -170,9 +170,9 @@ def test_run_certify_draws_one_sample(grid):
     assert sum(rows) == 2 * scn.pairs
     base = certify_sampled(field, scn.cone, 0.3, n_pairs=scn.pairs, seed=scn.seed)
     alone = certify_smith(base, 0.5)
-    smith = [c for c in out["checks"] if c["condition"] == "smith_epsilon"]
+    smith = [c for c in out["certificates"] if c["condition"] == "smith_epsilon"]
     assert smith == [_condition_dict(alone)]
-    lams = [c["lambda"] for c in out["checks"] if c["condition"] == "pairwise_lambda"]
+    lams = [c["lambda"] for c in out["certificates"] if c["condition"] == "pairwise_lambda"]
     assert lams == ([0.3] if grid is None else [0.0, 0.25, 0.5, 0.75, 1.0])
 
 
@@ -183,8 +183,8 @@ def test_run_certify_feedback_ring():
         "seed": 0,
     }
     out = run_certify(parse_scenario(obj))
-    assert len(out["checks"]) == 1
-    check = out["checks"][0]
+    assert len(out["certificates"]) == 1
+    check = out["certificates"][0]
     assert check["condition"] == "cyclic_feedback"
     assert check["verdict"] == "pass"
     assert check["feedback_type"] == "negative"
@@ -221,6 +221,21 @@ def test_full_report_without_orbits():
     assert report["incomplete"] is False
     assert artifacts == []
     assert len(report["certificates"]) == 2
+
+
+def test_run_certify_is_the_full_report_without_orbits():
+    """run_certify gives the certificate report object whole; the full
+    report adds the orbit sections and the incomplete flag to it."""
+    obj = _linear_cert_obj(x0=[0.0, 0.0, 0.5], T=40.0, rtol=1e-8, atol=1e-10, epsilon=0.5)
+    obj["lambda"] = 0.0
+    scn = parse_scenario(obj)
+    cert = run_certify(scn)
+    assert set(cert) == {
+        "tool", "scenario_digest", "seed", "certificates", "passing_lambdas"
+    }
+    report, _ = build_full_report(scn)
+    assert set(report) - set(cert) == {"orbits", "incomplete"}
+    assert {k: v for k, v in report.items() if k in cert} == cert
 
 
 def test_dump_report_meta_separated(hopf_run):
