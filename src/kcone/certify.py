@@ -20,8 +20,9 @@ Four conditions:
   * cyclic_feedback: declared coupling signs hold at sampled points
                      (check_cyclic_feedback).
 
-decay_audit complements the sampling: it integrates one pair and verifies
-the weighted form actually falls step by step.
+decay_audit complements the sampling: it integrates one pair, as one state
+whose rhs is the field's own rhs on the (2, n) batch of the pair, and
+verifies the weighted form actually falls step by step.
 """
 
 from __future__ import annotations
@@ -257,51 +258,36 @@ def lambda_grid_search(
 
 
 class _ProductDomain:
-    """Two stacked copies of one domain, for the coupled pair system."""
+    """One domain seen through the pair state z = (x, y) of length 2n: z is
+    inside when both rows of its (2, n) view are."""
 
     def __init__(self, inner: Domain):
         self.inner = inner
-        self.dim = 2 * inner.dim
 
     def contains(self, z, pad: float = 0.0):
-        n = self.inner.dim
-        return self.inner.contains(z[..., :n], pad=pad) & self.inner.contains(
-            z[..., n:], pad=pad
-        )
-
-
-def _coupled_field(field: VectorField) -> VectorField:
-    n = field.dim
-
-    def rhs(z):
-        out = np.empty(z.shape)
-        out[..., :n] = field.rhs(z[..., :n])
-        out[..., n:] = field.rhs(z[..., n:])
-        return out
-
-    region = None
-    if field.region_index is not None:
-        region = lambda z: (field.region_index(z[:n]), field.region_index(z[n:]))
-
-    return VectorField(
-        dim=2 * n,
-        rhs=rhs,
-        domain=_ProductDomain(field.domain),
-        family=field.family,
-        region_index=region,
-    )
+        return self.inner.contains(z.reshape(2, -1), pad=pad).all()
 
 
 def _pair_run(field: VectorField, x0, y0, T: float, **settings):
-    """Integrate the pair (x0, y0) as one coupled system, so the two
-    trajectories share accepted steps exactly. Returns (times, xs, ys);
-    raises DomainExit if either trajectory leaves the domain before T."""
-    z0 = np.concatenate([np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)])
-    traj = integrate(_coupled_field(field), z0, T, **settings)
+    """Integrate the pair (x0, y0) as one state z = (x, y), whose rhs is
+    field.rhs on the (2, n) batch view of z, so the two trajectories share
+    accepted steps exactly; a row gets the bits of a single-state call
+    wherever the rhs is elementwise. Each state's region signature is
+    tracked. Returns (times, xs, ys); raises DomainExit if either
+    trajectory leaves the domain before T."""
+    n = field.dim
+    region = field.region_index
+    pair = VectorField(
+        dim=2 * n,
+        rhs=lambda z: field.rhs(z.reshape(2, n)).reshape(2 * n),
+        domain=_ProductDomain(field.domain),
+        family=field.family,
+        region_index=None if region is None else lambda z: tuple(map(region, z.reshape(2, n))),
+    )
+    traj = integrate(pair, np.concatenate([x0, y0], dtype=float), T, **settings)
     if traj.events:
         t_ev, kind = traj.events[0]
         raise DomainExit(f"pair left the domain at t = {t_ev:.6g} ({kind})")
-    n = field.dim
     return traj.times, traj.states[:, :n], traj.states[:, n:]
 
 

@@ -51,14 +51,11 @@ def _load(args):
     if getattr(args, "pairs", None) is not None:
         obj["pairs"] = args.pairs
     if getattr(args, "lambda_grid", None) is not None:
-        parts = args.lambda_grid.split(":")
-        if len(parts) != 3:
-            raise SchemaError("--lambda-grid wants MIN:MAX:STEP", pointer="/lambda_grid")
         try:
-            lo, hi, step = (float(p) for p in parts)
+            lo, hi, step = (float(p) for p in args.lambda_grid.split(":"))
         except ValueError as exc:
             raise SchemaError(
-                f"--lambda-grid wants numbers, got {args.lambda_grid!r}",
+                f"--lambda-grid wants MIN:MAX:STEP numbers, got {args.lambda_grid!r}",
                 pointer="/lambda_grid",
             ) from exc
         obj["lambda_grid"] = [lo, hi, step]

@@ -29,6 +29,7 @@ batch through the same closure, with the same bits.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from collections.abc import Mapping, Sequence
 from typing import Callable
 
@@ -37,9 +38,11 @@ import numpy as np
 from .errors import ArityMismatch, ExpressionSyntaxError, UnknownIdentifier
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
+    r"(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^(),]))"
+    r"|(?P<op>[-+*/^(),])"
+    r"|(?P<space>\s+)"
+    r"|(?P<bad>.)"
 )
 
 
@@ -74,34 +77,19 @@ _FUNCTIONS: dict[str, tuple[int, Callable]] = {
 }
 
 
-class _Token:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind: str, text: str, pos: int):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
+_Token = namedtuple("_Token", "kind text pos")
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """The num, name and op tokens of text with their 0-based offsets, then
+    an end token at len(text); whitespace separates tokens and is dropped.
+    Any other character raises ExpressionSyntaxError at its offset."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            # skip pure whitespace tail
-            rest = text[pos:]
-            if rest.strip() == "":
-                break
-            bad = pos + len(rest) - len(rest.lstrip())
-            raise ExpressionSyntaxError(f"unexpected character {text[bad]!r}", bad)
-        if m.group("num") is not None:
-            tokens.append(_Token("num", m.group("num"), m.start("num")))
-        elif m.group("name") is not None:
-            tokens.append(_Token("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(_Token("op", m.group("op"), m.start("op")))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastgroup == "bad":
+            raise ExpressionSyntaxError(f"unexpected character {m.group()!r}", m.start())
+        if m.lastgroup != "space":
+            tokens.append(_Token(m.lastgroup, m.group(), m.start()))
     tokens.append(_Token("end", "", len(text)))
     return tokens
 

@@ -545,34 +545,28 @@ def trichotomy_report(
         branch = LimitSetBranch.UNORDERED_EQUILIBRIA
         core_size = 0
     else:
-        # Mixed audit. Look for an ordered core and backward connections.
+        # Mixed audit. Look for an ordered core and backward connections;
+        # an unordered pair leaves two points outside the core.
         core_mask = audit.core_mask
         core_size = int(np.count_nonzero(core_mask))
         branch = LimitSetBranch.UNDETERMINED
-        if 0 < core_size < n_pts and field is not None and eq_pts.shape[0] > 0:
+        if core_size > 0 and field is not None and eq_pts.shape[0] > 0:
             backward_used = True
             tol = approach_tol if approach_tol is not None else 1e-2 * max(
                 1.0, float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
             )
-            core_pts = pts[core_mask]
             # Equilibria that sit inside (near) the ordered core.
-            core_eqs = eq_pts[_nearest_distances(eq_pts, core_pts) <= tol]
-            if core_eqs.shape[0] > 0:
-                all_connect = True
-                for p in pts[~core_mask]:
-                    try:
-                        back = integrate_backward(field, p, BACKWARD_T, rtol=rtol, atol=atol)
-                    except KconeError:
-                        all_connect = False
-                        break
-                    endpoint = back.states[0]
-                    if not any(
-                        float(np.linalg.norm(endpoint - q)) <= tol for q in core_eqs
-                    ):
-                        all_connect = False
-                        break
-                if all_connect:
-                    branch = LimitSetBranch.ORDERED_HOMOCLINIC_SUSPECTED
+            core_eqs = eq_pts[_nearest_distances(eq_pts, pts[core_mask]) <= tol]
+
+            def connects(p) -> bool:
+                try:
+                    back = integrate_backward(field, p, BACKWARD_T, rtol=rtol, atol=atol)
+                except KconeError:
+                    return False
+                return any(float(np.linalg.norm(back.states[0] - q)) <= tol for q in core_eqs)
+
+            if core_eqs.shape[0] > 0 and all(connects(p) for p in pts[~core_mask]):
+                branch = LimitSetBranch.ORDERED_HOMOCLINIC_SUSPECTED
 
     return TrichotomyReport(
         branch=branch,

@@ -221,9 +221,6 @@ def _analyze_orbit(scn: Scenario, index: int, x0) -> tuple[dict, dict]:
             "events": [[t, kind] for (t, kind) in traj.events],
         },
     }
-    artifacts: dict[str, Any] = {"trajectory": traj}
-    incomplete = bool(traj.events)
-
     cls = classify_orbit(traj, scn.cone)
     section["orbit_class"] = {
         "kind": cls.kind.value,
@@ -232,7 +229,6 @@ def _analyze_orbit(scn: Scenario, index: int, x0) -> tuple[dict, dict]:
         "n_states": cls.n_states,
     }
 
-    artifacts["omega"] = omega
     section["omega"] = {
         "n_points": int(omega.points.shape[0]),
         "window": [omega.window[0], omega.window[1]],
@@ -241,8 +237,6 @@ def _analyze_orbit(scn: Scenario, index: int, x0) -> tuple[dict, dict]:
         "converged": omega.converged,
         "tolerances": {"tol_omega": omega.tol},
     }
-    incomplete = incomplete or not omega.converged
-
     seeds = default_equilibrium_seeds(scn.domain, extra=[x0])
     eq_result = find_equilibria(scn.field, seeds)
     eqs = eq_result.equilibria
@@ -281,7 +275,6 @@ def _analyze_orbit(scn: Scenario, index: int, x0) -> tuple[dict, dict]:
     }
 
     loop, _ = _seek_loop(scn, x0, (traj, omega))
-    artifacts["loop"] = loop
     if loop is not None:
         proj = make_projector(scn.cone)
         section["periodic_orbit"] = {
@@ -296,8 +289,7 @@ def _analyze_orbit(scn: Scenario, index: int, x0) -> tuple[dict, dict]:
         )
         r = a["r_chain"] if a["r_chain"] is not None else 0.25 * loop.period
         horizon = a["t_max_chain"] if a["t_max_chain"] is not None else 1.5 * loop.period
-        k = max(2, int(a["chain_points"]))
-        pick = np.linspace(0, loop.states.shape[0] - 1, k).astype(int)
+        pick = np.linspace(0, loop.states.shape[0] - 1, int(a["chain_points"])).astype(int)
         chain = chain_check(
             loop.states[pick], scn.field, eps=eps, r=r, t_max=horizon,
             rtol=scn.rtol, atol=scn.atol,
@@ -314,8 +306,8 @@ def _analyze_orbit(scn: Scenario, index: int, x0) -> tuple[dict, dict]:
         section["periodic_orbit"] = None
         section["chain_check"] = None
 
-    section["incomplete"] = incomplete
-    return section, artifacts
+    section["incomplete"] = bool(traj.events) or not omega.converged
+    return section, {"trajectory": traj, "omega": omega, "loop": loop}
 
 
 def run_classify(scn: Scenario) -> tuple[dict, list[dict]]:
@@ -442,15 +434,13 @@ def emit_plotdata(outdir, scn: Scenario, artifacts: list[dict]) -> list[str]:
         traj_path = os.path.join(outdir, f"trajectory{suffix}.csv")
         write_trajectory_csv(traj_path, art["trajectory"])
         written.append(traj_path)
-        omega = art.get("omega")
-        if omega is not None:
-            omega_path = os.path.join(outdir, f"omega_points{suffix}.csv")
-            write_omega_csv(omega_path, omega, projector=proj)
-            written.append(omega_path)
-            margins_path = os.path.join(outdir, f"margins{suffix}.csv")
-            write_margins_csv(margins_path, omega.points, scn.cone)
-            written.append(margins_path)
-        loop = art.get("loop")
+        omega_path = os.path.join(outdir, f"omega_points{suffix}.csv")
+        write_omega_csv(omega_path, art["omega"], projector=proj)
+        written.append(omega_path)
+        margins_path = os.path.join(outdir, f"margins{suffix}.csv")
+        write_margins_csv(margins_path, art["omega"].points, scn.cone)
+        written.append(margins_path)
+        loop = art["loop"]
         if loop is not None:
             loop_path = os.path.join(outdir, f"loop{suffix}.csv")
             write_loop_csv(loop_path, loop, projector=proj)

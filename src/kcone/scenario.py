@@ -168,6 +168,9 @@ SCENARIO_SCHEMA: dict[str, Any] = {
     },
 }
 
+# Most rates a lambda_grid may hold; each is scored on every sampled pair.
+LAMBDA_GRID_CAP = 10_000
+
 # Analysis defaults applied when the scenario leaves a knob unset.
 ANALYSIS_DEFAULTS = {
     "window_fraction": 0.5,
@@ -323,6 +326,9 @@ def parse_scenario(obj: dict) -> Scenario:
         lo, hi, step = (float(v) for v in grid)
         if not (step > 0 and hi >= lo):
             raise SchemaError("lambda_grid must be [min, max, step] with step > 0", "/lambda_grid")
+        # run_certify scores np.arange(lo, hi + step/2, step): ceil(this) rates.
+        if (hi + 0.5 * step - lo) / step > LAMBDA_GRID_CAP:
+            raise SchemaError(f"lambda_grid holds over {LAMBDA_GRID_CAP} rates", "/lambda_grid")
         grid = (lo, hi, step)
 
     analysis = dict(ANALYSIS_DEFAULTS)

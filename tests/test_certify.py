@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 from kcone.cones import OrderClass, make_quadratic_cone
 from kcone.certify import (
     ConditionReport,
-    _coupled_field,
+    _pair_run,
     certify_linear,
     certify_sampled,
     certify_smith,
@@ -21,7 +21,7 @@ from kcone.certify import (
     ordered_pair_transport,
     pair_margin,
 )
-from kcone.domains import Box
+from kcone.domains import Box, Cylinder
 from kcone.errors import (
     AllPairsDegenerate,
     BadParameter,
@@ -31,11 +31,13 @@ from kcone.errors import (
     NonFiniteDerivative,
 )
 from kcone.fields import (
+    VectorField,
     make_cyclic_feedback,
     make_hopf_cylinder,
     make_linear_field,
     parse_field,
 )
+from kcone.integrators import integrate
 
 P_STD = np.diag([-1.0, -1.0, 1.0])
 
@@ -295,12 +297,90 @@ def test_lambda_grid_search_runs_each_rate():
             assert a.tobytes() == b.tobytes()
 
 
-def test_coupled_field_of_an_integer_state_is_float():
-    coupled = _coupled_field(make_hopf_cylinder(0.5, 0.25))
-    z = np.array([1, 1, 1, 0, 1, 2])
-    got = coupled.rhs(z)
-    assert got.dtype == np.float64
-    assert got.tobytes() == coupled.rhs(z.astype(float)).tobytes()
+class _ReferenceProductDomain:
+    """Two stacked copies of one domain, the pair system's domain as it was
+    built before the pair ran on the field's batch rhs."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dim = 2 * inner.dim
+
+    def contains(self, z, pad: float = 0.0):
+        n = self.inner.dim
+        return self.inner.contains(z[..., :n], pad=pad) & self.inner.contains(
+            z[..., n:], pad=pad
+        )
+
+
+def _reference_coupled_field(field):
+    """The pair system with its own rhs: each half of z through a
+    single-state call of field.rhs."""
+    n = field.dim
+
+    def rhs(z):
+        out = np.empty(z.shape)
+        out[..., :n] = field.rhs(z[..., :n])
+        out[..., n:] = field.rhs(z[..., n:])
+        return out
+
+    region = None
+    if field.region_index is not None:
+        region = lambda z: (field.region_index(z[:n]), field.region_index(z[n:]))
+
+    return VectorField(
+        dim=2 * n,
+        rhs=rhs,
+        domain=_ReferenceProductDomain(field.domain),
+        family=field.family,
+        region_index=region,
+    )
+
+
+def _glass_on_a_wide_box():
+    glass = make_cyclic_feedback(3, "glass_pwl", {"amp": 4.0})
+    return dataclasses.replace(glass, domain=Box(lo=[-0.5] * 3, hi=[4.5] * 3))
+
+
+_HOPF_DOMAIN = Cylinder(radius=1.2, rest=Box(lo=[-1.0], hi=[1.0]))
+_PAIR_CASES = {
+    "hopf": (lambda: make_hopf_cylinder(1.0, 4.0), [0.5, 0.1, 0.3], [-0.2, -0.4, -0.1]),
+    "goodwin": (lambda: make_cyclic_feedback(3), [0.5, 1.0, 1.5], [2.0, 0.3, 0.8]),
+    "glass": (_glass_on_a_wide_box, [0.1, 2.0, 1.0], [3.0, 0.2, 1.5]),
+    "parsed_hopf": (
+        lambda: parse_field(
+            ["x1 - x2 - x1*(x1^2 + x2^2)", "x1 + x2 - x2*(x1^2 + x2^2)", "-4*x3"],
+            domain=_HOPF_DOMAIN,
+        ),
+        [0.5, 0.1, 0.3],
+        [-0.2, -0.4, -0.1],
+    ),
+    "linear": (lambda: make_linear_field(-P_STD), [0.1, 0.2, 0.3], [0.0, -0.1, 0.2]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PAIR_CASES))
+def test_pair_run_has_the_bits_of_the_coupled_reference(case):
+    """Where the rhs is elementwise, a row of the (2, n) batch gets the
+    bits of a single-state call, so the pair run is the reference run."""
+    make, x0, y0 = _PAIR_CASES[case]
+    field = make()
+    times, xs, ys = _pair_run(field, x0, y0, 3.0, rtol=1e-10, atol=1e-12)
+    ref = integrate(_reference_coupled_field(field), np.concatenate([x0, y0]), 3.0,
+                    rtol=1e-10, atol=1e-12)
+    assert not ref.events
+    assert len(times) > 10
+    assert times.tobytes() == ref.times.tobytes()
+    assert xs.tobytes() == ref.states[:, :3].tobytes()
+    assert ys.tobytes() == ref.states[:, 3:].tobytes()
+
+
+def test_pair_run_of_an_integer_state_is_the_float_run():
+    field = make_hopf_cylinder(0.5, 0.25)
+    ints = _pair_run(field, [1, 0, 0], [0, 1, 0], 2.0)
+    floats = _pair_run(field, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], 2.0)
+    for a, b in zip(ints, floats):
+        assert a.dtype == np.float64
+        assert a.tobytes() == b.tobytes()
 
 
 def test_decay_audit_ordered_pair_passes():

@@ -121,6 +121,13 @@ def test_certify_lambda_grid_flag_not_numbers(tmp_path, capsys, grid):
     assert "'/lambda_grid'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", ["0:1e20:1e-20", "0:1e9:1"])
+def test_certify_lambda_grid_flag_of_too_many_rates(tmp_path, capsys, grid):
+    scn = _write(tmp_path, _linear_obj())
+    assert main(["certify", "--scenario", scn, "--lambda-grid", grid]) == 2
+    assert "'/lambda_grid'" in capsys.readouterr().err
+
+
 def test_certify_document_is_run_certify(tmp_path, capsys):
     """kcone certify writes the run_certify object as its report."""
     obj = _linear_obj(epsilon=0.5)

@@ -13,7 +13,7 @@ from kcone.errors import (
     ExpressionSyntaxError,
     UnknownIdentifier,
 )
-from kcone.expressions import hill, parse_expression, pwl
+from kcone.expressions import _tokenize, hill, parse_expression, pwl
 
 V2 = ("x", "y")
 
@@ -44,6 +44,7 @@ GOLDEN = [
     (" 1 + 2 ", ("x",), None, [0.0], 3.0),
     ("- -x", ("x",), None, [2.0], 2.0),
     ("+x", ("x",), None, [-7.0], -7.0),
+    ("\tx *\n2\r", ("x",), None, [3.0], 6.0),
 ]
 
 
@@ -147,6 +148,10 @@ BAD = [
     ("2 ** 3", ExpressionSyntaxError, 3),
     ("2 3", ExpressionSyntaxError, 2),
     ("x $ 2", ExpressionSyntaxError, 2),
+    ("   ", ExpressionSyntaxError, 3),
+    ("x\t+\n", ExpressionSyntaxError, 4),
+    ("x + \u00e9", ExpressionSyntaxError, 4),
+    ("1.2.3", ExpressionSyntaxError, 3),
 ]
 
 
@@ -156,6 +161,13 @@ def test_error_positions(text, err, position):
         parse_expression(text, ("x", "y", "z"))
     assert info.value.position == position
     assert f"position {position}" in str(info.value)
+
+
+def test_tokens_carry_their_offsets():
+    assert _tokenize(" x1\t+\n1.5e3 ") == [
+        ("name", "x1", 1), ("op", "+", 4), ("num", "1.5e3", 6), ("end", "", 12),
+    ]
+    assert _tokenize("") == [("end", "", 0)]
 
 
 def test_specific_errors_are_syntax_errors():

@@ -86,6 +86,13 @@ def test_classify_sections(hopf_run):
     assert art["loop"] is not None
 
 
+@pytest.mark.parametrize("chain_points", [1, 2.0])
+def test_chain_check_takes_chain_points_as_given(chain_points):
+    obj = _hopf_obj(T=30.0, analysis={"eps_chain": 1e-4, "chain_points": chain_points})
+    (orbit,) = run_classify(parse_scenario(obj))[0]["orbits"]
+    assert orbit["chain_check"]["n_points"] == chain_points
+
+
 def test_classify_deterministic(hopf_scn, hopf_run):
     report_a, _ = hopf_run
     report_b, _ = run_classify(hopf_scn)

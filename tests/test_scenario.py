@@ -26,6 +26,7 @@ from kcone.errors import (
 from kcone.report import REPORT_SCHEMA
 from kcone.scenario import (
     ANALYSIS_DEFAULTS,
+    LAMBDA_GRID_CAP,
     SCENARIO_SCHEMA,
     canonical_json,
     load_scenario,
@@ -212,6 +213,30 @@ def test_lambda_grid_validation():
     obj["lambda_grid"] = [0.0, 2.0]
     with pytest.raises(SchemaError):
         parse_scenario(obj)
+
+
+@pytest.mark.parametrize("grid", [[0.0, 1e20, 1e-20], [0.0, 1e9, 1.0], [-1e308, 1e308, 1.0]])
+def test_lambda_grid_of_too_many_rates_is_refused(grid):
+    obj = _hopf_obj(lambda_grid=grid)
+    with pytest.raises(SchemaError) as e:
+        parse_scenario(obj)
+    assert _pointer_of(e) == "/lambda_grid"
+    assert f"over {LAMBDA_GRID_CAP} rates" in str(e.value)
+
+
+@pytest.mark.parametrize(
+    "hi,n_rates", [(9998.5, 9999), (9999.0, 10_000), (9999.5, 10_000), (9999.6, 10_001), (1e4, 10_001)]
+)
+def test_lambda_grid_cap_counts_the_rates_run_certify_scores(hi, n_rates):
+    """Accepted exactly when np.arange(lo, hi + step/2, step), the grid
+    run_certify builds, holds at most the cap."""
+    assert len(np.arange(0.0, hi + 0.5, 1.0)) == n_rates
+    obj = _hopf_obj(lambda_grid=[0.0, hi, 1.0])
+    if n_rates <= LAMBDA_GRID_CAP:
+        assert parse_scenario(obj).lambda_grid == (0.0, hi, 1.0)
+    else:
+        with pytest.raises(SchemaError):
+            parse_scenario(obj)
 
 
 def test_cone_field_dimension_mismatch():

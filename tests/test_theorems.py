@@ -8,14 +8,23 @@ I2: a passing pairwise_lambda certificate, a converged omega estimate and no
     equilibrium, it is ordered").
 I3: I2's premises with a rank-2 quadratic cone give a closed loop and an
     all-recurrent chain check (Poincare-Bendixson for k = 2).
+I4: on a point set that audits ordered, the projection onto the cone's
+    inner subspace is injective, with |proj(d)| / |d| at least
+    sqrt((nu_min - band) / (nu_min + mu_max)) for every difference d, where
+    nu_min is P's smallest positive eigenvalue and mu_max its largest
+    |negative| one.
 
-Each check runs every orbit of a report through build_full_report and
-fails if no orbit meets its premises, so it cannot pass vacuously.
+I1-I3 run every orbit of a report through build_full_report and fail if
+no orbit meets their premises, so they cannot pass vacuously; I4 runs on
+point sets, and fails unless some of them are ordered.
 """
 
+import numpy as np
 import pytest
 
 from kcone import QuadraticCone, build_full_report, parse_scenario
+from kcone.cones import make_projector, make_quadratic_cone
+from kcone.limitsets import audit_ordering, projection_separation
 
 P_RANK2 = [[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]]
 
@@ -109,3 +118,48 @@ def test_i3_rank_two_gives_a_recurrent_loop(hopf):
         assert orbit["periodic_orbit"] is not None
         assert orbit["chain_check"] is not None
         assert orbit["chain_check"]["all_recurrent"]
+
+
+# Spectra of P, each used rotated: ranks 1, 2, 2 and 3.
+I4_SPECTRA = [(-1.0, 2.0, 5.0), (-1.0, -2.0, 3.0), (-3.0, -0.5, 0.7), (-2.0, -1.0, -4.0, 0.3)]
+
+
+def _rotated_form(spectrum, rng):
+    Q, _ = np.linalg.qr(rng.normal(size=(len(spectrum), len(spectrum))))
+    return Q, Q @ np.diag(spectrum) @ Q.T
+
+
+def _separation_bound(cone) -> float:
+    w = cone.eigenvalues
+    nu_min, mu_max = w[w > 0].min(), -w[w < 0].min()
+    return float(np.sqrt((nu_min - cone.boundary_band) / (nu_min + mu_max)))
+
+
+@pytest.mark.parametrize("band", [1e-9, 0.05])
+@pytest.mark.parametrize("spectrum", I4_SPECTRA)
+def test_i4_an_ordered_set_projects_with_the_separation_bound(spectrum, band):
+    rng = np.random.default_rng(len(spectrum) * 100 + int(band > 1e-3))
+    spectrum = np.asarray(spectrum)
+    pos = spectrum > 0
+    n_ordered = 0
+    for _ in range(40):
+        Q, P = _rotated_form(spectrum, rng)
+        cone = make_quadratic_cone(P, boundary_band=band)
+        bound = _separation_bound(cone)
+        # Random sets, inner-subspace heavy so that some are ordered.
+        coords = rng.normal(size=(6, len(spectrum)))
+        coords[:, pos] *= rng.choice([0.05, 0.3, 1.0])
+        # A difference at margin band * s, s <= 1, along the extreme
+        # eigenvectors: the ratio sits at (or just above) the bound.
+        i, j = np.argmin(spectrum), np.flatnonzero(pos)[np.argmin(spectrum[pos])]
+        mu, nu = -spectrum[i], spectrum[j]
+        edge = np.zeros((2, len(spectrum)))
+        s = rng.choice([0.0, 0.5, 1.0])
+        edge[1, i] = 1.0
+        edge[1, j] = np.sqrt((mu + s * band) / (nu - s * band))
+        for pts in (coords @ Q.T, edge @ Q.T):
+            if audit_ordering(pts, cone).ordered:
+                n_ordered += 1
+                ratio = projection_separation(pts, make_projector(cone))
+                assert ratio >= bound * (1.0 - 1e-12)
+    assert n_ordered > 0, "no point set was ordered"
