@@ -20,6 +20,16 @@ Four conditions:
   * cyclic_feedback: declared coupling signs hold at sampled points
                      (check_cyclic_feedback).
 
+The margin is affine in the rate: margin(lam) = u + lam q, with
+q = (x - y)^T P (x - y) / |x - y|^2. lambda_grid_search computes that
+envelope once per sample, and at each rate scores with the margin
+expression only the pairs whose envelope lies within 2 B of its top, B
+bounding the rounding distance between a pair's envelope and its computed
+margin. The pair with the worst margin, and every pair tied with it, is
+always among them, so each report is bit for bit the one scoring every
+pair gives; a grid costs about one scoring of the sample plus a few pairs
+per rate.
+
 decay_audit complements the sampling: it integrates one pair, as one state
 whose rhs is the field's own rhs on the (2, n) batch of the pair, and
 verifies the weighted form actually falls step by step.
@@ -27,6 +37,7 @@ verifies the weighted form actually falls step by step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,6 +62,12 @@ DEGENERATE_PAIR_RTOL = 1e-10
 DECAY_SLACK_RTOL = 1e-8
 # Relative step for the coupling-sign finite differences.
 FEEDBACK_FD_RTOL = 1e-5
+# Rounding units of a double: the spacing at 1, and the smallest subnormal,
+# the absolute error an underflowing product or quotient can make.
+_EPS = float(np.finfo(float).eps)
+_ETA = float(np.finfo(float).smallest_subnormal)
+# Fewest rows a margin batch is scored in, short of the whole sample.
+_MIN_BATCH = 8
 
 
 @dataclass(frozen=True)
@@ -75,27 +92,84 @@ class ConditionReport:
 
 
 def _pair_scorer(field: VectorField, cone: QuadraticCone, X, Y):
-    """The margins of the row pairs (X, Y) as a function of the rate; the
-    field and |x - y|^2 are evaluated once per sample."""
+    """The margins of the row pairs (X, Y), and the rows that can hold the
+    worst of them, as functions of the rate; the field and |x - y|^2 are
+    evaluated once per sample.
+
+    score(lam, rows) is the one margin expression, on the rows given (every
+    row by default). A row gets the bits it gets in the whole sample in any
+    batch of at least _MIN_BATCH rows: numpy's einsum sums a batch of one
+    or two rows in another order at n = 2. candidates(lam) returns the rows
+    whose envelope u + lam q lies within 2 B of its top, B bounding each
+    row's distance between envelope and computed margin, with the first
+    _MIN_BATCH rows; every row where the bound cannot be trusted.
+    """
     D = X - Y
     # inf - inf where the field is infinite: a NaN margin, which the caller
     # refuses as NonFiniteDerivative, not a warning.
     with np.errstate(invalid="ignore"):
         dF = np.asarray(field(X)) - np.asarray(field(Y))
     den = np.einsum("ij,ij->i", D, D)
-    return lambda lam: np.einsum("ij,jk,ik->i", D, cone.p_matrix, dF + lam * D) / den
+    P = cone.p_matrix
+
+    def score(lam, rows=slice(None)):
+        d = D[rows]
+        return np.einsum("ij,jk,ik->i", d, P, dF[rows] + lam * d) / den[rows]
+
+    # B bounds |env_i - m_i| whatever order numpy sums in (Higham, Accuracy
+    # and Stability of Numerical Algorithms, ch. 3), c being about four
+    # times the rounding steps the two computations take. Rounding errs by
+    # at most c eps pf (L + |lam|) = c eps scale, where pf = sum |P_jk| >=
+    # |P|_2 and L^2 is the sample's largest |dF_i|^2 / den_i. An
+    # underflowing product or quotient errs by at most a subnormal eta
+    # times the largest factor it meets, which size bounds, over den; kappa
+    # = n eta / min(den) covers the underflow of den and |dF|^2 themselves.
+    # The margin expression cannot overflow while c (n^2 size + scale +
+    # max den) is finite.
+    n = D.shape[1]
+    c = 4.0 * (n * n + 8)
+    with np.errstate(all="ignore"):
+        quot = float(np.sqrt((np.einsum("ij,ij->i", dF, dF) / den).max()))
+        pf = float(np.abs(P).sum())
+        d_max = float(np.abs(D).max())
+        f_max = float(np.abs(dF).max())
+        den_max = float(den.max())
+        eta_den = float(_ETA + _ETA / den.min())
+        DP = D @ P
+        u = np.einsum("ij,ij->i", DP, dF) / den
+        q = np.einsum("ij,ij->i", DP, D) / den
+        finite = bool(np.isfinite(u).all() and np.isfinite(q).all())
+    head = np.arange(min(len(den), _MIN_BATCH))
+    kappa = n * eta_den
+    slack = (1.0 + kappa) * (quot + 2.0 * math.sqrt(kappa))
+
+    def candidates(lam):
+        rate = abs(float(lam))
+        scale = pf * (slack + (1.0 + kappa) * rate)
+        size = (1.0 + pf) * (1.0 + d_max) * (1.0 + f_max + rate * (1.0 + d_max))
+        bound = c * (_EPS * scale + size * eta_den)
+        overflow = c * (n * n * size + scale + den_max)
+        if not (finite and math.isfinite(bound) and math.isfinite(overflow)):
+            return slice(None)
+        env = u + lam * q
+        return np.union1d(np.flatnonzero(env >= env.max() - 2.0 * bound), head)
+
+    return score, candidates
 
 
 def pair_margin(field: VectorField, cone: QuadraticCone, lam: float, x, y) -> float:
     """Normalized pairwise decay margin for one pair of domain points, scored
     as a one-row sample: a report's worst_pair gives back its worst_margin
-    when the rhs gives a row the bits it gets in a batch (elementwise rhs do)."""
+    when the rhs gives a row the bits it gets in a batch (elementwise rhs do)
+    and n >= 3, numpy's einsum summing a one-row batch in another order at
+    n = 2."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if not (bool(field.domain.contains(x)) and bool(field.domain.contains(y))):
         raise DomainViolation("pair_margin needs both points inside the domain")
     _distinct_difference(x, y)
-    return float(_pair_scorer(field, cone, x[None], y[None])(lam)[0])
+    score, _ = _pair_scorer(field, cone, x[None], y[None])
+    return float(score(lam)[0])
 
 
 def certify_sampled(
@@ -217,9 +291,13 @@ def lambda_grid_search(
 ) -> list[ConditionReport]:
     """The pairwise_lambda check at each rate in grid, from one sample per call.
 
-    The seeded pairs are drawn, and the field evaluated on them, once; each
-    rate then only rescores the same pairs. One report per value, each equal
-    to what certify_sampled gives at that rate.
+    The seeded pairs are drawn, and the field evaluated on them, once, with
+    the envelope u + lam q of their margins. Each rate then scores exactly
+    only the pairs that can hold its worst margin: those whose envelope
+    lies within 2 B of the envelope's top, B bounding each pair's distance
+    between envelope and computed margin (every pair where that bound
+    cannot be trusted). One report per value, bit for bit the one scoring
+    every pair gives, and equal to what certify_sampled gives at that rate.
     """
     if n_pairs < 1:
         raise BadParameter("n_pairs must be at least 1")
@@ -227,19 +305,28 @@ def lambda_grid_search(
     rng = np.random.default_rng(seed)
     X = dom.sample(rng, n_pairs)
     Y = dom.sample(rng, n_pairs)
-    gaps = np.linalg.norm(X - Y, axis=1)
-    keep = gaps >= DEGENERATE_PAIR_RTOL * dom.diameter()
+    keep = np.linalg.norm(X - Y, axis=1) >= DEGENERATE_PAIR_RTOL * dom.diameter()
     if not np.any(keep):
         raise AllPairsDegenerate("all sampled pairs collapsed below the cutoff")
     X, Y = X[keep], Y[keep]
-    score = _pair_scorer(field, cone, X, Y)
+    score, candidates = _pair_scorer(field, cone, X, Y)
     reports = []
+    # Only the candidate rows are scored, and the report is the one scoring
+    # every row would give. With B bounding |env_i - m_i| for every row i,
+    # m_i its computed margin, the worst row i* has, for every row j,
+    #     env_i* >= m_i* - B >= m_j - B >= env_j - 2 B,
+    # so i* is a candidate, and so is every row tied with it, which keeps
+    # the first argmax in sample order. A row that is not a candidate has
+    # m_j <= env_j + B < max(env) - B <= m_i*: finite, and strictly below
+    # the worst. Where the bound cannot be trusted every row is scored.
     for lam in grid:
-        margins = score(lam)
+        rows = candidates(lam)
+        margins = score(lam, rows)
         if not np.all(np.isfinite(margins)):
             raise NonFiniteDerivative("margin not finite at some sampled pair")
-        worst = int(np.argmax(margins))
-        worst_margin = float(margins[worst])
+        k = int(np.argmax(margins))
+        worst = int(rows[k]) if isinstance(rows, np.ndarray) else k
+        worst_margin = float(margins[k])
         reports.append(
             ConditionReport(
                 condition="pairwise_lambda",
@@ -274,8 +361,14 @@ def _pair_run(field: VectorField, x0, y0, T: float, **settings):
     accepted steps exactly; a row gets the bits of a single-state call
     wherever the rhs is elementwise. Each state's region signature is
     tracked. Returns (times, xs, ys); raises DomainExit if either
-    trajectory leaves the domain before T."""
+    trajectory leaves the domain before T, BadParameter unless both states
+    have the field's length, and IdenticalPoints if they coincide."""
     n = field.dim
+    x0 = np.asarray(x0, dtype=float)
+    y0 = np.asarray(y0, dtype=float)
+    if x0.shape != (n,) or y0.shape != (n,):
+        raise BadParameter(f"states must have length {n}")
+    _distinct_difference(x0, y0)
     region = field.region_index
     pair = VectorField(
         dim=2 * n,
@@ -284,7 +377,7 @@ def _pair_run(field: VectorField, x0, y0, T: float, **settings):
         family=field.family,
         region_index=None if region is None else lambda z: tuple(map(region, z.reshape(2, n))),
     )
-    traj = integrate(pair, np.concatenate([x0, y0], dtype=float), T, **settings)
+    traj = integrate(pair, np.concatenate([x0, y0]), T, **settings)
     if traj.events:
         t_ev, kind = traj.events[0]
         raise DomainExit(f"pair left the domain at t = {t_ev:.6g} ({kind})")
@@ -325,14 +418,10 @@ def decay_audit(
     below roundoff, so the allowance is a noise band, not a minimum drop),
     the run as a whole must end strictly below its start, and, when the
     pair starts ordered (V <= 0), the difference must sit strictly inside
-    the cone (V < 0) at every later node. Raises DomainExit if either
-    trajectory leaves the domain before T.
+    the cone (V < 0) at every later node. Raises BadParameter unless both
+    states have the field's length, IdenticalPoints if they coincide, and
+    DomainExit if either trajectory leaves the domain before T.
     """
-    x0 = np.asarray(x0, dtype=float)
-    y0 = np.asarray(y0, dtype=float)
-    if x0.shape != (field.dim,) or y0.shape != (field.dim,):
-        raise BadParameter(f"states must have length {field.dim}")
-    _distinct_difference(x0, y0)
     times, xs, ys = _pair_run(field, x0, y0, T, rtol=rtol, atol=atol, max_step=max_step)
     V = cone._form(xs - ys)
     g = np.exp(2.0 * lam * times) * V
@@ -371,7 +460,9 @@ def ordered_pair_transport(
     rtol: float = 1e-8,
     atol: float = 1e-10,
 ) -> list[OrderClass]:
-    """Order classes of (x(t), y(t)) at every accepted node after t = 0;
-    raises DomainExit if either trajectory leaves the domain before T."""
+    """Order classes of (x(t), y(t)) at every accepted node after t = 0.
+    Raises BadParameter unless both states have the field's length,
+    IdenticalPoints if they coincide, and DomainExit if either trajectory
+    leaves the domain before T."""
     _, xs, ys = _pair_run(field, x0, y0, T, rtol=rtol, atol=atol)
     return [relate(cone, x, y).order for x, y in zip(xs[1:], ys[1:])]

@@ -37,6 +37,8 @@ OMEGA_TOL_RTOL = 1e-4
 # Backward flow time of the trichotomy's homoclinic surrogate.
 BACKWARD_T = 5.0
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# Points of a detected loop, evenly spaced in time over one period.
+LOOP_POINTS = 256
 
 
 # ---- omega-limit estimate ----
@@ -632,7 +634,7 @@ def detect_periodic(
     field: VectorField,
     tol_per: float = 1e-3,
     representative_index: int = -1,
-    n_loop_points: int = 256,
+    n_loop_points: int = LOOP_POINTS,
 ) -> PeriodicOrbit | None:
     """Look for a closed loop in a converged rank-2 tail.
 

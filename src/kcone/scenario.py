@@ -36,6 +36,7 @@ from .fields import (
     make_linear_field,
     parse_field,
 )
+from .limitsets import LOOP_POINTS
 
 # A scenario number is a finite double: JSON admits integers beyond the
 # largest one, and Python's reader inf for 1e400 and NaN and Infinity.
@@ -48,6 +49,11 @@ _MATRIX = {
 _VECTOR = {"type": "array", "minItems": 1, "items": _NUMBER}
 _BAND = {**_NUMBER, "minimum": 0}
 _POSITIVE = {**_NUMBER, "exclusiveMinimum": 0}
+# Most rates a lambda_grid may hold; each is scored on every sampled pair.
+LAMBDA_GRID_CAP = 10_000
+# Most pairs a certificate may sample; at n = 3 a sample peaks near 20
+# floats per pair, some 160 MB at the cap.
+PAIRS_CAP = 1_000_000
 
 
 def _members(required: dict, optional: dict) -> dict:
@@ -148,7 +154,7 @@ SCENARIO_SCHEMA: dict[str, Any] = {
         "lambda": _NUMBER,
         "lambda_grid": {"type": "array", "items": _NUMBER, "minItems": 3, "maxItems": 3},
         "epsilon": _POSITIVE,
-        "pairs": {"type": "integer", "minimum": 1},
+        "pairs": {"type": "integer", "minimum": 1, "maximum": PAIRS_CAP},
         "seed": {"type": "integer", "minimum": 0},
         "x0": {"oneOf": [_VECTOR, {"type": "array", "minItems": 1, "items": _VECTOR}]},
         **dict.fromkeys(("T", "rtol", "atol", "max_step"), _POSITIVE),
@@ -161,15 +167,14 @@ SCENARIO_SCHEMA: dict[str, Any] = {
                      "r_chain", "t_max_chain"),
                     _POSITIVE,
                 ),
-                "chain_points": {"type": "integer", "minimum": 1},
+                # Picked from the loop's points: more would only repeat them.
+                "chain_points": {"type": "integer", "minimum": 1, "maximum": LOOP_POINTS},
             },
             "additionalProperties": False,
         },
     },
 }
 
-# Most rates a lambda_grid may hold; each is scored on every sampled pair.
-LAMBDA_GRID_CAP = 10_000
 
 # Analysis defaults applied when the scenario leaves a knob unset.
 ANALYSIS_DEFAULTS = {

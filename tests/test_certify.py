@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from kcone.cones import OrderClass, make_quadratic_cone
 from kcone.certify import (
+    DEGENERATE_PAIR_RTOL,
     ConditionReport,
     _pair_run,
     certify_linear,
@@ -28,11 +29,13 @@ from kcone.errors import (
     DomainExit,
     DomainViolation,
     IdenticalPoints,
+    KconeError,
     NonFiniteDerivative,
 )
 from kcone.fields import (
     VectorField,
     make_cyclic_feedback,
+    make_competitive_lv,
     make_hopf_cylinder,
     make_linear_field,
     parse_field,
@@ -297,6 +300,202 @@ def test_lambda_grid_search_runs_each_rate():
             assert a.tobytes() == b.tobytes()
 
 
+def _reference_grid_search(field, cone, grid, domain=None, n_pairs=10_000, seed=0):
+    """lambda_grid_search as it was before the envelope: every pair scored
+    at every rate by the margin expression."""
+    dom = domain if domain is not None else field.domain
+    rng = np.random.default_rng(seed)
+    X = dom.sample(rng, n_pairs)
+    Y = dom.sample(rng, n_pairs)
+    keep = np.linalg.norm(X - Y, axis=1) >= DEGENERATE_PAIR_RTOL * dom.diameter()
+    if not np.any(keep):
+        raise AllPairsDegenerate("all sampled pairs collapsed below the cutoff")
+    X, Y = X[keep], Y[keep]
+    D = X - Y
+    with np.errstate(invalid="ignore"):
+        dF = np.asarray(field(X)) - np.asarray(field(Y))
+    den = np.einsum("ij,ij->i", D, D)
+    reports = []
+    for lam in grid:
+        margins = np.einsum("ij,jk,ik->i", D, cone.p_matrix, dF + lam * D) / den
+        if not np.all(np.isfinite(margins)):
+            raise NonFiniteDerivative("margin not finite at some sampled pair")
+        worst = int(np.argmax(margins))
+        worst_margin = float(margins[worst])
+        reports.append(
+            ConditionReport(
+                condition="pairwise_lambda",
+                lam=float(lam),
+                n_samples=int(X.shape[0]),
+                worst_margin=worst_margin,
+                passed=worst_margin < -cone.boundary_band,
+                worst_pair=(X[worst].copy(), Y[worst].copy()),
+                boundary_band=cone.boundary_band,
+            )
+        )
+    return reports
+
+
+def _outcome(search, *args, **kwargs):
+    """The reports of one search, or the type and message of its error (a
+    numpy warning is an error under the suite's filterwarnings)."""
+    try:
+        return search(*args, **kwargs)
+    except (KconeError, RuntimeWarning) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_search(field, cone, grid, **kwargs):
+    """lambda_grid_search gives the reference's reports bit for bit, field
+    by field, or raises the reference's error."""
+    want = _outcome(_reference_grid_search, field, cone, grid, **kwargs)
+    got = _outcome(lambda_grid_search, field, cone, grid, **kwargs)
+    if isinstance(want, tuple):
+        assert got == want
+        return want
+    assert len(got) == len(want)
+    for rep, ref in zip(got, want):
+        for f in dataclasses.fields(ConditionReport):
+            a, b = getattr(rep, f.name), getattr(ref, f.name)
+            if f.name == "worst_pair":
+                assert [v.tobytes() for v in a] == [v.tobytes() for v in b]
+            elif f.name == "worst_margin":
+                assert np.float64(a).tobytes() == np.float64(b).tobytes()
+            else:
+                assert a == b, f.name
+    return want
+
+
+_GRID = [0.0, -1.0, -0.25, 0.5, 3.0, 1e3, -1e3, 1e300, -1e300]
+
+
+def _rotated_form(n, k, rng):
+    """A symmetric form of rank k (k negative eigenvalues) in a random basis."""
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    w = rng.uniform(0.5, 2.0, n) * np.where(np.arange(n) < k, -1.0, 1.0)
+    return (Q * w) @ Q.T
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 5),
+    st.data(),
+    st.sampled_from(["linear", "lv"]),
+    st.integers(0, 2**16),
+)
+def test_grid_search_is_the_all_rows_search(n, data, family, seed):
+    """Linear and competitive LV fields, quadratic cones of every rank at
+    n = 2..5, rates at 0, negative, 1e3 and 1e300."""
+    rng = np.random.default_rng(seed)
+    k = data.draw(st.integers(1, n - 1))
+    cone = make_quadratic_cone(_rotated_form(n, k, rng))
+    if family == "linear":
+        field = make_linear_field(rng.uniform(-5.0, 5.0, (n, n)))
+    else:
+        A = rng.uniform(0.0, 2.0, (n, n)) + np.diag(rng.uniform(0.5, 1.5, n))
+        field = make_competitive_lv(A, rng.uniform(0.5, 2.0, n))
+    _assert_same_search(field, cone, _GRID, n_pairs=400, seed=seed)
+
+
+@pytest.mark.parametrize("basis", [None, 2, 3, 4])
+def test_grid_search_of_the_tied_sink(basis):
+    """The sink's margins near rate 0 are -1 up to rounding on every pair;
+    in the kbench basis hundreds of pairs share the top one (439 of 10,000
+    at rate 0), and the report names the first of them in sample order. In
+    a rotated basis the envelope and the margin round differently, so the
+    top envelope need not be the worst margin."""
+    S = np.diag([1.0, 1.0, -1.0])
+    Q = np.eye(3)
+    if basis is not None:
+        Q = np.linalg.qr(np.random.default_rng(basis).normal(size=(3, 3)))[0]
+    field = make_linear_field(Q @ S @ Q.T)
+    cone = make_quadratic_cone(-Q @ S @ Q.T)
+    # run_certify's grid for [-1, 1, 0.1], whose middle rate is -2.2e-16
+    grid = [0.0] + list(np.arange(-1.0, 1.05, 0.1))
+    reports = _assert_same_search(field, cone, grid, n_pairs=10_000, seed=3)
+    assert abs(reports[0].worst_margin + 1.0) < 1e-14
+
+
+class _DuplicatingBox:
+    """A box whose samples come in two identical halves."""
+
+    def __init__(self, box):
+        self.box = box
+        self.dim = box.dim
+
+    def diameter(self):
+        return self.box.diameter()
+
+    def sample(self, rng, m):
+        half = self.box.sample(rng, (m + 1) // 2)
+        return np.concatenate([half, half])[:m]
+
+
+def test_grid_search_of_duplicated_pairs():
+    """Each pair appears twice; the report names the first copy."""
+    box = Box(lo=-np.ones(3), hi=np.ones(3))
+    dup = _DuplicatingBox(box)
+    hopf = make_hopf_cylinder(1.0, 4.0)
+    for A in (np.diag([1.0, 1.0, -1.0]), -P_STD):
+        field = make_linear_field(A, box)
+        _assert_same_search(field, _std_cone(), _GRID, domain=dup, n_pairs=3000, seed=1)
+    inside = _DuplicatingBox(Box(lo=[-0.8, -0.8, -1.0], hi=[0.8, 0.8, 1.0]))
+    _assert_same_search(hopf, _std_cone(), _GRID, domain=inside, n_pairs=3000, seed=2)
+
+
+@pytest.mark.parametrize("side", [1e-155, 1e-159, 1e150, 3e151])
+@pytest.mark.parametrize("seed", range(3))
+def test_grid_search_on_tiny_and_huge_boxes(side, seed):
+    """Sides whose |x - y|^2 is subnormal (at 1e-159 only a few digits of
+    it are left, and a bound without its underflow term picks the wrong
+    pair), or near overflow, where every row is scored because an overflow
+    could hide a non-finite margin (at 3e151 and rate 1e3 that is so, and
+    every margin is still finite; at 1e300 the margins overflow)."""
+    box = Box(lo=np.zeros(3), hi=side * np.ones(3))
+    A = np.array([[1.0, 0.5, 0.0], [0.2, 1.0, 0.3], [0.0, 0.1, -1.0]])
+    for field in (make_linear_field(A, box), make_linear_field(np.diag([1.0, 1.0, -1.0]), box)):
+        for grid in ([0.0, -0.5, 2.0, 1e3], [1e300]):
+            _assert_same_search(field, _std_cone(), grid, n_pairs=2000, seed=seed)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_grid_search_of_a_field_not_finite_on_part_of_the_domain(bad):
+    """The same NonFiniteDerivative as scoring every row, and no warning."""
+    base = make_linear_field(-P_STD, domain=Box(lo=-np.ones(3), hi=np.ones(3)))
+
+    def rhs(x):
+        return np.where(x[..., :1] > 0.9, bad, base.rhs(x))
+
+    field = dataclasses.replace(base, rhs=rhs)
+    err = _assert_same_search(field, _std_cone(), [0.0, 1.0], n_pairs=2000, seed=4)
+    assert err == (NonFiniteDerivative, "margin not finite at some sampled pair")
+
+
+def test_grid_search_rescores_a_handful_of_rows_per_rate(monkeypatch):
+    """On a 10k-pair Hopf grid each rate scores at most 10 rows exactly."""
+    from kcone import certify
+
+    scored = []
+    pair_scorer = certify._pair_scorer
+
+    def counting(*args):
+        score, candidates = pair_scorer(*args)
+
+        def counted(lam, rows=slice(None)):
+            margins = score(lam, rows)
+            scored.append(len(margins))
+            return margins
+
+        return counted, candidates
+
+    monkeypatch.setattr(certify, "_pair_scorer", counting)
+    grid = list(np.arange(0.0, 5.125, 0.25))
+    reports = lambda_grid_search(make_hopf_cylinder(1.0, 4.0), _std_cone(), grid, seed=7)
+    assert reports[0].n_samples == 10_000
+    assert len(scored) == len(grid)
+    assert max(scored) <= 10
+
+
 class _ReferenceProductDomain:
     """Two stacked copies of one domain, the pair system's domain as it was
     built before the pair ran on the field's batch rhs."""
@@ -452,6 +651,17 @@ def test_ordered_pair_transport_stays_strong():
     )
     assert len(orders) > 10
     assert all(o is OrderClass.STRONGLY_ORDERED for o in orders)
+
+
+def test_pair_run_checks_both_states():
+    """Both pair runs refuse a state of the wrong length before integrating."""
+    cone = _std_cone()
+    field = make_linear_field(-np.eye(3))
+    for x0, y0 in (([0.1, 0.2], [0.3, 0.1, 0.0, 0.5]), ([0.1, 0.2, 0.3], [0.3, 0.1])):
+        with pytest.raises(BadParameter, match="length 3"):
+            ordered_pair_transport(field, cone, x0, y0, 1.0)
+        with pytest.raises(BadParameter, match="length 3"):
+            decay_audit(field, cone, 0.0, x0, y0, 1.0)
 
 
 def test_ordered_pair_transport_domain_exit():

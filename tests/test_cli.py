@@ -128,6 +128,16 @@ def test_certify_lambda_grid_flag_of_too_many_rates(tmp_path, capsys, grid):
     assert "'/lambda_grid'" in capsys.readouterr().err
 
 
+def test_certify_pairs_flag_beyond_the_cap(tmp_path, capsys):
+    """Refused before any sampling; without a rate nothing would be sampled
+    either, so no pair is ever drawn here."""
+    obj = _linear_obj()
+    del obj["lambda"]
+    scn = _write(tmp_path, obj)
+    assert main(["certify", "--scenario", scn, "--pairs", "1000000000"]) == 2
+    assert "'/pairs'" in capsys.readouterr().err
+
+
 def test_certify_document_is_run_certify(tmp_path, capsys):
     """kcone certify writes the run_certify object as its report."""
     obj = _linear_obj(epsilon=0.5)

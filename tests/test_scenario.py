@@ -27,6 +27,8 @@ from kcone.report import REPORT_SCHEMA
 from kcone.scenario import (
     ANALYSIS_DEFAULTS,
     LAMBDA_GRID_CAP,
+    LOOP_POINTS,
+    PAIRS_CAP,
     SCENARIO_SCHEMA,
     canonical_json,
     load_scenario,
@@ -222,6 +224,26 @@ def test_lambda_grid_of_too_many_rates_is_refused(grid):
         parse_scenario(obj)
     assert _pointer_of(e) == "/lambda_grid"
     assert f"over {LAMBDA_GRID_CAP} rates" in str(e.value)
+
+
+def test_pairs_beyond_the_cap_are_refused():
+    """The validator alone judges pairs: nothing is sampled here."""
+    assert parse_scenario(_hopf_obj(pairs=PAIRS_CAP)).pairs == PAIRS_CAP
+    for pairs in (PAIRS_CAP + 1, 10**9):
+        with pytest.raises(SchemaError) as e:
+            parse_scenario(_hopf_obj(pairs=pairs))
+        assert _pointer_of(e) == "/pairs"
+
+
+def test_chain_points_beyond_the_loop_are_refused():
+    """A loop holds LOOP_POINTS points, so more chain points would only
+    repeat them."""
+    ok = parse_scenario(_hopf_obj(analysis={"chain_points": LOOP_POINTS}))
+    assert ok.analysis["chain_points"] == LOOP_POINTS == 256
+    for k in (LOOP_POINTS + 1, 10**6):
+        with pytest.raises(SchemaError) as e:
+            parse_scenario(_hopf_obj(analysis={"chain_points": k}))
+        assert _pointer_of(e) == "/analysis/chain_points"
 
 
 @pytest.mark.parametrize(
