@@ -1,7 +1,7 @@
 """Numerical laboratory for cone orders of rank k on ODE flows.
 
-The package answers three kinds of question about a smooth vector field
-on a box or cylinder domain:
+The package answers three kinds of question about a vector field, smooth
+or piecewise linear, on a box or cylinder domain:
 
 * does the flow contract a quadratic cone order at some rate lambda
   (sampled, uniform-gap, exact-linear, and feedback-ring certificates);

@@ -99,7 +99,7 @@ def _pair_scorer(field: VectorField, cone: QuadraticCone, X, Y):
     score(lam, rows) is the one margin expression, on the rows given (every
     row by default). A row gets the bits it gets in the whole sample in any
     batch of at least _MIN_BATCH rows: numpy's einsum sums a batch of one
-    or two rows in another order at n = 2. candidates(lam) returns the rows
+    or two rows in another order at n = 2. candidates(lam) indexes the rows
     whose envelope u + lam q lies within 2 B of its top, B bounding each
     row's distance between envelope and computed margin, with the first
     _MIN_BATCH rows; every row where the bound cannot be trusted.
@@ -150,7 +150,7 @@ def _pair_scorer(field: VectorField, cone: QuadraticCone, X, Y):
         bound = c * (_EPS * scale + size * eta_den)
         overflow = c * (n * n * size + scale + den_max)
         if not (finite and math.isfinite(bound) and math.isfinite(overflow)):
-            return slice(None)
+            return np.arange(len(den))
         env = u + lam * q
         return np.union1d(np.flatnonzero(env >= env.max() - 2.0 * bound), head)
 
@@ -159,16 +159,15 @@ def _pair_scorer(field: VectorField, cone: QuadraticCone, X, Y):
 
 def pair_margin(field: VectorField, cone: QuadraticCone, lam: float, x, y) -> float:
     """Normalized pairwise decay margin for one pair of domain points, scored
-    as a one-row sample: a report's worst_pair gives back its worst_margin
-    when the rhs gives a row the bits it gets in a batch (elementwise rhs do)
-    and n >= 3, numpy's einsum summing a one-row batch in another order at
-    n = 2."""
+    in a batch of _MIN_BATCH copies of its row: it gets the bits it gets in
+    a sample, so a report's worst_pair gives back its worst_margin."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if not (bool(field.domain.contains(x)) and bool(field.domain.contains(y))):
         raise DomainViolation("pair_margin needs both points inside the domain")
     _distinct_difference(x, y)
-    score, _ = _pair_scorer(field, cone, x[None], y[None])
+    copies = (_MIN_BATCH, 1)
+    score, _ = _pair_scorer(field, cone, np.tile(x, copies), np.tile(y, copies))
     return float(score(lam)[0])
 
 
@@ -325,7 +324,7 @@ def lambda_grid_search(
         if not np.all(np.isfinite(margins)):
             raise NonFiniteDerivative("margin not finite at some sampled pair")
         k = int(np.argmax(margins))
-        worst = int(rows[k]) if isinstance(rows, np.ndarray) else k
+        worst = int(rows[k])
         worst_margin = float(margins[k])
         reports.append(
             ConditionReport(
@@ -396,7 +395,6 @@ class DecayAudit:
     started_ordered: bool
     interior_after_start: bool | None
     passed: bool
-    slack_rtol: float = DECAY_SLACK_RTOL
 
 
 def decay_audit(
@@ -430,7 +428,7 @@ def decay_audit(
     allowance = DECAY_SLACK_RTOL * np.abs(g[:-1])
     scale = np.maximum(np.abs(g[:-1]), np.finfo(float).tiny)
     monotone_ok = bool(np.all(rises <= allowance)) and bool(g[-1] < g[0])
-    # Most positive relative rise; anything above slack_rtol fails.
+    # Most positive relative rise; anything above DECAY_SLACK_RTOL fails.
     worst = float(np.max(rises / scale)) if len(rises) else 0.0
 
     started_ordered = V[0] <= 0.0

@@ -250,7 +250,6 @@ class Projector:
 
     matrix: np.ndarray
     basis: np.ndarray
-    range_dim: int
 
     def apply(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -266,4 +265,4 @@ def make_projector(cone: QuadraticCone) -> Projector:
     if not isinstance(cone, QuadraticCone):
         raise BadParameter("projector is defined for quadratic cones only")
     B = cone.negative_basis
-    return Projector(matrix=B @ B.T, basis=B, range_dim=cone.rank_k)
+    return Projector(matrix=B @ B.T, basis=B)

@@ -39,7 +39,7 @@ from .expressions import _compile, hill, pwl
 
 # Side length of the default box for globally defined linear fields.
 LINEAR_BOUND = 1e4
-# Relative step for the forward-difference Jacobian inside Newton.
+# Relative step for the central-difference Jacobian inside Newton.
 NEWTON_FD_STEP = 1e-7
 # Newton's residual target and iteration cap, and the distance below which
 # two roots are one equilibrium.
@@ -270,21 +270,18 @@ def parse_field(
     exprs,
     params: dict | None = None,
     domain: Domain | None = None,
-    var_names: tuple[str, ...] | None = None,
 ) -> VectorField:
-    """Build a field from one expression string per coordinate."""
+    """Build a field from one expression string per coordinate, in the
+    variables x1..xn."""
     exprs = list(exprs)
     n = len(exprs)
     if n == 0:
         raise BadParameter("need at least one coordinate expression")
-    if var_names is None:
-        var_names = tuple(f"x{i + 1}" for i in range(n))
-    if len(var_names) != n:
-        raise DimensionMismatch("one variable name per coordinate")
     if domain is None:
         raise BadParameter("parsed fields need an explicit domain")
     if domain.dim != n:
         raise DimensionMismatch("domain dimension does not match the expressions")
+    var_names = tuple(f"x{i + 1}" for i in range(n))
     compiled = [_compile(text, var_names, params) for text in exprs]
 
     def rhs(x):
@@ -321,7 +318,7 @@ class EquilibriaResult:
 def find_equilibria(field: VectorField, seeds) -> EquilibriaResult:
     """Damped Newton from each seed; converged roots deduplicated.
 
-    The Jacobian comes from the field when it carries one and from forward
+    The Jacobian comes from the field when it carries one and from central
     differences otherwise. A step that fails to reduce the residual is
     halved, up to 30 times. Seeds that do not reach residual <= NEWTON_TOL
     in NEWTON_MAX_ITER iterations are dropped and counted, never reported;

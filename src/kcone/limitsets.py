@@ -39,6 +39,8 @@ BACKWARD_T = 5.0
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 # Points of a detected loop, evenly spaced in time over one period.
 LOOP_POINTS = 256
+# Most orbit states classify_orbit scans, evenly spaced over the run.
+ORBIT_STATES = 512
 
 
 # ---- omega-limit estimate ----
@@ -346,8 +348,9 @@ class OrbitClassification:
     n_states: int
 
 
-def classify_orbit(traj: Trajectory, cone: Cone, max_states: int = 512) -> OrbitClassification:
-    """Scan pairs of sampled orbit states for an ordered pair.
+def classify_orbit(traj: Trajectory, cone: Cone) -> OrbitClassification:
+    """Scan pairs of at most ORBIT_STATES orbit states, evenly spaced over
+    the run, for an ordered pair.
 
     The first pair (in time order) whose difference lies in the cone, the
     boundary band included, makes the orbit pseudo-ordered and is reported
@@ -357,7 +360,7 @@ def classify_orbit(traj: Trajectory, cone: Cone, max_states: int = 512) -> Orbit
     m_all = len(traj.times)
     if m_all < 10:
         raise TooFewPoints("need at least 10 stored states to classify")
-    take = np.unique(np.linspace(0, m_all - 1, min(max_states, m_all)).astype(int))
+    take = np.unique(np.linspace(0, m_all - 1, min(ORBIT_STATES, m_all)).astype(int))
     S = traj.states[take]
     ts = traj.times[take]
     m = len(take)
@@ -470,14 +473,10 @@ class LimitSetBranch(str, Enum):
 @dataclass(frozen=True, eq=False)
 class TrichotomyReport:
     branch: LimitSetBranch
-    ordered_fraction: float
     equilibria_hits: int
-    n_points: int
     core_size: int
-    dist_eq: float
     flagged_not_converged: bool
     backward_surrogate_used: bool
-    degenerate: bool
     audit: OrderingAudit
 
 
@@ -507,7 +506,6 @@ def trichotomy_report(
     cone: Cone,
     field: VectorField | None = None,
     dist_eq: float = 1e-6,
-    approach_tol: float | None = None,
     rtol: float = 1e-8,
     atol: float = 1e-10,
 ) -> TrichotomyReport:
@@ -517,10 +515,11 @@ def trichotomy_report(
     no pair is ordered and every point sits within dist_eq of a found
     equilibrium. ordered_homoclinic_suspected: the audit is mixed, but the
     points ordered against the whole estimate form a nonempty core and
-    every non-core point flows backward (over BACKWARD_T) to within
-    approach_tol of an equilibrium near that core; this is only ever a
-    suspicion at finite resolution. Everything else is undetermined. A
-    non-converged estimate never raises; the report carries a flag.
+    every non-core point flows backward (over BACKWARD_T) to within 1e-2
+    max(1, tail extent) of an equilibrium near that core; this is only ever
+    a suspicion at finite resolution. Everything else is undetermined. A
+    non-converged estimate never raises; the report carries a flag. The
+    audit's ordered_fraction, n_points and trivial go with the branch.
     """
     pts = omega.points
     n_pts = pts.shape[0]
@@ -554,9 +553,7 @@ def trichotomy_report(
         branch = LimitSetBranch.UNDETERMINED
         if core_size > 0 and field is not None and eq_pts.shape[0] > 0:
             backward_used = True
-            tol = approach_tol if approach_tol is not None else 1e-2 * max(
-                1.0, float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
-            )
+            tol = 1e-2 * max(1.0, float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))))
             # Equilibria that sit inside (near) the ordered core.
             core_eqs = eq_pts[_nearest_distances(eq_pts, pts[core_mask]) <= tol]
 
@@ -572,14 +569,10 @@ def trichotomy_report(
 
     return TrichotomyReport(
         branch=branch,
-        ordered_fraction=audit.ordered_fraction,
         equilibria_hits=hits,
-        n_points=n_pts,
         core_size=core_size,
-        dist_eq=dist_eq,
         flagged_not_converged=flagged,
         backward_surrogate_used=backward_used,
-        degenerate=audit.trivial,
         audit=audit,
     )
 
@@ -593,7 +586,6 @@ class PeriodicOrbit:
     times: np.ndarray
     states: np.ndarray
     closure_gap: float
-    representative: np.ndarray
 
     def loop_diameter(self) -> float:
         return float(np.linalg.norm(self.states.max(axis=0) - self.states.min(axis=0)))
@@ -633,8 +625,6 @@ def detect_periodic(
     cone: QuadraticCone,
     field: VectorField,
     tol_per: float = 1e-3,
-    representative_index: int = -1,
-    n_loop_points: int = LOOP_POINTS,
 ) -> PeriodicOrbit | None:
     """Look for a closed loop in a converged rank-2 tail.
 
@@ -643,9 +633,11 @@ def detect_periodic(
     point, the previous pass of the projected curve through a detection
     disk around it (with matching direction of travel) gives a coarse
     return time; a golden-section refinement of the full-space return
-    distance then pins the period. Returns None when the tail has no
-    detectable excursion-and-return structure; a closure gap above
-    tol_per times the loop diameter also returns None.
+    distance on a fresh run from the newest point pins the period, and the
+    loop is LOOP_POINTS states of that run, evenly spaced over one period.
+    Returns None when the tail has no detectable excursion-and-return
+    structure; a closure gap above tol_per times the loop diameter also
+    returns None.
     """
     if not isinstance(cone, QuadraticCone) or cone.rank_k != 2:
         raise RankNotTwo("periodic detection needs a rank-2 quadratic cone")
@@ -656,9 +648,6 @@ def detect_periodic(
     m = pts.shape[0]
     if m < 4:
         return None
-    rep = int(representative_index if representative_index >= 0 else m + representative_index)
-    if not (0 <= rep < m):
-        raise BadParameter("representative index outside the tail")
 
     U = proj.coords(pts)
     diam = float(np.linalg.norm(U.max(axis=0) - U.min(axis=0)))
@@ -666,20 +655,20 @@ def detect_periodic(
     if diam <= 1e-8 * scale:
         return None  # tail collapsed to a point; nothing to close
 
-    p = pts[rep]
-    t_p = float(omega.times[rep])
-    u_p = U[rep]
+    p = pts[-1]
+    t_p = float(omega.times[-1])
     spacings = np.linalg.norm(np.diff(U, axis=0), axis=1)
     r_detect = max(2.0 * float(spacings.max()), tol_per * diam)
     if r_detect >= 0.45 * diam:
         r_detect = 0.45 * diam
 
-    v_p = proj.coords(np.asarray(field(p)))
-    dist = np.linalg.norm(U[: rep + 1] - u_p, axis=1)
+    f_p = np.asarray(field(p))
+    v_p = proj.coords(f_p)
+    dist = np.linalg.norm(U - U[-1], axis=1)
     inside = dist < r_detect
-    # Skip the pass containing the representative itself, then find the
+    # Skip the pass containing the newest point itself, then find the
     # nearest earlier pass through the disk with matching travel direction.
-    j = rep
+    j = m - 1
     while j >= 0 and inside[j]:
         j -= 1
     candidate = None
@@ -699,11 +688,11 @@ def detect_periodic(
     if candidate is None:
         return None
 
-    # candidate < rep, and tail times increase, so T_coarse > 0.
+    # candidate < m - 1, and tail times increase, so T_coarse > 0.
     T_coarse = t_p - float(omega.times[candidate])
 
-    # Refine on a fresh integration from the representative.
-    speed = max(float(np.linalg.norm(np.asarray(field(p)))), 1e-12)
+    # Refine on a fresh integration from the newest point.
+    speed = max(float(np.linalg.norm(f_p)), 1e-12)
     bracket = max(2.0 * omega.spacing, 2.0 * r_detect / speed)
     T_hi = T_coarse + bracket
     fresh = integrate(field, p, T_hi, rtol=traj.rtol, atol=traj.atol, max_step=traj.max_step)
@@ -716,13 +705,12 @@ def detect_periodic(
     lo = max(T_coarse - bracket, 0.5 * T_coarse)
     T_star, gap = _golden_min(gap_at, lo, T_hi, tol=1e-10 * max(1.0, T_coarse))
 
-    loop_times = np.linspace(0.0, T_star, n_loop_points)
+    loop_times = np.linspace(0.0, T_star, LOOP_POINTS)
     loop = PeriodicOrbit(
         period=float(T_star),
         times=loop_times,
         states=fresh.sample(loop_times),
         closure_gap=float(gap),
-        representative=p.copy(),
     )
     if not (gap <= tol_per * max(loop.loop_diameter(), 1e-300)):
         return None
@@ -734,7 +722,6 @@ def detect_periodic(
 
 @dataclass(frozen=True)
 class ChainResult:
-    index: int
     success: bool
     hops: tuple[tuple[float, float], ...]  # (duration, landing gap)
 
@@ -766,8 +753,7 @@ def chain_check(
         raise BadParameter("t_max must be at least r")
     results: list[ChainResult] = []
 
-    for i in range(m):
-        y = P[i]
+    for y in P:
         traj = integrate(field, y, horizon, rtol=rtol, atol=atol)
         ts = traj.times
         mask = ts >= r
@@ -806,6 +792,6 @@ def chain_check(
                     break
                 walked.append((r, float(gaps[j])))
                 cur = P[j]
-        results.append(ChainResult(index=i, success=success, hops=hops))
+        results.append(ChainResult(success=success, hops=hops))
     return results
 

@@ -252,17 +252,17 @@ def _analyze_orbit(scn: Scenario, index: int, x0) -> tuple[dict, dict]:
         omega, eqs, scn.cone, field=scn.field, dist_eq=dist_eq,
         rtol=scn.rtol, atol=scn.atol,
     )
+    audit = tri.audit
     section["trichotomy"] = {
         "branch": tri.branch.value,
-        "ordered_fraction": tri.ordered_fraction,
+        "ordered_fraction": audit.ordered_fraction,
         "equilibria_hits": tri.equilibria_hits,
         "core_size": tri.core_size,
-        "degenerate": tri.degenerate,
+        "degenerate": audit.trivial,
         "flagged_not_converged": tri.flagged_not_converged,
         "backward_surrogate_used": tri.backward_surrogate_used,
         "tolerances": {"dist_eq": dist_eq},
     }
-    audit = tri.audit
     section["ordering_audit"] = {
         "n_points": audit.n_points,
         "n_pairs": audit.n_pairs,

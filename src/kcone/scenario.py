@@ -54,6 +54,9 @@ LAMBDA_GRID_CAP = 10_000
 # Most pairs a certificate may sample; at n = 3 a sample peaks near 20
 # floats per pair, some 160 MB at the cap.
 PAIRS_CAP = 1_000_000
+# Most tail grid times estimate_omega may hold, some 50 MB of times and
+# indices at the cap.
+TAIL_GRID_CAP = 1_000_000
 
 
 def _members(required: dict, optional: dict) -> dict:
@@ -338,6 +341,14 @@ def parse_scenario(obj: dict) -> Scenario:
 
     analysis = dict(ANALYSIS_DEFAULTS)
     analysis.update(obj.get("analysis", {}))
+    T = float(obj.get("T", 100.0))
+    # estimate_omega's grid holds floor(window / spacing) + 1 times, over
+    # the cap exactly when window / spacing reaches it; the window is
+    # window_fraction of a run that spans at most T.
+    if analysis["window_fraction"] * T / analysis["spacing"] >= TAIL_GRID_CAP:
+        raise SchemaError(
+            f"analysis spacing gives a tail grid of over {TAIL_GRID_CAP} times", "/analysis/spacing"
+        )
 
     return Scenario(
         raw=obj,
@@ -350,7 +361,7 @@ def parse_scenario(obj: dict) -> Scenario:
         pairs=int(obj.get("pairs", 10_000)),
         seed=int(obj.get("seed", 0)),
         x0s=x0s,
-        T=float(obj.get("T", 100.0)),
+        T=T,
         rtol=float(obj.get("rtol", 1e-10)),
         atol=float(obj.get("atol", 1e-12)),
         max_step=float(obj.get("max_step", float("inf"))),

@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from kcone.cones import OrderClass, make_quadratic_cone
 from kcone.certify import (
+    DECAY_SLACK_RTOL,
     DEGENERATE_PAIR_RTOL,
     ConditionReport,
     _pair_run,
@@ -100,6 +101,35 @@ def test_pair_margin_reproduces_the_worst_margin(seed):
     for rep in lambda_grid_search(field, cone, grid, n_pairs=2000, seed=seed):
         got = pair_margin(field, cone, rep.lam, *rep.worst_pair)
         assert np.float64(got).tobytes() == np.float64(rep.worst_margin).tobytes()
+
+
+def _worst_pair_misses(field, cone, rates, n_pairs, seed):
+    return sum(
+        pair_margin(field, cone, rep.lam, *rep.worst_pair) != rep.worst_margin
+        for rep in lambda_grid_search(field, cone, rates, n_pairs=n_pairs, seed=seed)
+    )
+
+
+def test_pair_margin_reproduces_the_worst_margin_of_matmul_fields():
+    """A batched rhs (x @ A.T) and n = 2 score a one-row batch in another
+    order than a sample; pair_margin's batch of copies does not."""
+    box2 = Box(lo=-np.ones(2), hi=np.ones(2))
+    plane = make_linear_field([[1.0, 0.3], [0.7, -2.0]], domain=box2)
+    cone2 = make_quadratic_cone(np.diag([-1.0, 1.0]))
+    misses = sum(
+        _worst_pair_misses(plane, cone2, [0.0, 0.5, 1.0, 2.0], 500, seed) for seed in range(20)
+    )
+    assert misses == 0
+    box3 = Box(lo=-np.ones(3), hi=np.ones(3))
+    rng = np.random.default_rng(0)
+    misses = sum(
+        _worst_pair_misses(
+            make_linear_field(rng.normal(size=(3, 3)), domain=box3), _std_cone(),
+            [0.0, 1.0, 2.0], 2000, seed,
+        )
+        for seed in range(20)
+    )
+    assert misses == 0
 
 
 def test_certify_linear_exact_eigenvalues():
@@ -590,7 +620,7 @@ def test_decay_audit_ordered_pair_passes():
     assert audit.monotone_ok
     assert audit.started_ordered
     assert audit.interior_after_start is True
-    assert audit.worst_step_slack <= audit.slack_rtol
+    assert audit.worst_step_slack <= DECAY_SLACK_RTOL
     assert audit.values[0] == pytest.approx(cone.quad_form([0.1, 0.0, 0.0]))
     assert audit.values[-1] < audit.values[0]
 
@@ -611,7 +641,7 @@ def test_decay_audit_rate_too_large_fails():
     audit = decay_audit(field, cone, 4.0, [0.0, 0.0, 0.1], [0.0, 0.0, 0.0], T=2.0)
     assert not audit.monotone_ok
     assert not audit.passed
-    assert audit.worst_step_slack > audit.slack_rtol
+    assert audit.worst_step_slack > DECAY_SLACK_RTOL
 
 
 def test_decay_audit_detects_cone_exit():

@@ -128,6 +128,13 @@ def test_certify_lambda_grid_flag_of_too_many_rates(tmp_path, capsys, grid):
     assert "'/lambda_grid'" in capsys.readouterr().err
 
 
+def test_report_tail_grid_beyond_the_cap(tmp_path, capsys):
+    """Refused before the orbit is integrated."""
+    scn = _write(tmp_path, _linear_obj(x0=[0.1, 0.2, 0.3], T=10.0, analysis={"spacing": 1e-300}))
+    assert main(["report", "--scenario", scn, "--out", str(tmp_path / "out")]) == 2
+    assert "'/analysis/spacing'" in capsys.readouterr().err
+
+
 def test_certify_pairs_flag_beyond_the_cap(tmp_path, capsys):
     """Refused before any sampling; without a rate nothing would be sampled
     either, so no pair is ever drawn here."""

@@ -85,7 +85,7 @@ def test_rank_counts_negative_eigenvalues():
 def test_projector_std(std_cone):
     proj = kcone.make_projector(std_cone)
     assert np.allclose(proj.matrix, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
-    assert proj.range_dim == 2
+    assert proj.basis.shape == (3, 2)
 
 
 def test_projector_idempotent_symmetric():

@@ -233,9 +233,9 @@ def test_parse_field_matches_closed_form():
     assert field.jacobian is None
 
 
-def test_parse_field_custom_names_and_params():
+def test_parse_field_params():
     box = Box(lo=[0.0], hi=[10.0])
-    field = parse_field(["k*u"], params={"k": -0.5}, domain=box, var_names=("u",))
+    field = parse_field(["k*x1"], params={"k": -0.5}, domain=box)
     assert field(np.array([4.0]))[0] == pytest.approx(-2.0)
 
 
@@ -247,8 +247,6 @@ def test_parse_field_validation():
         parse_field([], domain=box)
     with pytest.raises(DimensionMismatch):
         parse_field(["x1", "x2"], domain=box)
-    with pytest.raises(DimensionMismatch):
-        parse_field(["x1"], domain=box, var_names=("a", "b"))
 
 
 def test_fd_jacobian_on_linear_field_is_exact():

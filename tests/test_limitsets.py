@@ -17,6 +17,8 @@ from kcone.errors import (
 from kcone.fields import make_linear_field
 from kcone.integrators import Trajectory
 from kcone.limitsets import (
+    LOOP_POINTS,
+    ORBIT_STATES,
     LimitSetBranch,
     OmegaEstimate,
     OrbitClass,
@@ -126,8 +128,9 @@ def test_classify_orbit_branches(hopf_traj, sink_traj, std_cone):
 
 
 def test_classify_orbit_subsampling(hopf_traj, std_cone):
-    capped = classify_orbit(hopf_traj, std_cone, max_states=64)
-    assert capped.n_states <= 64
+    assert len(hopf_traj.times) > ORBIT_STATES
+    capped = classify_orbit(hopf_traj, std_cone)
+    assert capped.n_states <= ORBIT_STATES
     assert capped.kind is OrbitClass.PSEUDO_ORDERED
 
 
@@ -179,8 +182,8 @@ def test_trichotomy_ordered_branch(hopf_omega, std_cone):
     rep = trichotomy_report(hopf_omega, [np.zeros(3)], std_cone)
     assert rep.branch is LimitSetBranch.ORDERED
     assert rep.equilibria_hits == 0
-    assert rep.core_size == rep.n_points
-    assert not rep.degenerate
+    assert rep.core_size == rep.audit.n_points
+    assert not rep.audit.trivial
     assert not rep.flagged_not_converged
     assert not rep.backward_surrogate_used
 
@@ -189,8 +192,8 @@ def test_trichotomy_equilibrium_branch(sink_traj, std_cone):
     omega = estimate_omega(sink_traj)
     rep = trichotomy_report(omega, [np.zeros(3)], std_cone)
     assert rep.branch is LimitSetBranch.UNORDERED_EQUILIBRIA
-    assert rep.equilibria_hits == rep.n_points
-    assert rep.degenerate  # tail collapsed below the distinctness cutoff
+    assert rep.equilibria_hits == rep.audit.n_points
+    assert rep.audit.trivial  # tail collapsed below the distinctness cutoff
 
 
 def test_trichotomy_undetermined_without_field(std_cone):
@@ -206,16 +209,14 @@ def test_trichotomy_homoclinic_suspected(std_cone):
     # points flow backward into it, which is the connection surrogate
     pts = [[0.0, 0.0, 0.0], [0.15, 0.0, 0.1], [0.15, 0.0, -0.1]]
     field = make_linear_field(np.eye(3))
-    rep = trichotomy_report(
-        _estimate(pts), [np.zeros(3)], std_cone, field=field, approach_tol=0.05
-    )
+    rep = trichotomy_report(_estimate(pts), [np.zeros(3)], std_cone, field=field)
     assert rep.branch is LimitSetBranch.ORDERED_HOMOCLINIC_SUSPECTED
     assert rep.backward_surrogate_used
     assert rep.core_size == 1
-    # an absurdly tight approach tolerance breaks the connection
-    strict = trichotomy_report(
-        _estimate(pts), [np.zeros(3)], std_cone, field=field, approach_tol=1e-9
-    )
+    # a backward flow too slow to come within 1e-2 max(1, extent) of the
+    # equilibrium over BACKWARD_T breaks the connection
+    slow = make_linear_field(0.1 * np.eye(3))
+    strict = trichotomy_report(_estimate(pts), [np.zeros(3)], std_cone, field=slow)
     assert strict.branch is LimitSetBranch.UNDETERMINED
 
 
@@ -225,9 +226,7 @@ def test_trichotomy_backward_failure_breaks_connection(std_cone):
     field = dataclasses.replace(
         make_linear_field(np.eye(3)), rhs=lambda x: np.full_like(x, np.nan)
     )
-    rep = trichotomy_report(
-        _estimate(pts), [np.zeros(3)], std_cone, field=field, approach_tol=0.05
-    )
+    rep = trichotomy_report(_estimate(pts), [np.zeros(3)], std_cone, field=field)
     assert rep.branch is LimitSetBranch.UNDETERMINED
     assert rep.backward_surrogate_used
 
@@ -241,9 +240,7 @@ def test_trichotomy_backward_bug_propagates(std_cone):
 
     field = dataclasses.replace(make_linear_field(np.eye(3)), rhs=broken)
     with pytest.raises(TypeError, match="broken rhs"):
-        trichotomy_report(
-            _estimate(pts), [np.zeros(3)], std_cone, field=field, approach_tol=0.05
-        )
+        trichotomy_report(_estimate(pts), [np.zeros(3)], std_cone, field=field)
 
 
 def test_trichotomy_flags_not_converged(std_cone):
@@ -261,10 +258,10 @@ def test_detect_periodic_hopf(hopf_omega, hopf_loop):
     assert abs(hopf_loop.period - 2.0 * np.pi) < 1e-8
     assert hopf_loop.closure_gap < 1e-6
     assert hopf_loop.closure_gap <= 1e-3 * hopf_loop.loop_diameter()
-    assert hopf_loop.states.shape == (256, 3)
+    assert hopf_loop.states.shape == (LOOP_POINTS, 3)
     assert hopf_loop.times[0] == 0.0
     assert hopf_loop.times[-1] == pytest.approx(hopf_loop.period)
-    assert np.array_equal(hopf_loop.representative, hopf_omega.points[-1])
+    assert np.array_equal(hopf_loop.states[0], hopf_omega.points[-1])
     r = np.hypot(hopf_loop.states[:, 0], hopf_loop.states[:, 1])
     assert np.max(np.abs(r - 1.0)) < 1e-7
     assert np.max(np.abs(hopf_loop.states[:, 2])) < 1e-8
@@ -273,14 +270,15 @@ def test_detect_periodic_hopf(hopf_omega, hopf_loop):
 def test_detect_periodic_representative_invariance(
     hopf_omega, hopf_traj, hopf_loop, std_cone, hopf_field
 ):
-    other = detect_periodic(
-        hopf_omega, hopf_traj, std_cone, hopf_field, representative_index=-5,
-        n_loop_points=64,
+    # the same tail without its newest four points closes its loop from
+    # another point, with the same period
+    older = dataclasses.replace(
+        hopf_omega, points=hopf_omega.points[:-4], times=hopf_omega.times[:-4]
     )
+    other = detect_periodic(older, hopf_traj, std_cone, hopf_field)
     assert other is not None
     assert abs(other.period - hopf_loop.period) < 1e-6
-    assert other.states.shape == (64, 3)
-    assert not np.array_equal(other.representative, hopf_loop.representative)
+    assert not np.array_equal(other.states[0], hopf_loop.states[0])
 
 
 def test_detect_periodic_guards(hopf_omega, hopf_traj, hopf_field, std_cone, sink_traj, sink_field):
@@ -290,9 +288,6 @@ def test_detect_periodic_guards(hopf_omega, hopf_traj, hopf_field, std_cone, sin
     stale = _estimate(hopf_omega.points, converged=False)
     with pytest.raises(NotConverged):
         detect_periodic(stale, hopf_traj, std_cone, hopf_field)
-    with pytest.raises(BadParameter):
-        detect_periodic(hopf_omega, hopf_traj, std_cone, hopf_field,
-                        representative_index=10**6)
     # a tail collapsed onto an equilibrium has no loop
     omega = estimate_omega(sink_traj)
     assert detect_periodic(omega, sink_traj, std_cone, sink_field) is None

@@ -340,6 +340,6 @@ def test_mixed_trichotomy_holds_no_pair_matrix():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert 0.0 < rep.ordered_fraction < 1.0  # the mixed branch ran
+    assert 0.0 < rep.audit.ordered_fraction < 1.0  # the mixed branch ran
     assert rep.branch is LimitSetBranch.UNDETERMINED
     assert peak < m * m

@@ -321,7 +321,7 @@ def test_margins_csv_sorted_and_capped(tmp_path, std_cone):
 # Hand-made inputs whose projector coordinates and margins are exact in binary,
 # so the expected text does not depend on the BLAS summation order.
 _B = np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 0.0]])
-_PROJ = Projector(matrix=_B @ _B.T, basis=_B, range_dim=2)
+_PROJ = Projector(matrix=_B @ _B.T, basis=_B)
 _TRAJ = SimpleNamespace(
     times=np.array([0.0, 0.1, 0.25]),
     states=np.array([[1.0, 0.0, -0.5], [1.0 / 3.0, 2.0, 1e-300], [-0.0, 1e20, 0.75]]),

@@ -1,5 +1,6 @@
 """Scenario JSON: schema validation, construction, digests, file loading."""
 
+import inspect
 import json
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from kcone.errors import (
     SchemaError,
     UnknownIdentifier,
 )
+from kcone.limitsets import detect_periodic, estimate_omega
 from kcone.report import REPORT_SCHEMA
 from kcone.scenario import (
     ANALYSIS_DEFAULTS,
@@ -30,6 +32,7 @@ from kcone.scenario import (
     LOOP_POINTS,
     PAIRS_CAP,
     SCENARIO_SCHEMA,
+    TAIL_GRID_CAP,
     canonical_json,
     load_scenario,
     parse_scenario,
@@ -65,6 +68,20 @@ def test_minimal_scenario_defaults():
     assert scn.atol == 1e-12
     assert scn.max_step == np.inf
     assert scn.analysis == ANALYSIS_DEFAULTS
+
+
+def test_analysis_defaults_are_the_library_defaults():
+    """A scenario that leaves a knob unset runs the library's default."""
+    assert set(ANALYSIS_DEFAULTS) == set(SCENARIO_SCHEMA["properties"]["analysis"]["properties"])
+    omega = inspect.signature(estimate_omega).parameters
+    loop = inspect.signature(detect_periodic).parameters
+    for key, param in (
+        ("window_fraction", omega["window_fraction"]),
+        ("spacing", omega["spacing"]),
+        ("tol_omega_rel", omega["tol_rel"]),
+        ("tol_period", loop["tol_per"]),
+    ):
+        assert ANALYSIS_DEFAULTS[key] == param.default, key
 
 
 def test_full_scenario_fields():
@@ -244,6 +261,26 @@ def test_chain_points_beyond_the_loop_are_refused():
         with pytest.raises(SchemaError) as e:
             parse_scenario(_hopf_obj(analysis={"chain_points": k}))
         assert _pointer_of(e) == "/analysis/chain_points"
+
+
+@pytest.mark.parametrize(
+    "T,spacing,n_times",
+    [(10.0, 1e-300, None), (2e6, 1.0, TAIL_GRID_CAP + 1), (1_999_998.0, 1.0, TAIL_GRID_CAP)],
+)
+def test_tail_grid_cap_counts_the_times_estimate_omega_grids(T, spacing, n_times):
+    """Accepted exactly when floor(window_fraction T / spacing) + 1, the
+    most times estimate_omega's tail grid holds, is at most the cap; the
+    validator alone judges it, and nothing is integrated."""
+    obj = _hopf_obj(T=T, analysis={"spacing": spacing})
+    if n_times is not None:
+        assert int(0.5 * T / spacing) + 1 == n_times
+    if n_times == TAIL_GRID_CAP:
+        assert parse_scenario(obj).analysis["spacing"] == spacing
+    else:
+        with pytest.raises(SchemaError) as e:
+            parse_scenario(obj)
+        assert _pointer_of(e) == "/analysis/spacing"
+        assert f"over {TAIL_GRID_CAP} times" in str(e.value)
 
 
 @pytest.mark.parametrize(

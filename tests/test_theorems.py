@@ -13,10 +13,14 @@ I4: on a point set that audits ordered, the projection onto the cone's
     sqrt((nu_min - band) / (nu_min + mu_max)) for every difference d, where
     nu_min is P's smallest positive eigenvalue and mu_max its largest
     |negative| one.
+I5: I2's certificate and a converged omega estimate with a rank-1
+    quadratic cone give an equilibrium hit: an ordered omega-limit set of
+    rank 1 is conjugate to a compact invariant set of a flow on R, which
+    contains an equilibrium. The branch is not tested (ROADMAP item 2).
 
-I1-I3 run every orbit of a report through build_full_report and fail if
-no orbit meets their premises, so they cannot pass vacuously; I4 runs on
-point sets, and fails unless some of them are ordered.
+I1-I3 and I5 run every orbit of a report through build_full_report and
+fail if no orbit meets their premises, so they cannot pass vacuously; I4
+runs on point sets, and fails unless some of them are ordered.
 """
 
 import numpy as np
@@ -49,6 +53,21 @@ GOODWIN = {
 }
 
 
+# A linear sink certified for a rank-1 cone at rate 1.5.
+RANK1_SINK = {
+    "name": "rank-1 sink",
+    "field": {"family": "linear",
+              "params": {"A": [[-1.0, 0.5, 0.0], [0.5, -3.0, 0.0], [0.0, 0.0, -3.0]]}},
+    "cone": {"type": "quadratic", "P": [[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
+    "domain": {"type": "box", "lo": [-1.0, -1.0, -1.0], "hi": [1.0, 1.0, 1.0]},
+    "lambda": 1.5,
+    "pairs": 2000,
+    "seed": 3,
+    "T": 60.0,
+    "x0": [[0.5, 0.2, -0.3], [-0.9, 0.4, 0.8]],
+}
+
+
 def _report(obj):
     scn = parse_scenario(obj)
     return scn, build_full_report(scn)[0]
@@ -73,17 +92,25 @@ def _i1_premise(scn, report, orbit) -> bool:
     return _converged(orbit) and tri["equilibria_hits"] == orbit["omega"]["n_points"]
 
 
-def _i2_premise(scn, report, orbit) -> bool:
-    certified = any(
+def _certified(report) -> bool:
+    return any(
         c["condition"] == "pairwise_lambda" and c["verdict"] == "pass"
         for c in report["certificates"]
     )
-    return certified and _converged(orbit) and orbit["trichotomy"]["equilibria_hits"] == 0
+
+
+def _i2_premise(scn, report, orbit) -> bool:
+    return _certified(report) and _converged(orbit) and orbit["trichotomy"]["equilibria_hits"] == 0
 
 
 def _i3_premise(scn, report, orbit) -> bool:
     rank2 = isinstance(scn.cone, QuadraticCone) and scn.cone.rank_k == 2
     return rank2 and _i2_premise(scn, report, orbit)
+
+
+def _i5_premise(scn, report, orbit) -> bool:
+    rank1 = isinstance(scn.cone, QuadraticCone) and scn.cone.rank_k == 1
+    return rank1 and _certified(report) and _converged(orbit)
 
 
 def _held(scn, report, premise) -> list[dict]:
@@ -118,6 +145,11 @@ def test_i3_rank_two_gives_a_recurrent_loop(hopf):
         assert orbit["periodic_orbit"] is not None
         assert orbit["chain_check"] is not None
         assert orbit["chain_check"]["all_recurrent"]
+
+
+def test_i5_rank_one_gives_an_equilibrium():
+    for orbit in _held(*_report(RANK1_SINK), _i5_premise):
+        assert orbit["trichotomy"]["equilibria_hits"] > 0
 
 
 # Spectra of P, each used rotated: ranks 1, 2, 2 and 3.
