@@ -32,6 +32,7 @@ from .errors import (
     KconeError,
     NearSingular,
     NoConvergence,
+    NodeBudgetExceeded,
     NonFiniteDerivative,
     NonFiniteState,
     NotConverged,
@@ -73,7 +74,7 @@ from .fields import (
     make_linear_field,
     parse_field,
 )
-from .integrators import Trajectory, flow, integrate, integrate_backward
+from .integrators import Trajectory, integrate, integrate_backward
 from .certify import (
     ConditionReport,
     DecayAudit,
@@ -135,7 +136,7 @@ __all__ = [
     "NearSingular", "DegenerateRank", "NoConvergence", "IdenticalPoints",
     "DomainViolation", "EmptyDomain", "AllPairsDegenerate",
     "NonFiniteDerivative", "IntegrationFailure", "StepUnderflow",
-    "NonFiniteState", "DomainExit", "ExpressionSyntaxError",
+    "NonFiniteState", "NodeBudgetExceeded", "DomainExit", "ExpressionSyntaxError",
     "UnknownIdentifier", "ArityMismatch", "TrajectoryTooShort",
     "TooFewPoints", "RankNotTwo", "NotConverged", "SchemaError", "IoError",
     # linear algebra
@@ -152,7 +153,7 @@ __all__ = [
     "fd_jacobian", "Equilibrium", "EquilibriaResult", "find_equilibria",
     "default_equilibrium_seeds",
     # integration
-    "Trajectory", "integrate", "integrate_backward", "flow",
+    "Trajectory", "integrate", "integrate_backward",
     # certificates
     "ConditionReport", "DecayAudit", "pair_margin", "certify_sampled",
     "certify_smith", "certify_linear", "check_cyclic_feedback",

@@ -119,16 +119,13 @@ def _cmd_poincare(args) -> int:
     if loop is None:
         _say(args, "no periodic loop detected")
         return 4
-    proj = make_projector(scn.cone)
+    write_loop_csv(args.out or sys.stdout, loop, projector=make_projector(scn.cone))
     if args.out:
-        write_loop_csv(args.out, loop, projector=proj)
         _say(
             args,
             f"period {loop.period:.12g}  closure gap {loop.closure_gap:.3e}  "
             f"wrote {args.out}",
         )
-    else:
-        write_loop_csv(sys.stdout, loop, projector=proj)
     return 0
 
 

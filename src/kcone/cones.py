@@ -73,6 +73,21 @@ def _classify(margin: float, band: float) -> OrderRelation:
     return OrderRelation(OrderClass.UNORDERED, margin)
 
 
+def _in_range(V, sumsq) -> tuple[np.ndarray, np.ndarray]:
+    """(V, sumsq(V)) for float rows V; a finite nonzero row whose |v|^2 is
+    subnormal, 0 or inf, which would read 0/0 or inf/inf, is first divided
+    by its largest |v_i| (margins do not depend on scale). No other row moves."""
+    V = np.asarray(V, dtype=float)
+    with np.errstate(over="ignore"):  # an overflowed row is rescaled
+        ss = sumsq(V)
+    out = ~((ss >= np.finfo(float).tiny) & (ss < np.inf))
+    if out.any():
+        top = np.abs(V).max(axis=-1)
+        V = V / np.where(out & (top > 0.0) & (top < np.inf), top, 1.0)[..., None]
+        ss = sumsq(V)
+    return V, ss
+
+
 class _Margins:
     """margin and contains for one vector, both read off margin_many."""
 
@@ -123,8 +138,8 @@ class QuadraticCone(_Margins):
     # changed report digests.
     def margin_many(self, V) -> np.ndarray:
         """Normalized margins for rows of V, shape (m, n) -> (m,)."""
-        V = np.asarray(V, dtype=float)
-        return self._form(V) / np.einsum("...i,...i->...", V, V)
+        V, ss = _in_range(V, lambda W: np.einsum("...i,...i->...", W, W))
+        return self._form(V) / ss
 
 
 def make_quadratic_cone(P, boundary_band: float = DEFAULT_BOUNDARY_BAND) -> QuadraticCone:
@@ -163,9 +178,9 @@ class _OrthantPair(_Margins):
     boundary_band: float = DEFAULT_BOUNDARY_BAND
 
     def margin_many(self, V) -> np.ndarray:
-        V = np.asarray(V, dtype=float)
-        norms = np.linalg.norm(V, axis=-1)
-        return self._sign * np.minimum(V.max(axis=-1), -V.min(axis=-1)) / norms
+        # sqrt of this sum of squares is np.linalg.norm(V, axis=-1).
+        V, ss = _in_range(V, lambda W: np.add.reduce(W * W, axis=-1))
+        return self._sign * np.minimum(V.max(axis=-1), -V.min(axis=-1)) / np.sqrt(ss)
 
 
 class OrthantComplementCone(_OrthantPair):
@@ -250,10 +265,6 @@ class Projector:
 
     matrix: np.ndarray
     basis: np.ndarray
-
-    def apply(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return x @ self.matrix.T
 
     def coords(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -105,12 +105,5 @@ class Cylinder:
     def center(self) -> np.ndarray:
         return np.concatenate([[0.0, 0.0], self.rest.center()])
 
-    @property
-    def bounding_box(self) -> Box:
-        return Box(
-            lo=np.concatenate([[-self.radius, -self.radius], self.rest.lo]),
-            hi=np.concatenate([[self.radius, self.radius], self.rest.hi]),
-        )
-
 
 Domain = Box | Cylinder

@@ -71,6 +71,10 @@ class NonFiniteState(IntegrationFailure):
     """State or right-hand side became nan or inf at an accepted node."""
 
 
+class NodeBudgetExceeded(IntegrationFailure):
+    """A run would store more nodes than the integrator's budget allows."""
+
+
 class DomainExit(KconeError):
     """Trajectory left the declared domain where that is not permitted."""
 

@@ -79,6 +79,12 @@ _FUNCTIONS: dict[str, tuple[int, Callable]] = {
 
 _Token = namedtuple("_Token", "kind text pos")
 
+# Deepest nesting an expression may have: a lone operand is one level, and
+# each parenthesis, sign, power, call and operator chained onto a sum or
+# product adds one. Parsing takes up to six frames a level and evaluating
+# one, well inside Python's default recursion limit of 1000.
+MAX_DEPTH = 128
+
 
 def _tokenize(text: str) -> list[_Token]:
     """The num, name and op tokens of text with their 0-based offsets, then
@@ -101,6 +107,7 @@ class _Parser:
         self.i = 0
         self.var_index = {name: j for j, name in enumerate(variables)}
         self.params = dict(params)
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -109,6 +116,12 @@ class _Parser:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
+
+    def deeper(self, tok: _Token) -> None:
+        """One more level at tok; the rule that opened it closes it."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ExpressionSyntaxError(f"nested deeper than {MAX_DEPTH} levels", tok.pos)
 
     def expect_op(self, op: str) -> None:
         tok = self.peek()
@@ -128,36 +141,45 @@ class _Parser:
         return fn
 
     def expr(self) -> Callable:
+        depth = self.depth
         fn = self.term()
         while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
+            tok = self.advance()
+            self.deeper(tok)
             rhs = self.term()
-            if op == "+":
+            if tok.text == "+":
                 fn = (lambda a, b: lambda X: a(X) + b(X))(fn, rhs)
             else:
                 fn = (lambda a, b: lambda X: a(X) - b(X))(fn, rhs)
+        self.depth = depth
         return fn
 
     def term(self) -> Callable:
+        depth = self.depth
         fn = self.unary()
         while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
+            tok = self.advance()
+            self.deeper(tok)
             rhs = self.unary()
-            if op == "*":
+            if tok.text == "*":
                 fn = (lambda a, b: lambda X: a(X) * b(X))(fn, rhs)
             else:
                 fn = (lambda a, b: lambda X: a(X) / b(X))(fn, rhs)
+        self.depth = depth
         return fn
 
     def unary(self) -> Callable:
+        # Every operand is parsed here, so this is where nesting is counted.
         tok = self.peek()
+        self.deeper(tok)
         if tok.kind == "op" and tok.text in "+-":
             self.advance()
             inner = self.unary()
-            if tok.text == "-":
-                return lambda X: -inner(X)
-            return inner
-        return self.power()
+            fn = (lambda X: -inner(X)) if tok.text == "-" else inner
+        else:
+            fn = self.power()
+        self.depth -= 1
+        return fn
 
     def power(self) -> Callable:
         base = self.atom()

@@ -358,10 +358,9 @@ def find_equilibria(field: VectorField, seeds) -> EquilibriaResult:
                 lam *= 0.5
             else:
                 break
-            x = x - lam * step
+            x = trial
         if ok:
-            fx = np.asarray(field(x))
-            found.append(Equilibrium(point=x, residual=float(np.linalg.norm(fx))))
+            found.append(Equilibrium(point=x, residual=res))
         else:
             dropped += 1
 

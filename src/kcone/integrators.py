@@ -16,8 +16,9 @@ Characteristics
       their kink crossings localized: a step that changes the signature is
       re-tried at half length until the crossing step is below a floor, and
       the step after a crossing restarts small.
-    * Raises StepUnderflow when h < 1e-12 T, NonFiniteState on nan/inf at
-      an accepted node.
+    * Raises StepUnderflow when a rejected step's retry falls below 1e-12 T
+      (the only place the floor is tested), NonFiniteState on nan/inf at an
+      accepted node, and NodeBudgetExceeded past MAX_NODES stored nodes.
 
 Each Trajectory counts its run's work, for profiling; no report reads it:
     n_rhs              right-hand-side calls, f(x0) and exit node included
@@ -41,6 +42,7 @@ import numpy as np
 from .errors import (
     BadParameter,
     DomainViolation,
+    NodeBudgetExceeded,
     NonFiniteState,
     StepUnderflow,
 )
@@ -65,6 +67,8 @@ SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 5.0
 UNDERFLOW_FRACTION = 1e-12
+# Most nodes one run may store, each a state and its derivative.
+MAX_NODES = 500_000
 # Step length below which a region-signature crossing is accepted as-is.
 KINK_FLOOR = 1e-6
 # Fresh step length right after crossing a ramp kink.
@@ -229,9 +233,6 @@ def integrate(
         h = _initial_step(f0, x0, T, max_step, rtol, atol)
         while t < T:
             h = min(h, T - t, max_step)
-            if h < UNDERFLOW_FRACTION * T:
-                raise StepUnderflow(f"step {h:.3e} below {UNDERFLOW_FRACTION:.0e} T")
-
             K[0] = f
             for i in range(1, 6):
                 K[i] = rhs(y + h * (KT[i] @ _A[i]))
@@ -242,13 +243,12 @@ def integrate(
             tol = atol + rtol * _norm(y_new)
 
             # Test K itself: stage 2 has zero weight in both y_new and err.
-            if not (np.isfinite(K).all() and math.isfinite(err)):
+            finite = np.isfinite(K).all() and math.isfinite(err)
+            if not finite or err > tol:
                 n_rejected += 1
-                h *= 0.5
-                continue
-            if err > tol:
-                n_rejected += 1
-                h *= _step_factor(tol, err)
+                h *= _step_factor(tol, err) if finite else 0.5
+                if h < UNDERFLOW_FRACTION * T:
+                    raise StepUnderflow(f"step {h:.3e} below {UNDERFLOW_FRACTION:.0e} T")
                 continue
 
             # Kink localization: shrink steps that jump a ramp-region boundary.
@@ -261,6 +261,8 @@ def integrate(
             if not np.isfinite(y_new).all():
                 raise NonFiniteState(f"state not finite after t = {t:.6g}")
             f_new = K[6].copy()
+            if len(ts) == MAX_NODES:
+                raise NodeBudgetExceeded(f"run needs more than {MAX_NODES} nodes")
 
             if not contains(y_new):
                 # Bisect the Hermite interpolant for the last inside point.
@@ -348,13 +350,3 @@ def integrate_backward(
         events=[(-t, kind) for (t, kind) in reversed(back.events)],
     )
 
-
-def flow(field: VectorField, x0, t: float, rtol: float = 1e-8, atol: float = 1e-10,
-         max_step: float = np.inf) -> np.ndarray:
-    """End state of the (forward or backward) flow through x0 for time t."""
-    if t == 0.0:
-        return np.asarray(x0, dtype=float).copy()
-    if t > 0:
-        return integrate(field, x0, t, rtol=rtol, atol=atol, max_step=max_step).final_state
-    traj = integrate_backward(field, x0, -t, rtol=rtol, atol=atol, max_step=max_step)
-    return traj.states[0]

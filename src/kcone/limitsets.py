@@ -408,8 +408,6 @@ def audit_ordering(points, cone: Cone) -> OrderingAudit:
     streams over pair blocks, so its memory is bounded by the block size
     plus O(m) for core_mask, however many points there are.
     """
-    if isinstance(points, OmegaEstimate):
-        points = points.points
     P = np.atleast_2d(np.asarray(points, dtype=float))
     if P.shape[0] == 0:
         raise TooFewPoints("cannot audit an empty point set")
@@ -601,7 +599,13 @@ def projection_separation(points, projector: Projector) -> float:
     )
 
 
-def _golden_min(fn, lo: float, hi: float, tol: float) -> tuple[float, float]:
+def _closest_return(traj: Trajectory, y, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """(t, |traj.sample(t) - y|) at the t in [lo, hi] where the run passes
+    closest to y, by golden-section search down to a bracket of tol."""
+
+    def fn(t):
+        return float(np.linalg.norm(traj.sample(t) - y))
+
     a, b = lo, hi
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
@@ -699,11 +703,8 @@ def detect_periodic(
     if fresh.events:
         return None
 
-    def gap_at(T):
-        return float(np.linalg.norm(fresh.sample(T) - p))
-
     lo = max(T_coarse - bracket, 0.5 * T_coarse)
-    T_star, gap = _golden_min(gap_at, lo, T_hi, tol=1e-10 * max(1.0, T_coarse))
+    T_star, gap = _closest_return(fresh, p, lo, T_hi, tol=1e-10 * max(1.0, T_coarse))
 
     loop_times = np.linspace(0.0, T_star, LOOP_POINTS)
     loop = PeriodicOrbit(
@@ -731,7 +732,7 @@ def chain_check(
     field: VectorField,
     eps: float,
     r: float,
-    t_max: float | None = None,
+    t_max: float,
     rtol: float = 1e-8,
     atol: float = 1e-10,
 ) -> list[ChainResult]:
@@ -748,13 +749,12 @@ def chain_check(
         raise BadParameter("eps and r must be positive")
     P = np.atleast_2d(np.asarray(points, dtype=float))
     m = P.shape[0]
-    horizon = t_max if t_max is not None else 10.0 * r
-    if horizon < r:
+    if t_max < r:
         raise BadParameter("t_max must be at least r")
     results: list[ChainResult] = []
 
     for y in P:
-        traj = integrate(field, y, horizon, rtol=rtol, atol=atol)
+        traj = integrate(field, y, t_max, rtol=rtol, atol=atol)
         ts = traj.times
         mask = ts >= r
         success = False
@@ -767,9 +767,7 @@ def chain_check(
             lo = max(r, t_cand - 0.5)
             hi = min(float(ts[-1]), t_cand + 0.5)
             if hi > lo:
-                t_ref, d_ref = _golden_min(
-                    lambda t: float(np.linalg.norm(traj.sample(t) - y)), lo, hi, tol=1e-9
-                )
+                t_ref, d_ref = _closest_return(traj, y, lo, hi, tol=1e-9)
             else:
                 t_ref, d_ref = t_cand, float(d[k])
             if d_ref < eps:

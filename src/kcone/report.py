@@ -78,22 +78,6 @@ REPORT_SCHEMA: dict[str, Any] = {
 }
 
 
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    return value
-
-
 def _condition_dict(rep) -> dict:
     out = {
         "condition": rep.condition,
@@ -108,9 +92,9 @@ def _condition_dict(rep) -> dict:
     if rep.epsilon_star is not None:
         out["epsilon_star"] = rep.epsilon_star
     if rep.worst_pair is not None:
-        out["worst_pair"] = [_jsonable(rep.worst_pair[0]), _jsonable(rep.worst_pair[1])]
+        out["worst_pair"] = [rep.worst_pair[0].tolist(), rep.worst_pair[1].tolist()]
     if rep.worst_point is not None:
-        out["worst_point"] = _jsonable(rep.worst_point)
+        out["worst_point"] = rep.worst_point.tolist()
     if rep.feedback_type is not None:
         out["feedback_type"] = rep.feedback_type
     return out
@@ -210,7 +194,7 @@ def _analyze_orbit(scn: Scenario, index: int, x0) -> tuple[dict, dict]:
     traj, omega = _orbit_tail(scn, x0)
     section: dict[str, Any] = {
         "index": index,
-        "x0": _jsonable(np.asarray(x0, float)),
+        "x0": np.asarray(x0, float).tolist(),
         "integration": {
             "T": scn.T,
             "rtol": scn.rtol,
@@ -243,7 +227,7 @@ def _analyze_orbit(scn: Scenario, index: int, x0) -> tuple[dict, dict]:
     section["equilibria"] = {
         "count": len(eqs),
         "dropped_seeds": eq_result.dropped,
-        "points": [_jsonable(e.point) for e in eqs],
+        "points": [e.point.tolist() for e in eqs],
         "residuals": [e.residual for e in eqs],
     }
 
@@ -275,6 +259,7 @@ def _analyze_orbit(scn: Scenario, index: int, x0) -> tuple[dict, dict]:
     }
 
     loop, _ = _seek_loop(scn, x0, (traj, omega))
+    section["periodic_orbit"] = section["chain_check"] = None
     if loop is not None:
         proj = make_projector(scn.cone)
         section["periodic_orbit"] = {
@@ -302,9 +287,6 @@ def _analyze_orbit(scn: Scenario, index: int, x0) -> tuple[dict, dict]:
             "r": r,
             "t_max": horizon,
         }
-    else:
-        section["periodic_orbit"] = None
-        section["chain_check"] = None
 
     section["incomplete"] = bool(traj.events) or not omega.converged
     return section, {"trajectory": traj, "omega": omega, "loop": loop}
@@ -344,7 +326,7 @@ def build_full_report(scn: Scenario) -> tuple[dict, list[dict]]:
 
 def wrap_report(report: dict, wall_time_s: float) -> dict:
     return {
-        "report": _jsonable(report),
+        "report": report,
         "meta": {
             "timestamp": _dt.datetime.now(_dt.timezone.utc).isoformat(),
             "wall_time_s": float(wall_time_s),

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from kcone import integrators
 from kcone.cli import main
 from kcone.report import dump_report, run_certify, wrap_report
 from kcone.scenario import parse_scenario
@@ -285,6 +286,27 @@ def test_integration_failure_exit_code(tmp_path, capsys):
     scn = _write(tmp_path, obj)
     assert main(["classify", "--scenario", scn]) == 3
     assert "integration failed" in capsys.readouterr().err
+
+
+def test_node_budget_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(integrators, "MAX_NODES", 20)
+    scn = _write(tmp_path, _decay_obj())
+    assert main(["classify", "--scenario", scn]) == 3
+    assert "more than 20 nodes" in capsys.readouterr().err
+
+
+def test_too_deeply_nested_expression_exit_code(tmp_path, capsys):
+    obj = {
+        "field": {"exprs": ["+".join(["x1"] * 3000), "0 - x2"]},
+        "cone": {"type": "quadratic", "P": [[-1.0, 0.0], [0.0, 1.0]]},
+        "domain": {"type": "box", "lo": [-2.0, -2.0], "hi": [2.0, 2.0]},
+        "x0": [1.0, 0.0],
+        "T": 5.0,
+    }
+    scn = _write(tmp_path, obj)
+    assert main(["classify", "--scenario", scn]) == 2
+    err = capsys.readouterr().err
+    assert "nested deeper" in err and "/field/exprs" in err
 
 
 def test_poincare_stdout_csv(tmp_path, capsys):

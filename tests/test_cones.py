@@ -1,5 +1,7 @@
 """Cone construction, normalized margins, order relations, projectors."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -106,7 +108,7 @@ def test_projector_injective_on_ordered_differences(std_cone):
     for _ in range(200):
         v = rng.normal(size=3)
         if std_cone.margin(v) < -0.1:
-            assert np.linalg.norm(proj.apply(v)) > 0.3 * np.linalg.norm(v)
+            assert np.linalg.norm(proj.coords(v)) > 0.3 * np.linalg.norm(v)
 
 
 def test_projector_coords_shape(std_cone):
@@ -261,8 +263,8 @@ def test_relate_is_scale_invariant(kind, x, y, scale, sign):
 def test_margin_reads_the_batch_row(kind, XY):
     cone = CONES_3[kind]
     X, Y = XY[:, :3], XY[:, 3:]
-    # Below about 1e-162 a row's squares underflow and its margin is 0/0 or
-    # +-inf; the one formula then gives the same value both ways.
+    # A row whose squares underflow is rescaled first, in a batch as alone;
+    # a zero row reads 0/0 both ways.
     with np.errstate(invalid="ignore", divide="ignore"):
         many = cone.margin_many(X - Y)
         for x, y, want in zip(X, Y, many):
@@ -273,3 +275,33 @@ def test_margin_reads_the_batch_row(kind, XY):
             except IdenticalPoints:
                 continue
             assert _bits(rel.margin) == _bits(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(sorted(CONES_3)),
+    hnp.arrays(float, 3, elements=st.floats(-1.0, 1.0)).filter(
+        lambda u: np.abs(u).max() >= 0.1
+    ),
+    st.integers(-300, 300),
+)
+def test_margin_is_finite_at_every_scale(kind, u, exponent):
+    """From 1e-300 to 1e300 a margin is finite and raises no warning. Where
+    |v|^2 leaves the normal range (below about 1e-154 or above 1e154) it is
+    the margin of v / max|v_i|, bit for bit; elsewhere it agrees with that
+    to rounding."""
+    cone = CONES_3[kind]
+    v = u * 10.0**exponent
+    rescaled = v / np.abs(v).max()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = cone.margin(v)
+        want = cone.margin(rescaled)
+        batch = cone.margin_many(np.stack([v, u, rescaled]))
+    assert np.isfinite(m) and np.all(np.isfinite(batch))
+    ss = np.einsum("i,i", v, v)
+    if not np.finfo(float).tiny <= ss < np.inf:
+        assert _bits(m) == _bits(want)
+    else:
+        assert m == pytest.approx(want, rel=1e-12, abs=1e-15)
+    assert cone.contains(v) == (m <= cone.boundary_band)

@@ -75,16 +75,6 @@ def test_cylinder_sample_inside_and_deterministic():
     assert corners.max() > 1.6  # points beyond the inscribed diamond
 
 
-def test_cylinder_bounding_box():
-    cyl = Cylinder(radius=3.0, rest=Box(lo=[-1.0], hi=[4.0]))
-    bb = cyl.bounding_box
-    assert np.allclose(bb.lo, [-3.0, -3.0, -1.0])
-    assert np.allclose(bb.hi, [3.0, 3.0, 4.0])
-    rng = np.random.default_rng(3)
-    pts = cyl.sample(rng, 100)
-    assert np.all(bb.contains(pts))
-
-
 def test_cylinder_validation():
     with pytest.raises(BadParameter):
         Cylinder(radius=0.0, rest=Box(lo=[0.0], hi=[1.0]))

@@ -13,7 +13,10 @@ from kcone.errors import (
     ExpressionSyntaxError,
     UnknownIdentifier,
 )
-from kcone.expressions import _tokenize, hill, parse_expression, pwl
+from kcone.domains import Box
+from kcone.expressions import MAX_DEPTH, _tokenize, hill, parse_expression, pwl
+from kcone.fields import parse_field
+from kcone.integrators import integrate
 
 V2 = ("x", "y")
 
@@ -174,3 +177,43 @@ def test_specific_errors_are_syntax_errors():
     # callers catching the broad class get arity and name failures too
     assert issubclass(ArityMismatch, ExpressionSyntaxError)
     assert issubclass(UnknownIdentifier, ExpressionSyntaxError)
+
+
+# ---- nesting depth ----
+
+TOO_DEEP = {
+    "sum": "+".join(["x"] * 3000),
+    "parentheses": "(" * 3000 + "x" + ")" * 3000,
+    "signs": "-" * 3000 + "x",
+    "powers": "^".join(["x"] * 2000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOO_DEEP))
+def test_too_deep_is_a_syntax_error(name):
+    with pytest.raises(ExpressionSyntaxError, match="nested deeper"):
+        parse_expression(TOO_DEEP[name], ("x",))
+
+
+# Expressions exactly at the cap, one per kind of nesting, with their value
+# at x = 1. A lone operand is one level.
+AT_THE_CAP = {
+    "sum": ("+".join(["x1"] * MAX_DEPTH), float(MAX_DEPTH)),
+    "parentheses": ("(" * (MAX_DEPTH - 1) + "x1" + ")" * (MAX_DEPTH - 1), 1.0),
+    "signs": ("-" * (MAX_DEPTH - 1) + "x1", (-1.0) ** (MAX_DEPTH - 1)),
+    "powers": ("^".join(["x1"] * MAX_DEPTH), 1.0),
+    "calls": ("abs(" * (MAX_DEPTH - 1) + "x1" + ")" * (MAX_DEPTH - 1), 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AT_THE_CAP))
+def test_expression_at_the_cap_evaluates(name):
+    text, value = AT_THE_CAP[name]
+    field = parse_field(["0 - x1", text], domain=Box(lo=[-2.0, -1e3], hi=[2.0, 1e3]))
+    assert field(np.array([1.0, 0.0]))[1] == value
+    assert np.array_equal(field.rhs(np.ones((4, 2)))[:, 1], np.full(4, value))
+    # integrate calls the closure a few frames deeper still
+    traj = integrate(field, [1.0, 0.0], 0.5)
+    assert traj.events == []
+    with pytest.raises(ExpressionSyntaxError, match="nested deeper"):
+        parse_expression("-" + text if name != "sum" else text + "+x1", ("x1",))

@@ -11,21 +11,24 @@ from hypothesis.extra import numpy as hnp
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from kcone import integrators
 from kcone.domains import Box
 from kcone.errors import (
     BadParameter,
     DomainViolation,
     IntegrationFailure,
+    NodeBudgetExceeded,
     NonFiniteState,
     StepUnderflow,
 )
 from kcone.fields import (
+    VectorField,
     make_cyclic_feedback,
     make_hopf_cylinder,
     make_linear_field,
     parse_field,
 )
-from kcone.integrators import _A, _E, flow, integrate, integrate_backward
+from kcone.integrators import _A, _E, integrate, integrate_backward
 
 ROTATE = np.array([[0.0, 1.0], [-1.0, 0.0]])  # harmonic oscillator block
 
@@ -128,11 +131,10 @@ def test_matches_scipy_reference():
 def test_flow_semigroup():
     field = make_hopf_cylinder(1.0, 1.0)
     x0 = np.array([0.6, 0.0, 0.2])
-    direct = flow(field, x0, 3.0, rtol=1e-10, atol=1e-12)
-    stepped = flow(field, flow(field, x0, 1.2, rtol=1e-10, atol=1e-12), 1.8,
-                   rtol=1e-10, atol=1e-12)
+    direct = integrate(field, x0, 3.0, rtol=1e-10, atol=1e-12).final_state
+    half = integrate(field, x0, 1.2, rtol=1e-10, atol=1e-12).final_state
+    stepped = integrate(field, half, 1.8, rtol=1e-10, atol=1e-12).final_state
     assert np.linalg.norm(direct - stepped) < 1e-7
-    assert np.array_equal(flow(field, x0, 0.0), x0)
 
 
 def test_backward_inverts_decay():
@@ -143,8 +145,6 @@ def test_backward_inverts_decay():
     assert np.all(np.diff(traj.times) > 0.0)
     assert abs(traj.states[0, 0] - np.e) < 1e-7
     assert traj.states[-1, 0] == 1.0
-    # endpoint of the negative flow through the same point
-    assert abs(flow(field, [1.0], -1.0, rtol=1e-10, atol=1e-12)[0] - np.e) < 1e-7
 
 
 def test_backward_sampling_consistent():
@@ -276,12 +276,46 @@ def test_nonfinite_rhs_at_start():
     assert issubclass(NonFiniteState, IntegrationFailure)
 
 
-def test_step_underflow_on_unresolvable_rate():
-    # any resolvable step of x' = 1e300 x overflows, so h collapses
+def test_unresolvable_rate_ends_in_a_domain_exit():
+    # x' = 1e300 x: the first step is about 1e-305 long, far below the
+    # 1e-12 T floor, and is accepted; the floor binds only rejected steps,
+    # so the run grows to the box wall within about 1e-299 time units.
     field = make_linear_field([[1e300]], domain=Box(lo=[-1e6], hi=[1e6]))
+    traj = integrate(field, [1e-3], 1.0)
+    assert [kind for _, kind in traj.events] == ["domain_exit"]
+    assert traj.t_end < 1e-290
+    assert 1e-3 < traj.final_state[0] <= 1e6
+
+
+def test_step_underflow_on_the_rejection_path():
+    # The rhs is finite only at x0, so every stage of every step is NaN:
+    # each try is rejected and halved until it falls below 1e-12 T.
+    field = VectorField(
+        dim=1, rhs=lambda x: np.where(x == 0.5, 1.0, np.nan),
+        domain=Box(lo=[0.0], hi=[1.0]), family="test",
+    )
     with pytest.raises(StepUnderflow):
-        integrate(field, [1e-3], 1.0)
+        integrate(field, [0.5], 1.0)
     assert issubclass(StepUnderflow, IntegrationFailure)
+
+
+def test_long_horizon_starts_below_the_floor_and_completes():
+    # The first step, 2.7e-8, does not scale with T and sits below 1e-12 T.
+    traj = integrate(make_linear_field(-np.eye(3)), [0.1, 0.2, 0.3], 1e5)
+    assert traj.t_end == 1e5
+    assert traj.events == []
+    assert np.all(np.abs(traj.final_state) < 1e-10)
+
+
+def test_node_budget(monkeypatch):
+    field = make_linear_field(-np.eye(3))
+    full = integrate(field, [0.1, 0.2, 0.3], 10.0, max_step=0.1)
+    monkeypatch.setattr(integrators, "MAX_NODES", len(full.times))
+    assert len(integrate(field, [0.1, 0.2, 0.3], 10.0, max_step=0.1).times) == len(full.times)
+    monkeypatch.setattr(integrators, "MAX_NODES", len(full.times) - 1)
+    with pytest.raises(NodeBudgetExceeded):
+        integrate(field, [0.1, 0.2, 0.3], 10.0, max_step=0.1)
+    assert issubclass(NodeBudgetExceeded, IntegrationFailure)
 
 
 def test_initial_step_survives_a_huge_rate():

@@ -140,7 +140,7 @@ def test_classify_orbit_too_few_points(std_cone):
 
 
 def test_audit_ordering_hopf_tail(hopf_omega, std_cone):
-    audit = audit_ordering(hopf_omega, std_cone)  # accepts the estimate itself
+    audit = audit_ordering(hopf_omega.points, std_cone)
     assert audit.ordered
     assert not audit.trivial
     assert audit.ordered_fraction == 1.0
@@ -341,7 +341,7 @@ def test_chain_check_rotation_ring():
 
 
 def test_chain_check_single_hop_at_equilibrium(sink_field):
-    results = chain_check(np.zeros((1, 3)), sink_field, eps=1e-3, r=0.5)
+    results = chain_check(np.zeros((1, 3)), sink_field, eps=1e-3, r=0.5, t_max=5.0)
     assert results[0].success
     assert len(results[0].hops) == 1
     duration, gap = results[0].hops[0]
@@ -351,7 +351,7 @@ def test_chain_check_single_hop_at_equilibrium(sink_field):
 
 def test_chain_check_transient_fails(sink_field):
     # the planar part of this flow expands, so a transient never returns
-    results = chain_check(np.array([[0.5, 0.0, 0.0]]), sink_field, eps=1e-2, r=0.5)
+    results = chain_check(np.array([[0.5, 0.0, 0.0]]), sink_field, eps=1e-2, r=0.5, t_max=5.0)
     assert not results[0].success
     assert results[0].hops == ()
 
@@ -359,9 +359,9 @@ def test_chain_check_transient_fails(sink_field):
 def test_chain_check_validation(sink_field):
     pts = np.zeros((1, 3))
     with pytest.raises(BadParameter):
-        chain_check(pts, sink_field, eps=0.0, r=1.0)
+        chain_check(pts, sink_field, eps=0.0, r=1.0, t_max=10.0)
     with pytest.raises(BadParameter):
-        chain_check(pts, sink_field, eps=1e-2, r=0.0)
+        chain_check(pts, sink_field, eps=1e-2, r=0.0, t_max=10.0)
     with pytest.raises(BadParameter):
         chain_check(pts, sink_field, eps=1e-2, r=1.0, t_max=0.5)
 

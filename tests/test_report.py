@@ -220,6 +220,38 @@ def test_full_report_validates_schema(tmp_path):
     assert loaded["meta"]["wall_time_s"] == 0.25
 
 
+# Between them these produce every certificate condition and every orbit
+# section: a loop with its chain check, and a worst unordered pair.
+PLAIN_JSON_SCENARIOS = {
+    "hopf": _hopf_obj(**{"lambda": 3.5, "epsilon": 0.01, "pairs": 500}),
+    "linear": _linear_cert_obj(**{"lambda": 0.0}),
+    "goodwin": {
+        "field": {"family": "cyclic_feedback",
+                  "params": {"n": 3, "kind": "smooth_goodwin", "m": 4.0}},
+        "cone": {"type": "orthant_complement", "n": 3},
+        "x0": [0.5, 0.2, 0.8],
+        "T": 100.0,
+        "seed": 0,
+    },
+}
+
+
+def test_report_object_is_plain_json():
+    """The report object goes to json.dumps as built: an array, a tuple or a
+    numpy scalar that JSON cannot encode fails here."""
+    conditions, loops, unordered = set(), 0, 0
+    for obj in PLAIN_JSON_SCENARIOS.values():
+        report, _ = build_full_report(parse_scenario(obj))
+        assert json.loads(dump_report(wrap_report(report, 0.0)))["report"] == report
+        conditions |= {c["condition"] for c in report["certificates"]}
+        loops += sum(o["chain_check"] is not None for o in report["orbits"])
+        unordered += sum(
+            o["ordering_audit"]["worst_unordered"] is not None for o in report["orbits"]
+        )
+    assert conditions == {"pairwise_lambda", "smith_epsilon", "linear_lmi", "cyclic_feedback"}
+    assert loops > 0 and unordered > 0
+
+
 def test_full_report_without_orbits():
     obj = _linear_cert_obj()
     obj["lambda"] = 0.0

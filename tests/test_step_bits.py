@@ -446,8 +446,12 @@ def test_falling_ramp_keeps_negative_zero_at_its_start():
 # ---- contains ----
 
 def boundary_points(domain, rng):
-    box = domain.bounding_box if isinstance(domain, Cylinder) else domain
-    lo, hi = box.lo, box.hi
+    if isinstance(domain, Cylinder):  # its bounding box
+        r = domain.radius
+        lo = np.concatenate([[-r, -r], domain.rest.lo])
+        hi = np.concatenate([[r, r], domain.rest.hi])
+    else:
+        lo, hi = domain.lo, domain.hi
     pts = [rng.uniform(lo - 0.2, hi + 0.2, size=(2000, domain.dim))]
     for edge in (lo, hi):
         for j in range(domain.dim):
