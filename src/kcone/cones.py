@@ -20,7 +20,7 @@ the margin is v^T P v / |v|^2; for the orthant pair it is the signed
 distance of the worst component, over |v|. Each cone writes its margin once,
 as margin_many over the rows of a batch; margin(v), contains(v) and relate
 read that formula on one vector, so a vector gets the bits of its row in
-any batch.
+any batch, at every dimension, n = 2 included.
 """
 
 from __future__ import annotations
@@ -127,15 +127,31 @@ class QuadraticCone(_Margins):
         """v^T P v: the numerator of margin_many on one vector."""
         return float(self._form(self._vector(v)))
 
+    # v^T P v is the costliest step of a pair scan. The kernel adds the
+    # terms (v_i P_ij) v_j one at a time from 0, i outer and j inner: the
+    # order in which np.einsum("...i,ij,...j->...", V, P, V) sums a batch,
+    # so it has einsum's bits at every n >= 3, and at n = 2 on batches of
+    # three or more rows (einsum sums one or two rows there in another
+    # order; the kernel sums every batch alike). Every product goes into
+    # one term buffer, and like einsum the kernel raises no floating-point
+    # warning. The sum of squares stays an einsum: numpy does not sum
+    # "...i,...i->..." in sequence, and a sequential rewrite moved a Hopf
+    # witness margin by an ulp and changed report digests.
     def _form(self, V) -> np.ndarray:
-        return np.einsum("...i,ij,...j->...", V, self.p_matrix, V)
+        C = np.ascontiguousarray(np.moveaxis(V, -1, 0))
+        if C.shape[0] != self.dim:
+            raise DimensionMismatch(f"expected rows of length {self.dim}, got {V.shape}")
+        P = self.p_matrix.tolist()
+        form = np.zeros(C.shape[1:])
+        term = np.empty_like(form)
+        with np.errstate(all="ignore"):
+            for i, row in enumerate(P):
+                for j, p_ij in enumerate(row):
+                    np.multiply(C[i], p_ij, out=term)
+                    np.multiply(term, C[j], out=term)
+                    np.add(form, term, out=form)
+        return form
 
-    # The einsums stay even though they are the costliest step of a pair
-    # scan: numpy does not sum "...i,...i->..." in sequence (14,970 of 65,536
-    # random 3-vectors differ from (a*a + b*b) + c*c), so a sequential
-    # rewrite moves margins by an ulp. Probed on a Hopf orbit, it moved a
-    # witness margin from -0.0975518706793867 to -0.09755187067938671 and
-    # changed report digests.
     def margin_many(self, V) -> np.ndarray:
         """Normalized margins for rows of V, shape (m, n) -> (m,)."""
         V, ss = _in_range(V, lambda W: np.einsum("...i,...i->...", W, W))

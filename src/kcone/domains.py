@@ -1,7 +1,8 @@
 """Axis-aligned boxes and radial cylinders used as field domains.
 
 Both shapes know how to test membership (vectorized over rows), draw
-uniform samples from a seeded generator, and report their diameter. The
+uniform samples from a seeded generator, and report their diameter and
+reach (the largest |coordinate| of a point in them). The
 cylinder is round in the first two coordinates and boxed in the rest,
 matching the planar-rotation model families.
 """
@@ -49,6 +50,10 @@ class Box:
 
     def diameter(self) -> float:
         return float(np.linalg.norm(self.hi - self.lo))
+
+    def reach(self) -> float:
+        """Largest |x_i| over the points x of the box."""
+        return float(np.maximum(np.abs(self.lo), np.abs(self.hi)).max())
 
     def widths(self) -> np.ndarray:
         return self.hi - self.lo
@@ -98,6 +103,9 @@ class Cylinder:
 
     def diameter(self) -> float:
         return float(np.hypot(2.0 * self.radius, np.linalg.norm(self.rest.widths())))
+
+    def reach(self) -> float:
+        return max(self.radius, self.rest.reach())
 
     def widths(self) -> np.ndarray:
         return np.concatenate([[2.0 * self.radius, 2.0 * self.radius], self.rest.widths()])

@@ -278,6 +278,21 @@ def estimate_omega(
 # ---- pair scans ----
 
 
+def _row_norms(X: np.ndarray, out: np.ndarray, square: np.ndarray) -> np.ndarray:
+    """|x| for each row x of X, written into out, with square (as long as
+    out) for scratch: the squares added one coordinate at a time, c =
+    0..n-1, then the square root. numpy sums an axis shorter than 8 in the
+    same order, so for n < 8 these are the bits of np.linalg.norm(X,
+    axis=1); from n = 8 on numpy sums pairwise and a norm may differ by an
+    ulp. Summed column by column, the squares skip numpy's slow reduction
+    along a short last axis."""
+    np.multiply(X[:, 0], X[:, 0], out=out)
+    for c in range(1, X.shape[1]):
+        np.multiply(X[:, c], X[:, c], out=square)
+        out += square
+    return np.sqrt(out, out=out)
+
+
 def _distinct_pairs(P: np.ndarray):
     """Yield (i, j, D, gaps) for the distinct pairs i < j of the rows of P.
 
@@ -286,7 +301,9 @@ def _distinct_pairs(P: np.ndarray):
     skipped. Two points are distinct when their gap exceeds
     PAIR_DISTINCT_TOL * max(1, max|P|); a non-finite coordinate, to which
     no gap is meaningful, raises BadParameter. Each block is filled from row
-    ranges, a row split where the block ends; its arrays are fresh.
+    ranges, a row split where the block ends; its arrays are fresh. Its gaps
+    are taken once, by _row_norms, with one square buffer a block long for
+    the whole scan.
     """
     m, n = P.shape
     if m == 0:
@@ -296,9 +313,9 @@ def _distinct_pairs(P: np.ndarray):
         raise BadParameter("pair scans need finite coordinates")
     tol = PAIR_DISTINCT_TOL * max(1.0, scale)
     cols = np.arange(m)
-    sq = np.empty((m - 1, n))
-    r, lo = 0, 1  # the next pair is (r, lo)
     left = m * (m - 1) // 2
+    square = np.empty(min(_PAIR_BLOCK, left))
+    r, lo = 0, 1  # the next pair is (r, lo)
     while left:
         size = min(_PAIR_BLOCK, left)
         left -= size
@@ -311,11 +328,6 @@ def _distinct_pairs(P: np.ndarray):
             take = min(m - lo, size - k)
             Dk = D[k:k + take]
             np.subtract(P[r], P[lo:lo + take], out=Dk)
-            # np.linalg.norm(D, axis=1) is sqrt(add.reduce(D * D, axis=1));
-            # the same ufuncs on each row range give the same bits with a
-            # square temporary one row long instead of one block long.
-            np.multiply(Dk, Dk, out=sq[:take])
-            np.add.reduce(sq[:take], axis=1, out=gaps[k:k + take])
             i[k:k + take] = r
             j[k:k + take] = cols[lo:lo + take]
             k += take
@@ -323,7 +335,7 @@ def _distinct_pairs(P: np.ndarray):
             if lo == m:
                 r += 1
                 lo = r + 1
-        np.sqrt(gaps, out=gaps)
+        _row_norms(D, gaps, square[:size])
         keep = gaps > tol
         if keep.all():
             yield i, j, D, gaps
@@ -592,11 +604,15 @@ class PeriodicOrbit:
 def projection_separation(points, projector: Projector) -> float:
     """min |proj(p) - proj(q)| / |p - q| over distinct pairs; 1.0 if none."""
     P = np.atleast_2d(np.asarray(points, dtype=float))
-    return min(
-        (float(np.min(np.linalg.norm(D @ projector.matrix.T, axis=1) / gaps))
-         for _, _, D, gaps in _distinct_pairs(P)),
-        default=1.0,
-    )
+    m = P.shape[0]
+    ratio = np.empty(min(_PAIR_BLOCK, m * (m - 1) // 2))
+    square = np.empty_like(ratio)
+    lows = []
+    for _, _, D, gaps in _distinct_pairs(P):
+        size = len(gaps)
+        r = _row_norms(D @ projector.matrix.T, ratio[:size], square[:size])
+        lows.append(float(np.divide(r, gaps, out=r).min()))
+    return min(lows, default=1.0)
 
 
 def _closest_return(traj: Trajectory, y, lo: float, hi: float, tol: float) -> tuple[float, float]:

@@ -57,6 +57,10 @@ PAIRS_CAP = 1_000_000
 # Most tail grid times estimate_omega may hold, some 50 MB of times and
 # indices at the cap.
 TAIL_GRID_CAP = 1_000_000
+# Largest |coordinate| a field's domain may reach. Every state a run keeps
+# lies in the domain, so the squared norms and distances the analyses take,
+# at most n (2 DOMAIN_CAP)^2, stay finite below n = 4e7.
+DOMAIN_CAP = 1e150
 
 
 def _members(required: dict, optional: dict) -> dict:
@@ -317,6 +321,12 @@ def parse_scenario(obj: dict) -> Scenario:
         field = _section("/field/exprs", parse_field, spec["exprs"], spec.get("params"), domain)
     elif domain is not None:
         field = replace(field, domain=domain)
+    reach = field.domain.reach()
+    if reach > DOMAIN_CAP:
+        raise SchemaError(
+            f"domain reaches |x_i| = {reach:.3e}, past {DOMAIN_CAP:.0e}",
+            "/domain" if domain is not None else "/field/params",
+        )
 
     x0_raw = obj.get("x0")
     x0s: list = []

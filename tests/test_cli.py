@@ -4,12 +4,13 @@ import copy
 import json
 import os
 
+import numpy as np
 import pytest
 
 from kcone import integrators
 from kcone.cli import main
 from kcone.report import dump_report, run_certify, wrap_report
-from kcone.scenario import parse_scenario
+from kcone.scenario import DOMAIN_CAP, parse_scenario
 
 P_STD = [[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]]
 
@@ -134,6 +135,35 @@ def test_report_tail_grid_beyond_the_cap(tmp_path, capsys):
     scn = _write(tmp_path, _linear_obj(x0=[0.1, 0.2, 0.3], T=10.0, analysis={"spacing": 1e-300}))
     assert main(["report", "--scenario", scn, "--out", str(tmp_path / "out")]) == 2
     assert "'/analysis/spacing'" in capsys.readouterr().err
+
+
+def _far_sink(reach, x0):
+    return _linear_obj(
+        field={"family": "linear", "params": {"A": (-0.001 * np.eye(3)).tolist()}},
+        domain={"type": "box", "lo": [-reach] * 3, "hi": [reach] * 3},
+        x0=x0,
+        T=5.0,
+    )
+
+
+def test_report_of_a_domain_past_the_cap(tmp_path, capsys):
+    """States of [-1e300, 1e300]^3 are too far apart for their squared
+    distances, which made the tail gap and its tolerances inf and the
+    report unwritable; the domain is refused before any run."""
+    scn = _write(tmp_path, _far_sink(1e300, [1e160, 0.0, 0.0]))
+    assert main(["report", "--scenario", scn, "--out", str(tmp_path / "out")]) == 2
+    assert "'/domain'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_report_at_the_domain_cap_is_finite(tmp_path):
+    """From a corner of the widest box admitted, every figure is finite: the
+    report is written (exit 4, as the 15-step tail has not converged)."""
+    scn = _write(tmp_path, _far_sink(DOMAIN_CAP, [DOMAIN_CAP, -DOMAIN_CAP, DOMAIN_CAP]))
+    assert main(["report", "--scenario", scn, "--out", str(tmp_path / "out")]) == 4
+    orbit = json.loads((tmp_path / "out" / "report.json").read_text())["report"]["orbits"][0]
+    assert orbit["omega"]["hausdorff_gap"] > 0.0
+    assert orbit["trichotomy"]["tolerances"]["dist_eq"] > 0.0
 
 
 def test_certify_pairs_flag_beyond_the_cap(tmp_path, capsys):

@@ -122,6 +122,9 @@ def test_constructor_and_argument_errors(std_cone):
         kcone.make_orthant_union_cone(1)
     with pytest.raises(DimensionMismatch, match="length 3"):
         kcone.relate(std_cone, np.zeros(2), np.ones(2))
+    for width in (2, 4):
+        with pytest.raises(DimensionMismatch, match="rows of length 3"):
+            std_cone.margin_many(np.ones((5, width)))
     with pytest.raises(BadParameter, match="quadratic cones only"):
         kcone.make_projector(kcone.make_orthant_complement_cone(3))
 
@@ -305,3 +308,70 @@ def test_margin_is_finite_at_every_scale(kind, u, exponent):
     else:
         assert m == pytest.approx(want, rel=1e-12, abs=1e-15)
     assert cone.contains(v) == (m <= cone.boundary_band)
+
+
+# ---- the quadratic form kernel keeps einsum's bits ----
+
+
+def _einsum_margins(V, P):
+    """The margins as einsum gives them: the form over the sum of squares."""
+    return np.einsum("...i,ij,...j->...", V, P, V) / np.einsum("...i,...i->...", V, V)
+
+
+def _batches(n, rng):
+    """1-d, 1-, 2-, 3-, 8- and 65,537-row, strided and (a, b, n) batches."""
+    yield rng.normal(size=n)
+    for rows in (1, 2, 3, 8, 65_537):
+        yield rng.normal(size=(rows, n)) * rng.choice([1e-3, 1.0, 1e3], size=(rows, 1))
+    yield rng.normal(size=(40, 2 * n))[::3, ::2]
+    yield rng.normal(size=(4, 5, n))
+
+
+def _random_form(n, rng):
+    B = rng.normal(size=(n, n)) + n * np.eye(n)
+    return B.T @ np.diag([-1.0] + [1.0] * (n - 1)) @ B
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_margin_many_has_the_einsum_bits(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(3):
+        cone = kcone.make_quadratic_cone(_random_form(n, rng))
+        for V in _batches(n, rng):
+            got = np.asarray(cone.margin_many(V))
+            want = _einsum_margins(V, cone.p_matrix)
+            assert got.shape == np.shape(want)
+            assert got.tobytes() == np.asarray(want).tobytes()
+
+
+def test_margin_many_at_n2_is_einsum_from_three_rows_and_the_same_alone():
+    """einsum sums a batch of one or two rows in another order at n = 2;
+    margin_many sums every batch alike, so each row reads its batch bits
+    alone, in a one-row batch and first in a two-row one."""
+    rng = np.random.default_rng(2)
+    for _ in range(20):
+        cone = kcone.make_quadratic_cone(_random_form(2, rng))
+        for rows in (3, 4, 8, 500):
+            V = rng.normal(size=(rows, 2)) * rng.choice([1e-3, 1.0, 1e3], size=(rows, 1))
+            many = cone.margin_many(V)
+            assert many.tobytes() == _einsum_margins(V, cone.p_matrix).tobytes()
+            for k, v in enumerate(V):
+                assert _bits(cone.margin(v)) == _bits(many[k])
+                assert _bits(cone.margin_many(V[k:k + 1])[0]) == _bits(many[k])
+                assert _bits(cone.margin_many(V[k:k + 2])[0]) == _bits(many[k])
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_form_of_huge_entries_is_quiet_and_matches_einsum(n):
+    """P entries of 1e300 overflow the products: the same inf and NaN as
+    einsum, and no warning."""
+    rng = np.random.default_rng(n)
+    with np.errstate(over="ignore"):  # sym_eig's residual norm overflows
+        cone = kcone.make_quadratic_cone(_random_form(n, rng) * 1e300)
+    V = rng.normal(size=(1_000, n)) * rng.choice([1e-3, 1.0, 1e10], size=(1_000, 1))
+    want = _einsum_margins(V, cone.p_matrix)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = cone.margin_many(V)
+    assert np.isnan(want).any() and np.isfinite(want).any()
+    assert np.array_equal(got, want, equal_nan=True)

@@ -274,6 +274,33 @@ def test_classify_witness_matches_oracle(block, cone_name, set_name):
     assert cls.witness_margin == margin
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+def test_gaps_have_the_bits_of_norm(n):
+    """Squares added one coordinate at a time are numpy's own order for an
+    axis shorter than 8."""
+    rng = np.random.default_rng(n)
+    P = rng.normal(size=(300, n)) * rng.choice([1e-6, 1.0, 1e6], size=(300, 1))
+    for _, _, D, gaps in limitsets._distinct_pairs(P):
+        assert gaps.tobytes() == np.linalg.norm(D, axis=1).tobytes()
+
+
+@pytest.mark.parametrize("tilt", [0.0, 0.3])
+def test_projection_separation_of_the_hopf_tail(hopf_omega, tilt):
+    """The same figure as the norm of each block's projected differences
+    over the norm of the differences, as np.linalg.norm gives them. The
+    tail circles in the plane x3 = 0, the standard cone's inner plane, so
+    the tilted cone is the one whose separation is below 1."""
+    c, s = np.cos(tilt), np.sin(tilt)
+    R = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    proj = make_projector(make_quadratic_cone(R @ np.diag([-1.0, -1.0, 1.0]) @ R.T))
+    want = min(
+        float(np.min(np.linalg.norm(D @ proj.matrix.T, axis=1) / np.linalg.norm(D, axis=1)))
+        for _, _, D, _ in limitsets._distinct_pairs(hopf_omega.points)
+    )
+    assert (want < 1.0) == (tilt > 0.0)
+    assert projection_separation(hopf_omega.points, proj) == want
+
+
 # ---- non-finite points ----
 
 
@@ -342,4 +369,34 @@ def test_mixed_trichotomy_holds_no_pair_matrix():
         tracemalloc.stop()
     assert 0.0 < rep.audit.ordered_fraction < 1.0  # the mixed branch ran
     assert rep.branch is LimitSetBranch.UNDETERMINED
+    assert peak < m * m
+
+
+def _peak_bytes(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_projection_separation_holds_no_pair_matrix():
+    """Like the audit, the separation scan holds a few blocks of pairs and
+    its block-long buffers, whatever the number of points."""
+    m = 3000
+    P = np.random.default_rng(6).normal(size=(m, 3))
+    proj = make_projector(CONES["quadratic"])
+    assert _peak_bytes(lambda: projection_separation(P, proj)) < m * m
+
+
+def test_classify_orbit_holds_no_pair_matrix():
+    """An unordered orbit is scanned to its last pair in blocks."""
+    m = 3000
+    S = np.zeros((m, 3))
+    S[:, 2] = np.arange(m, dtype=float)  # every difference lies along e3
+    traj = _trajectory(S)
+    out = []
+    peak = _peak_bytes(lambda: out.append(classify_orbit(traj, CONES["quadratic"])))
+    assert out[0].kind is OrbitClass.UNORDERED
     assert peak < m * m

@@ -28,6 +28,7 @@ from kcone.limitsets import detect_periodic, estimate_omega
 from kcone.report import REPORT_SCHEMA
 from kcone.scenario import (
     ANALYSIS_DEFAULTS,
+    DOMAIN_CAP,
     LAMBDA_GRID_CAP,
     LOOP_POINTS,
     PAIRS_CAP,
@@ -250,6 +251,45 @@ def test_pairs_beyond_the_cap_are_refused():
         with pytest.raises(SchemaError) as e:
             parse_scenario(_hopf_obj(pairs=pairs))
         assert _pointer_of(e) == "/pairs"
+
+
+_PAST_CAP = float(np.nextafter(DOMAIN_CAP, np.inf))
+_CUBE = {"type": "box", "lo": [-1.0] * 3, "hi": [1.0] * 3}
+_LV = {"family": "competitive_lv", "params": {"A": np.eye(3).tolist(), "r": [1.0] * 3}}
+
+
+@pytest.mark.parametrize(
+    "change, pointer",
+    [
+        ({"domain": {**_CUBE, "hi": [1.0, DOMAIN_CAP, 1.0]}}, None),
+        ({"domain": {**_CUBE, "lo": [-DOMAIN_CAP, -1.0, -1.0]}}, None),
+        ({"domain": {**_CUBE, "hi": [1.0, _PAST_CAP, 1.0]}}, "/domain"),
+        ({"domain": {**_CUBE, "lo": [-1.0, -1.0, -_PAST_CAP]}}, "/domain"),
+        ({"domain": {"type": "cylinder", "radius": DOMAIN_CAP, "rest_lo": [-1.0],
+                     "rest_hi": [1.0]}}, None),
+        ({"domain": {"type": "cylinder", "radius": _PAST_CAP, "rest_lo": [-1.0],
+                     "rest_hi": [1.0]}}, "/domain"),
+        ({"domain": {"type": "cylinder", "radius": 1.0, "rest_lo": [-_PAST_CAP],
+                     "rest_hi": [1.0]}}, "/domain"),
+        ({"field": {"family": "hopf_cylinder",
+                    "params": {"omega": 1.0, "c": 4.0, "radius": _PAST_CAP}}}, "/field/params"),
+        # The family's own box reaches 2 max(r_i / A_ii).
+        ({"field": {**_LV, "params": {**_LV["params"], "r": [DOMAIN_CAP / 2] * 3}}}, None),
+        ({"field": {**_LV, "params": {**_LV["params"], "r": [1.0, 1.0, DOMAIN_CAP]}}},
+         "/field/params"),
+    ],
+)
+def test_domain_reach_beyond_the_cap_is_refused(change, pointer):
+    """Squared distances between points of a domain within DOMAIN_CAP stay
+    finite; a domain that reaches further is refused before any run."""
+    obj = _hopf_obj(**change)
+    if pointer is None:
+        assert parse_scenario(obj).domain.reach() <= DOMAIN_CAP
+        return
+    with pytest.raises(SchemaError) as e:
+        parse_scenario(obj)
+    assert _pointer_of(e) == pointer
+    assert "past 1e+150" in str(e.value)
 
 
 def test_chain_points_beyond_the_loop_are_refused():
