@@ -62,6 +62,8 @@ DEGENERATE_PAIR_RTOL = 1e-10
 DECAY_SLACK_RTOL = 1e-8
 # Relative step for the coupling-sign finite differences.
 FEEDBACK_FD_RTOL = 1e-5
+# Points at which check_cyclic_feedback tests the coupling signs.
+FEEDBACK_SAMPLES = 1000
 # Rounding units of a double: the spacing at 1, and the smallest subnormal,
 # the absolute error an underflowing product or quotient can make.
 _EPS = float(np.finfo(float).eps)
@@ -175,18 +177,18 @@ def certify_sampled(
     field: VectorField,
     cone: QuadraticCone,
     lam: float,
-    domain: Domain | None = None,
     n_pairs: int = 10_000,
     seed: int = 0,
 ) -> ConditionReport:
-    """Sample the pairwise margin over uniform domain pairs at one rate.
+    """Sample the pairwise margin over uniform pairs of field.domain at one
+    rate (certify a subregion with dataclasses.replace(field, domain=...)).
 
     The one-rate case of lambda_grid_search: pairs closer than 1e-10 of the
     domain diameter are skipped; if every pair degenerates the sample is
     void (AllPairsDegenerate). Pass means the worst margin sits strictly
     below the cone's boundary band.
     """
-    return lambda_grid_search(field, cone, [lam], domain=domain, n_pairs=n_pairs, seed=seed)[0]
+    return lambda_grid_search(field, cone, [lam], n_pairs=n_pairs, seed=seed)[0]
 
 
 def certify_smith(base: ConditionReport, epsilon: float) -> ConditionReport:
@@ -226,21 +228,15 @@ def certify_linear(A, cone: QuadraticCone, lam: float) -> ConditionReport:
     )
 
 
-def check_cyclic_feedback(
-    components,
-    deltas,
-    domain: Domain,
-    n_samples: int = 1000,
-    seed: int = 0,
-) -> ConditionReport:
+def check_cyclic_feedback(components, deltas, domain: Domain, seed: int = 0) -> ConditionReport:
     """Verify declared coupling signs of a feedback ring by sampling.
 
     components[i](x_i, x_prev) is the i-th coordinate function of the ring
     (prev meaning i - 1 cyclically); deltas[i] its declared coupling sign.
-    At n_samples points, the partial derivative in the coupling slot is
-    estimated by central differences with step FEEDBACK_FD_RTOL (1e-5) of
-    the coordinate's range; Pass iff delta_i times the estimate is positive
-    everywhere. The margin convention matches the other checks: negative is
+    At FEEDBACK_SAMPLES (1000) seeded points of domain, the partial
+    derivative in the coupling slot is estimated by central differences
+    with step FEEDBACK_FD_RTOL (1e-5) of the coordinate's range; Pass iff
+    delta_i times the estimate is positive everywhere. The margin convention matches the other checks: negative is
     good, so worst_margin is the largest value of -delta_i * estimate.
     """
     n = len(components)
@@ -248,10 +244,8 @@ def check_cyclic_feedback(
         raise BadParameter("one declared sign per component")
     if any(d not in (-1, 1) for d in deltas):
         raise BadParameter("declared signs must be -1 or +1")
-    if n_samples < 1:
-        raise BadParameter("n_samples must be at least 1")
     rng = np.random.default_rng(seed)
-    X = domain.sample(rng, n_samples)
+    X = domain.sample(rng, FEEDBACK_SAMPLES)
     widths = domain.widths()
     worst_margin = -np.inf
     worst_point = None
@@ -272,7 +266,7 @@ def check_cyclic_feedback(
     return ConditionReport(
         condition="cyclic_feedback",
         lam=0.0,
-        n_samples=int(n_samples),
+        n_samples=FEEDBACK_SAMPLES,
         worst_margin=worst_margin,
         passed=worst_margin < 0.0,
         worst_point=worst_point,
@@ -284,23 +278,23 @@ def lambda_grid_search(
     field: VectorField,
     cone: QuadraticCone,
     grid,
-    domain: Domain | None = None,
     n_pairs: int = 10_000,
     seed: int = 0,
 ) -> list[ConditionReport]:
     """The pairwise_lambda check at each rate in grid, from one sample per call.
 
-    The seeded pairs are drawn, and the field evaluated on them, once, with
-    the envelope u + lam q of their margins. Each rate then scores exactly
-    only the pairs that can hold its worst margin: those whose envelope
-    lies within 2 B of the envelope's top, B bounding each pair's distance
-    between envelope and computed margin (every pair where that bound
-    cannot be trusted). One report per value, bit for bit the one scoring
-    every pair gives, and equal to what certify_sampled gives at that rate.
+    The seeded pairs are drawn from field.domain, and the field evaluated
+    on them, once, with the envelope u + lam q of their margins. Each rate
+    then scores exactly only the pairs that can hold its worst margin: those
+    whose envelope lies within 2 B of the envelope's top, B bounding each
+    pair's distance between envelope and computed margin (every pair where
+    that bound cannot be trusted). One report per value, bit for bit the one
+    scoring every pair gives, and equal to what certify_sampled gives at
+    that rate.
     """
     if n_pairs < 1:
         raise BadParameter("n_pairs must be at least 1")
-    dom = domain if domain is not None else field.domain
+    dom = field.domain
     rng = np.random.default_rng(seed)
     X = dom.sample(rng, n_pairs)
     Y = dom.sample(rng, n_pairs)

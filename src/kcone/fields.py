@@ -75,17 +75,16 @@ def fd_jacobian(fn: Callable, x, step: float = 1e-5) -> np.ndarray:
     return J
 
 
-def make_linear_field(A, domain: Domain | None = None) -> VectorField:
+def make_linear_field(A) -> VectorField:
+    """F(x) = A x on the box |x_i| <= LINEAR_BOUND; another domain goes in
+    with dataclasses.replace(field, domain=...)."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise BadParameter("matrix entries must be finite")
     n = A.shape[0]
-    if domain is None:
-        domain = Box(lo=-LINEAR_BOUND * np.ones(n), hi=LINEAR_BOUND * np.ones(n))
-    if domain.dim != n:
-        raise DimensionMismatch("domain dimension does not match the matrix")
+    domain = Box(lo=-LINEAR_BOUND * np.ones(n), hi=LINEAR_BOUND * np.ones(n))
 
     def rhs(x):
         return x @ A.T
@@ -240,8 +239,10 @@ def make_cyclic_feedback(n: int, kind: str = "smooth_goodwin", params: dict | No
     )
 
 
-def make_competitive_lv(A, r, domain: Domain | None = None) -> VectorField:
-    """Competitive Lotka-Volterra x_i' = x_i (r_i - sum_j A_ij x_j)."""
+def make_competitive_lv(A, r) -> VectorField:
+    """Competitive Lotka-Volterra x_i' = x_i (r_i - sum_j A_ij x_j), on the
+    box [-1e-9, 2 max_i r_i / A_ii]^n; another domain goes in with
+    dataclasses.replace(field, domain=...)."""
     A = np.asarray(A, dtype=float)
     r = np.asarray(r, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or r.shape != (A.shape[0],):
@@ -251,11 +252,8 @@ def make_competitive_lv(A, r, domain: Domain | None = None) -> VectorField:
     if np.any(r <= 0.0):
         raise BadParameter("growth rates must be positive")
     n = A.shape[0]
-    if domain is None:
-        cap = float(np.max(r / np.diag(A)))
-        domain = Box(lo=np.zeros(n) - 1e-9, hi=2.0 * cap * np.ones(n))
-    if domain.dim != n:
-        raise DimensionMismatch("domain dimension does not match the system")
+    cap = float(np.max(r / np.diag(A)))
+    domain = Box(lo=np.zeros(n) - 1e-9, hi=2.0 * cap * np.ones(n))
 
     def rhs(x):
         return x * (r - x @ A.T)
@@ -266,19 +264,13 @@ def make_competitive_lv(A, r, domain: Domain | None = None) -> VectorField:
     return VectorField(dim=n, rhs=rhs, domain=domain, family="competitive_lv", jacobian=jac)
 
 
-def parse_field(
-    exprs,
-    params: dict | None = None,
-    domain: Domain | None = None,
-) -> VectorField:
-    """Build a field from one expression string per coordinate, in the
-    variables x1..xn."""
+def parse_field(exprs, domain: Domain, params: dict | None = None) -> VectorField:
+    """Build a field on domain from one expression string per coordinate,
+    in the variables x1..xn; an expression has no domain of its own."""
     exprs = list(exprs)
     n = len(exprs)
     if n == 0:
         raise BadParameter("need at least one coordinate expression")
-    if domain is None:
-        raise BadParameter("parsed fields need an explicit domain")
     if domain.dim != n:
         raise DimensionMismatch("domain dimension does not match the expressions")
     var_names = tuple(f"x{i + 1}" for i in range(n))

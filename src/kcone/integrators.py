@@ -180,6 +180,13 @@ def _initial_step(f0, y0, T, max_step, rtol, atol):
     return min(h, T / 10.0, max_step)
 
 
+def _require_start(domain, x0) -> None:
+    """Raise DomainViolation unless x0 lies in domain, padded by 1e-12
+    max(1, max|x0_i|) so a start on the boundary counts as inside."""
+    if not bool(domain.contains(x0, pad=1e-12 * max(1.0, float(np.abs(x0).max())))):
+        raise DomainViolation("x0 lies outside the field domain")
+
+
 def integrate(
     field: VectorField,
     x0,
@@ -203,8 +210,7 @@ def integrate(
         raise BadParameter("tolerances must be positive")
     if not max_step > 0.0:
         raise BadParameter("max_step must be positive")
-    if not bool(field.domain.contains(x0, pad=1e-12 * max(1.0, float(np.abs(x0).max())))):
-        raise DomainViolation("x0 lies outside the field domain")
+    _require_start(field.domain, x0)
 
     rhs = field.rhs
     contains = field.domain.contains

@@ -24,7 +24,7 @@ from .errors import (
     TooFewPoints,
     TrajectoryTooShort,
 )
-from .fields import Equilibrium, VectorField
+from .fields import VectorField
 from .integrators import Trajectory, integrate, integrate_backward
 
 # Two states closer than this (absolute, relative to max(1, scale)) are one
@@ -360,6 +360,12 @@ class OrbitClassification:
     n_states: int
 
 
+def _spread(m: int, count: int) -> np.ndarray:
+    """min(count, m) strictly increasing indices evenly spaced over range(m),
+    the first 0 and the last m - 1."""
+    return np.linspace(0, m - 1, min(count, m)).astype(int)
+
+
 def classify_orbit(traj: Trajectory, cone: Cone) -> OrbitClassification:
     """Scan pairs of at most ORBIT_STATES orbit states, evenly spaced over
     the run, for an ordered pair.
@@ -372,7 +378,7 @@ def classify_orbit(traj: Trajectory, cone: Cone) -> OrbitClassification:
     m_all = len(traj.times)
     if m_all < 10:
         raise TooFewPoints("need at least 10 stored states to classify")
-    take = np.unique(np.linspace(0, m_all - 1, min(ORBIT_STATES, m_all)).astype(int))
+    take = _spread(m_all, ORBIT_STATES)
     S = traj.states[take]
     ts = traj.times[take]
     m = len(take)
@@ -490,13 +496,6 @@ class TrichotomyReport:
     audit: OrderingAudit
 
 
-def _equilibrium_points(equilibria) -> np.ndarray:
-    pts = []
-    for e in equilibria:
-        pts.append(e.point if isinstance(e, Equilibrium) else np.asarray(e, dtype=float))
-    return np.array(pts) if pts else np.empty((0, 0))
-
-
 def _nearest_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """min over rows b of B of |b - a|, for each row a of A.
 
@@ -512,14 +511,15 @@ def _nearest_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def trichotomy_report(
     omega: OmegaEstimate,
-    equilibria,
+    equilibrium_points,
     cone: Cone,
     field: VectorField | None = None,
     dist_eq: float = 1e-6,
     rtol: float = 1e-8,
     atol: float = 1e-10,
 ) -> TrichotomyReport:
-    """Sort an omega-limit estimate into one of three structural branches.
+    """Sort an omega-limit estimate into one of three structural branches,
+    given the points of the found equilibria, one per row.
 
     ordered: every pair of estimate points is ordered. unordered_equilibria:
     no pair is ordered and every point sits within dist_eq of a found
@@ -535,7 +535,7 @@ def trichotomy_report(
     n_pts = pts.shape[0]
     if n_pts == 0:
         raise TooFewPoints("empty limit-set estimate")
-    eq_pts = _equilibrium_points(equilibria)
+    eq_pts = np.asarray(equilibrium_points, dtype=float)
     hits = 0
     if eq_pts.shape[0] > 0:
         hits = int(np.count_nonzero(_nearest_distances(pts, eq_pts) <= dist_eq))

@@ -44,16 +44,19 @@ def sym_eig(P) -> tuple[np.ndarray, np.ndarray]:
     Returns (w, V): eigenvalues ascending, orthonormal eigenvectors in the
     columns of V. The LAPACK result is accepted only when the residual
     ||P V - V diag(w)|| <= 1e-10 ||P|| and ||V^T V - I|| <= 1e-10 (Frobenius
-    norms); otherwise, or when LAPACK itself fails, raises NoConvergence.
+    norms; the residual and ||P|| are taken on P / max|P_ij|, so they stay
+    finite); otherwise, or when LAPACK itself fails, raises NoConvergence.
     """
     A = require_symmetric(P)
     try:
         w, V = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"LAPACK eigh failed: {exc}") from exc
-    residual = float(np.linalg.norm(A @ V - V * w))
+    scale = float(np.abs(A).max()) or 1.0
+    unit = A / scale
+    residual = float(np.linalg.norm(unit @ V - V * (w / scale)))
     ortho = float(np.linalg.norm(V.T @ V - np.eye(A.shape[0])))
-    if not (residual <= _EIG_RTOL * float(np.linalg.norm(A)) and ortho <= _EIG_RTOL):
+    if not (residual <= _EIG_RTOL * float(np.linalg.norm(unit)) and ortho <= _EIG_RTOL):
         raise NoConvergence(
             f"eigendecomposition misses its contract: residual {residual:.3e}, "
             f"orthonormality {ortho:.3e}"

@@ -32,6 +32,7 @@ from .fields import default_equilibrium_seeds, find_equilibria
 from .integrators import integrate
 from .limitsets import (
     _distinct_pairs,
+    _spread,
     chain_check,
     classify_orbit,
     detect_periodic,
@@ -40,6 +41,9 @@ from .limitsets import (
     trichotomy_report,
 )
 from .scenario import Scenario, scenario_digest
+
+# Most tail points whose pair margins margins.csv holds, evenly spaced.
+MARGIN_POINTS = 400
 
 REPORT_SCHEMA: dict[str, Any] = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -110,11 +114,9 @@ def run_certify(scn: Scenario) -> dict:
     quadratic = isinstance(scn.cone, QuadraticCone)
     smith = quadratic and scn.lam is not None and scn.epsilon is not None
     if quadratic and scn.lambda_grid is not None:
-        lo, hi, step = scn.lambda_grid
-        grid = list(np.arange(lo, hi + 0.5 * step, step))
         reports.extend(
             lambda_grid_search(
-                scn.field, scn.cone, grid + [scn.lam] if smith else grid,
+                scn.field, scn.cone, scn.lambda_grid + ((scn.lam,) if smith else ()),
                 n_pairs=scn.pairs, seed=scn.seed,
             )
         )
@@ -221,7 +223,7 @@ def _analyze_orbit(scn: Scenario, index: int, x0) -> tuple[dict, dict]:
         "converged": omega.converged,
         "tolerances": {"tol_omega": omega.tol},
     }
-    seeds = default_equilibrium_seeds(scn.domain, extra=[x0])
+    seeds = default_equilibrium_seeds(scn.field.domain, extra=[x0])
     eq_result = find_equilibria(scn.field, seeds)
     eqs = eq_result.equilibria
     section["equilibria"] = {
@@ -231,9 +233,9 @@ def _analyze_orbit(scn: Scenario, index: int, x0) -> tuple[dict, dict]:
         "residuals": [e.residual for e in eqs],
     }
 
-    dist_eq = a["dist_eq_rel"] * scn.domain.diameter()
+    dist_eq = a["dist_eq_rel"] * scn.field.domain.diameter()
     tri = trichotomy_report(
-        omega, eqs, scn.cone, field=scn.field, dist_eq=dist_eq,
+        omega, [e.point for e in eqs], scn.cone, field=scn.field, dist_eq=dist_eq,
         rtol=scn.rtol, atol=scn.atol,
     )
     audit = tri.audit
@@ -274,7 +276,7 @@ def _analyze_orbit(scn: Scenario, index: int, x0) -> tuple[dict, dict]:
         )
         r = a["r_chain"] if a["r_chain"] is not None else 0.25 * loop.period
         horizon = a["t_max_chain"] if a["t_max_chain"] is not None else 1.5 * loop.period
-        pick = np.linspace(0, loop.states.shape[0] - 1, int(a["chain_points"])).astype(int)
+        pick = _spread(loop.states.shape[0], int(a["chain_points"]))
         chain = chain_check(
             loop.states[pick], scn.field, eps=eps, r=r, t_max=horizon,
             rtol=scn.rtol, atol=scn.atol,
@@ -391,14 +393,13 @@ def write_loop_csv(path, loop, projector=None) -> None:
     _write_csv(path, *_state_table(loop.states, projector, loop.times))
 
 
-def write_margins_csv(path, points, cone, cap: int = 400) -> None:
-    """Sorted margins of the distinct pairs of (at most cap) points, one per
-    line. The pair differences stream in blocks, so their memory is bounded
-    by the block size; the margins themselves are held to be sorted."""
+def write_margins_csv(path, points, cone) -> None:
+    """Sorted margins of the distinct pairs of at most MARGIN_POINTS (400)
+    evenly spaced points, one per line. The pair differences stream in
+    blocks, so their memory is bounded by the block size; the margins
+    themselves are held to be sorted."""
     P = np.atleast_2d(np.asarray(points, float))
-    if P.shape[0] > cap:
-        pick = np.linspace(0, P.shape[0] - 1, cap).astype(int)
-        P = P[pick]
+    P = P[_spread(P.shape[0], MARGIN_POINTS)]
     blocks = [cone.margin_many(D) for _, _, D, _ in _distinct_pairs(P)]
     margins = np.sort(np.concatenate([np.empty(0), *blocks]))
     _write_csv(path, ["margin"], margins[:, None])

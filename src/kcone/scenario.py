@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 from typing import Any
 
 import jsonschema
+import numpy as np
 
 from .cones import (
     Cone,
@@ -36,6 +37,7 @@ from .fields import (
     make_linear_field,
     parse_field,
 )
+from .integrators import _require_start
 from .limitsets import LOOP_POINTS
 
 # A scenario number is a finite double: JSON admits integers beyond the
@@ -199,14 +201,15 @@ ANALYSIS_DEFAULTS = {
 
 @dataclass(eq=False)
 class Scenario:
-    """A parsed scenario, as parse_scenario builds it with every default."""
+    """A parsed scenario, as parse_scenario builds it with every default;
+    lambda_grid holds the grid's rates."""
 
     raw: dict
     field: VectorField
     cone: Cone
     name: str
     lam: float | None
-    lambda_grid: tuple[float, float, float] | None
+    lambda_grid: tuple[float, ...] | None
     epsilon: float | None
     pairs: int
     seed: int
@@ -216,10 +219,6 @@ class Scenario:
     atol: float
     max_step: float
     analysis: dict
-
-    @property
-    def domain(self) -> Domain:
-        return self.field.domain
 
 
 def canonical_json(obj) -> str:
@@ -289,7 +288,9 @@ def parse_scenario(obj: dict) -> Scenario:
     the section (/domain, /field/params, /field/exprs or /cone) for a
     constructor's error, which is chained as its __cause__. An explicit
     domain replaces a family's own and must match the field's dimension, as
-    must the cone's.
+    must the cone's. Every initial condition must lie in the field's
+    domain, or the scenario is refused at /x0. A [min, max, step]
+    lambda_grid becomes its rates, min, min + step, ... up to max.
     """
     validator = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
     errors = sorted(validator.iter_errors(obj), key=lambda e: list(e.absolute_path))
@@ -318,7 +319,7 @@ def parse_scenario(obj: dict) -> Scenario:
                 pointer,
             )
     if "exprs" in spec:
-        field = _section("/field/exprs", parse_field, spec["exprs"], spec.get("params"), domain)
+        field = _section("/field/exprs", parse_field, spec["exprs"], domain, spec.get("params"))
     elif domain is not None:
         field = replace(field, domain=domain)
     reach = field.domain.reach()
@@ -338,16 +339,17 @@ def parse_scenario(obj: dict) -> Scenario:
                     f"initial condition {i} has length {len(row)}, field needs {n}", "/x0"
                 )
             x0s.append([float(v) for v in row])
+            _section("/x0", _require_start, field.domain, x0s[-1])
 
     grid = obj.get("lambda_grid")
     if grid is not None:
         lo, hi, step = (float(v) for v in grid)
         if not (step > 0 and hi >= lo):
             raise SchemaError("lambda_grid must be [min, max, step] with step > 0", "/lambda_grid")
-        # run_certify scores np.arange(lo, hi + step/2, step): ceil(this) rates.
+        # np.arange(lo, hi + step/2, step) holds ceil(this) rates.
         if (hi + 0.5 * step - lo) / step > LAMBDA_GRID_CAP:
             raise SchemaError(f"lambda_grid holds over {LAMBDA_GRID_CAP} rates", "/lambda_grid")
-        grid = (lo, hi, step)
+        grid = tuple(np.arange(lo, hi + 0.5 * step, step).tolist())
 
     analysis = dict(ANALYSIS_DEFAULTS)
     analysis.update(obj.get("analysis", {}))

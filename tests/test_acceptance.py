@@ -6,6 +6,7 @@ to each assertion; oracle values are closed forms or dense-grid bounds
 computed independently of the code under test.
 """
 
+import dataclasses
 import json
 import sys
 
@@ -29,9 +30,8 @@ def _gate(capfd, num: int, label: str, ok: bool, detail: str) -> None:
 
 def test_gate_01_linear_certificate_exact(capfd, std_cone):
     lin = kcone.certify_linear(-P_STD, std_cone, 0.0)
-    field = kcone.make_linear_field(-P_STD)
-    samp = kcone.certify_sampled(field, std_cone, 0.0, domain=BOX2,
-                                 n_pairs=10_000, seed=0)
+    field = dataclasses.replace(kcone.make_linear_field(-P_STD), domain=BOX2)
+    samp = kcone.certify_sampled(field, std_cone, 0.0, n_pairs=10_000, seed=0)
     ok = (
         abs(lin.worst_margin - (-2.0)) <= 1e-12
         and lin.passed
@@ -45,7 +45,7 @@ def test_gate_01_linear_certificate_exact(capfd, std_cone):
 
 def test_gate_02_decay_law_on_certified_systems(capfd, std_cone, hopf_field):
     lin_field = kcone.make_linear_field(-P_STD)
-    assert kcone.certify_sampled(lin_field, std_cone, 0.0, domain=BOX2,
+    assert kcone.certify_sampled(dataclasses.replace(lin_field, domain=BOX2), std_cone, 0.0,
                                  n_pairs=2000, seed=1).passed
     assert kcone.certify_sampled(hopf_field, std_cone, 3.5,
                                  n_pairs=2000, seed=1).passed
@@ -262,7 +262,7 @@ def test_gate_09_expression_parser(capfd):
 def test_gate_10_feedback_ring_signs(capfd):
     field = kcone.make_cyclic_feedback(3)
     rep = kcone.check_cyclic_feedback(
-        field.components, field.deltas, field.domain, n_samples=1000, seed=0)
+        field.components, field.deltas, field.domain, seed=0)
     ok = (
         rep.passed
         and rep.feedback_type == "negative"

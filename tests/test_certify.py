@@ -65,6 +65,12 @@ def _std_cone():
     return make_quadratic_cone(P_STD)
 
 
+def _std_linear(half):
+    """F(x) = -P_STD x on the box [-half, half]^3."""
+    box = Box(lo=-half * np.ones(3), hi=half * np.ones(3))
+    return dataclasses.replace(make_linear_field(-P_STD), domain=box)
+
+
 def test_pair_margin_closed_form():
     cone = _std_cone()
     field = make_linear_field(-P_STD)
@@ -84,7 +90,7 @@ def test_pair_margin_closed_form():
 
 def test_pair_margin_validation():
     cone = _std_cone()
-    field = make_linear_field(-P_STD, domain=Box(lo=-np.ones(3), hi=np.ones(3)))
+    field = _std_linear(1.0)
     with pytest.raises(DomainViolation):
         pair_margin(field, cone, 0.0, [5.0, 0.0, 0.0], [0.0, 0.0, 0.0])
     with pytest.raises(IdenticalPoints):
@@ -114,7 +120,7 @@ def test_pair_margin_reproduces_the_worst_margin_of_matmul_fields():
     """A batched rhs (x @ A.T) and n = 2 score a one-row batch in another
     order than a sample; pair_margin's batch of copies does not."""
     box2 = Box(lo=-np.ones(2), hi=np.ones(2))
-    plane = make_linear_field([[1.0, 0.3], [0.7, -2.0]], domain=box2)
+    plane = dataclasses.replace(make_linear_field([[1.0, 0.3], [0.7, -2.0]]), domain=box2)
     cone2 = make_quadratic_cone(np.diag([-1.0, 1.0]))
     misses = sum(
         _worst_pair_misses(plane, cone2, [0.0, 0.5, 1.0, 2.0], 500, seed) for seed in range(20)
@@ -124,7 +130,8 @@ def test_pair_margin_reproduces_the_worst_margin_of_matmul_fields():
     rng = np.random.default_rng(0)
     misses = sum(
         _worst_pair_misses(
-            make_linear_field(rng.normal(size=(3, 3)), domain=box3), _std_cone(),
+            dataclasses.replace(make_linear_field(rng.normal(size=(3, 3))), domain=box3),
+            _std_cone(),
             [0.0, 1.0, 2.0], 2000, seed,
         )
         for seed in range(20)
@@ -190,7 +197,7 @@ def test_sampled_margin_never_exceeds_the_linear_bound(A, form, lo, width, seed)
     """At lam = 0 a linear field's pair margin is d^T (PA + A^T P) d / 2|d|^2,
     so no sample can beat half the top eigenvalue certify_linear reports."""
     cone = make_quadratic_cone(_FORMS[form])
-    field = make_linear_field(A, domain=Box(lo=lo, hi=lo + width))
+    field = dataclasses.replace(make_linear_field(A), domain=Box(lo=lo, hi=lo + width))
     sampled = certify_sampled(field, cone, 0.0, n_pairs=300, seed=seed)
     exact = certify_linear(A, cone, 0.0)
     assert sampled.worst_margin <= 0.5 * exact.worst_margin + 1e-12
@@ -198,7 +205,7 @@ def test_sampled_margin_never_exceeds_the_linear_bound(A, form, lo, width, seed)
 
 def test_certify_sampled_mechanics():
     cone = _std_cone()
-    field = make_linear_field(-P_STD, domain=Box(lo=-2 * np.ones(3), hi=2 * np.ones(3)))
+    field = _std_linear(2.0)
     rep = certify_sampled(field, cone, 0.0, n_pairs=2000, seed=5)
     assert rep.passed
     assert rep.worst_margin == pytest.approx(-1.0, abs=1e-12)
@@ -218,7 +225,9 @@ def test_certify_sampled_validation():
     with pytest.raises(BadParameter):
         certify_sampled(field, cone, 0.0, n_pairs=0)
     with pytest.raises(AllPairsDegenerate):
-        certify_sampled(field, cone, 0.0, domain=_CollapsedDomain(), n_pairs=50)
+        certify_sampled(
+            dataclasses.replace(field, domain=_CollapsedDomain()), cone, 0.0, n_pairs=50
+        )
 
 
 def test_certify_sampled_nonfinite_margin():
@@ -232,7 +241,7 @@ def test_certify_sampled_nonfinite_margin():
 
 def test_certify_smith_epsilon_star():
     cone = _std_cone()
-    field = make_linear_field(-P_STD, domain=Box(lo=-np.ones(3), hi=np.ones(3)))
+    field = _std_linear(1.0)
     base = certify_sampled(field, cone, 0.0, n_pairs=2000)
     rep = certify_smith(base, epsilon=0.5)
     assert rep.condition == "smith_epsilon"
@@ -252,7 +261,7 @@ def test_certify_smith_epsilon_star():
 def test_certify_smith_reads_its_base_report():
     # the uniform-gap check keeps the base sample, rate, pair and band
     cone = _std_cone()
-    field = make_linear_field(-P_STD, domain=Box(lo=-np.ones(3), hi=np.ones(3)))
+    field = _std_linear(1.0)
     base = certify_sampled(field, cone, 0.25, n_pairs=500, seed=3)
     rep = certify_smith(base, epsilon=0.1)
     for name in ("lam", "n_samples", "worst_margin", "worst_pair", "boundary_band"):
@@ -266,14 +275,14 @@ def test_certify_smith_reads_its_base_report():
 
 def test_cyclic_feedback_signs():
     field = make_cyclic_feedback(3, "smooth_goodwin")
-    rep = check_cyclic_feedback(field.components, field.deltas, field.domain, n_samples=400)
+    rep = check_cyclic_feedback(field.components, field.deltas, field.domain)
     assert rep.passed
     assert rep.condition == "cyclic_feedback"
     assert rep.feedback_type == "negative"
     assert rep.worst_margin < 0.0
     assert bool(field.domain.contains(rep.worst_point))
     # flipping the declared first sign must be caught
-    wrong = check_cyclic_feedback(field.components, (1, 1, 1), field.domain, n_samples=400)
+    wrong = check_cyclic_feedback(field.components, (1, 1, 1), field.domain)
     assert not wrong.passed
     assert wrong.feedback_type == "positive"
     assert wrong.worst_margin > 0.0
@@ -281,7 +290,7 @@ def test_cyclic_feedback_signs():
 
 def test_cyclic_feedback_glass_ring():
     field = make_cyclic_feedback(4, "glass_pwl")
-    rep = check_cyclic_feedback(field.components, field.deltas, field.domain, n_samples=300)
+    rep = check_cyclic_feedback(field.components, field.deltas, field.domain)
     assert rep.passed
     assert rep.feedback_type == "negative"
 
@@ -292,20 +301,18 @@ def test_cyclic_feedback_validation():
         check_cyclic_feedback(field.components, (-1, 1), field.domain)
     with pytest.raises(BadParameter):
         check_cyclic_feedback(field.components, (-1, 0, 1), field.domain)
-    with pytest.raises(BadParameter):
-        check_cyclic_feedback(field.components, field.deltas, field.domain, n_samples=0)
 
 
 def test_cyclic_feedback_refuses_a_non_finite_coupling_derivative():
     nan = (lambda xi, xp: np.full(np.shape(xi), np.nan),) * 3
     box = Box(lo=[0.0, 0.0, 0.0], hi=[1.0, 1.0, 1.0])
     with pytest.raises(NonFiniteDerivative, match="component 0"):
-        check_cyclic_feedback(nan, (-1, 1, 1), box, n_samples=10)
+        check_cyclic_feedback(nan, (-1, 1, 1), box)
 
 
 def test_lambda_grid_search_runs_each_rate():
     cone = _std_cone()
-    field = make_linear_field(-P_STD, domain=Box(lo=-np.ones(3), hi=np.ones(3)))
+    field = _std_linear(1.0)
     calls = []
 
     def counting_rhs(x):
@@ -330,10 +337,10 @@ def test_lambda_grid_search_runs_each_rate():
             assert a.tobytes() == b.tobytes()
 
 
-def _reference_grid_search(field, cone, grid, domain=None, n_pairs=10_000, seed=0):
+def _reference_grid_search(field, cone, grid, n_pairs=10_000, seed=0):
     """lambda_grid_search as it was before the envelope: every pair scored
     at every rate by the margin expression."""
-    dom = domain if domain is not None else field.domain
+    dom = field.domain
     rng = np.random.default_rng(seed)
     X = dom.sample(rng, n_pairs)
     Y = dom.sample(rng, n_pairs)
@@ -463,14 +470,13 @@ class _DuplicatingBox:
 
 def test_grid_search_of_duplicated_pairs():
     """Each pair appears twice; the report names the first copy."""
-    box = Box(lo=-np.ones(3), hi=np.ones(3))
-    dup = _DuplicatingBox(box)
-    hopf = make_hopf_cylinder(1.0, 4.0)
+    dup = _DuplicatingBox(Box(lo=-np.ones(3), hi=np.ones(3)))
     for A in (np.diag([1.0, 1.0, -1.0]), -P_STD):
-        field = make_linear_field(A, box)
-        _assert_same_search(field, _std_cone(), _GRID, domain=dup, n_pairs=3000, seed=1)
+        field = dataclasses.replace(make_linear_field(A), domain=dup)
+        _assert_same_search(field, _std_cone(), _GRID, n_pairs=3000, seed=1)
     inside = _DuplicatingBox(Box(lo=[-0.8, -0.8, -1.0], hi=[0.8, 0.8, 1.0]))
-    _assert_same_search(hopf, _std_cone(), _GRID, domain=inside, n_pairs=3000, seed=2)
+    hopf = dataclasses.replace(make_hopf_cylinder(1.0, 4.0), domain=inside)
+    _assert_same_search(hopf, _std_cone(), _GRID, n_pairs=3000, seed=2)
 
 
 @pytest.mark.parametrize("side", [1e-155, 1e-159, 1e150, 3e151])
@@ -483,7 +489,8 @@ def test_grid_search_on_tiny_and_huge_boxes(side, seed):
     every margin is still finite; at 1e300 the margins overflow)."""
     box = Box(lo=np.zeros(3), hi=side * np.ones(3))
     A = np.array([[1.0, 0.5, 0.0], [0.2, 1.0, 0.3], [0.0, 0.1, -1.0]])
-    for field in (make_linear_field(A, box), make_linear_field(np.diag([1.0, 1.0, -1.0]), box)):
+    for matrix in (A, np.diag([1.0, 1.0, -1.0])):
+        field = dataclasses.replace(make_linear_field(matrix), domain=box)
         for grid in ([0.0, -0.5, 2.0, 1e3], [1e300]):
             _assert_same_search(field, _std_cone(), grid, n_pairs=2000, seed=seed)
 
@@ -491,7 +498,7 @@ def test_grid_search_on_tiny_and_huge_boxes(side, seed):
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_grid_search_of_a_field_not_finite_on_part_of_the_domain(bad):
     """The same NonFiniteDerivative as scoring every row, and no warning."""
-    base = make_linear_field(-P_STD, domain=Box(lo=-np.ones(3), hi=np.ones(3)))
+    base = _std_linear(1.0)
 
     def rhs(x):
         return np.where(x[..., :1] > 0.9, bad, base.rhs(x))
@@ -657,7 +664,7 @@ def test_decay_audit_detects_cone_exit():
 
 def test_decay_audit_domain_exit_raises():
     cone = _std_cone()
-    field = make_linear_field(-P_STD, domain=Box(lo=-2 * np.ones(3), hi=2 * np.ones(3)))
+    field = _std_linear(2.0)
     with pytest.raises(DomainExit):
         decay_audit(field, cone, 0.0, [1.0, 0.0, 0.0], [0.0, 0.0, 0.0], T=5.0)
 
@@ -696,7 +703,7 @@ def test_pair_run_checks_both_states():
 
 def test_ordered_pair_transport_domain_exit():
     cone = _std_cone()
-    field = make_linear_field(-P_STD, domain=Box(lo=-2 * np.ones(3), hi=2 * np.ones(3)))
+    field = _std_linear(2.0)
     with pytest.raises(DomainExit):
         ordered_pair_transport(field, cone, [1.0, 0.0, 0.0], [0.0, 0.0, 0.0], T=5.0)
 

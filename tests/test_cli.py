@@ -442,6 +442,20 @@ def test_analysis_error_exits_incomplete(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("kcone: incomplete: ")
 
 
+@pytest.mark.parametrize("command, out", [("report", "out"), ("certify", "report.json")])
+def test_x0_outside_the_domain_is_a_schema_error(tmp_path, capsys, command, out):
+    """The sink on [-1, 1]^3 from [5, 0, 0] is refused at /x0 before any
+    run, by certify too, and no report is written."""
+    obj = _linear_obj(
+        domain={"type": "box", "lo": [-1.0, -1.0, -1.0], "hi": [1.0, 1.0, 1.0]},
+        x0=[5.0, 0.0, 0.0],
+    )
+    scn = _write(tmp_path, obj)
+    assert main([command, "--scenario", scn, "--out", str(tmp_path / out)]) == 2
+    assert "'/x0'" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("report.json"))
+
+
 @pytest.mark.parametrize(
     "field",
     [

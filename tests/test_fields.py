@@ -35,8 +35,6 @@ def test_linear_field_validation():
         make_linear_field(np.zeros((2, 3)))
     with pytest.raises(BadParameter):
         make_linear_field([[np.nan, 0.0], [0.0, 1.0]])
-    with pytest.raises(DimensionMismatch):
-        make_linear_field(np.eye(3), domain=Box(lo=[-1.0, -1.0], hi=[1.0, 1.0]))
 
 
 def test_hopf_field_circle_identities():
@@ -172,11 +170,6 @@ def test_lv_sign_structure_and_jacobian():
     assert np.allclose(field(x), x * (r - A @ x))
 
 
-def test_lv_domain_of_the_wrong_dimension():
-    with pytest.raises(DimensionMismatch, match="domain dimension"):
-        make_competitive_lv(np.eye(2), np.ones(2), domain=Box(lo=[0.0] * 3, hi=[1.0] * 3))
-
-
 def test_lv_validation():
     good = np.eye(2)
     with pytest.raises(DimensionMismatch):
@@ -241,8 +234,6 @@ def test_parse_field_params():
 
 def test_parse_field_validation():
     box = Box(lo=[-1.0], hi=[1.0])
-    with pytest.raises(BadParameter):
-        parse_field(["x1"])
     with pytest.raises(BadParameter):
         parse_field([], domain=box)
     with pytest.raises(DimensionMismatch):

@@ -30,6 +30,12 @@ from kcone.fields import (
 )
 from kcone.integrators import _A, _E, integrate, integrate_backward
 
+
+def _linear_on(A, lo, hi):
+    """F(x) = A x on the box [lo, hi]."""
+    return dataclasses.replace(make_linear_field(A), domain=Box(lo=lo, hi=hi))
+
+
 ROTATE = np.array([[0.0, 1.0], [-1.0, 0.0]])  # harmonic oscillator block
 
 
@@ -167,7 +173,7 @@ def test_backward_hopf_stays_on_cycle():
 
 
 def test_domain_exit_event_forward():
-    field = make_linear_field([[1.0]], domain=Box(lo=[-2.0], hi=[2.0]))
+    field = _linear_on([[1.0]], [-2.0], [2.0])
     traj = integrate(field, [1.0], 5.0, rtol=1e-10, atol=1e-12)
     assert len(traj.events) == 1
     t_exit, kind = traj.events[0]
@@ -180,7 +186,7 @@ def test_domain_exit_event_forward():
 
 def test_one_node_trajectory_samples_its_node():
     # x0 on the boundary, flowing outward: the first step exits at s = 0
-    field = make_linear_field(np.eye(3), domain=Box(lo=-np.ones(3), hi=np.ones(3)))
+    field = _linear_on(np.eye(3), -np.ones(3), np.ones(3))
     x0 = np.array([1.0, 0.5, -0.25])
     traj = integrate(field, x0, 1.0, rtol=1e-10, atol=1e-12)
     assert len(traj.times) == 1 and traj.events == [(0.0, "domain_exit")]
@@ -191,7 +197,7 @@ def test_one_node_trajectory_samples_its_node():
 
 
 def test_domain_exit_event_backward():
-    field = make_linear_field([[-1.0]], domain=Box(lo=[-2.0], hi=[2.0]))
+    field = _linear_on([[-1.0]], [-2.0], [2.0])
     traj = integrate_backward(field, [1.0], 5.0, rtol=1e-10, atol=1e-12)
     assert len(traj.events) == 1
     t_exit, kind = traj.events[0]
@@ -248,7 +254,7 @@ def test_argument_validation():
         integrate(field, [1.0], 1.0, rtol=0.0)
     with pytest.raises(DomainViolation):
         integrate(
-            make_linear_field([[-1.0]], domain=Box(lo=[0.0], hi=[1.0])), [2.0], 1.0
+            _linear_on([[-1.0]], [0.0], [1.0]), [2.0], 1.0
         )
     for bad in (0.0, -1.0, -np.inf, np.nan):
         with pytest.raises(BadParameter, match="max_step"):
@@ -264,7 +270,7 @@ def test_sampling_no_times_gives_no_rows():
     for t in (np.array([]), []):
         out = traj.sample(t)
         assert out.shape == (0, 2) and out.dtype == np.float64
-    one = integrate(make_linear_field(np.eye(3), domain=Box(lo=-np.ones(3), hi=np.ones(3))),
+    one = integrate(_linear_on(np.eye(3), -np.ones(3), np.ones(3)),
                     [1.0, 0.5, -0.25], 1.0)
     assert len(one.times) == 1 and one.sample(np.array([])).shape == (0, 3)
 
@@ -280,7 +286,7 @@ def test_unresolvable_rate_ends_in_a_domain_exit():
     # x' = 1e300 x: the first step is about 1e-305 long, far below the
     # 1e-12 T floor, and is accepted; the floor binds only rejected steps,
     # so the run grows to the box wall within about 1e-299 time units.
-    field = make_linear_field([[1e300]], domain=Box(lo=[-1e6], hi=[1e6]))
+    field = _linear_on([[1e300]], [-1e6], [1e6])
     traj = integrate(field, [1e-3], 1.0)
     assert [kind for _, kind in traj.events] == ["domain_exit"]
     assert traj.t_end < 1e-290
@@ -333,7 +339,7 @@ def test_error_control_holds_where_the_squared_norm_overflows():
     # |y| = 1e160 squares past the largest double; the error and tolerance
     # norms must stay finite, so x' = x still ends on e x0 at rtol 1e-10
     # (with plain sqrt(y.dot(y)) tol was inf and the end 7e-8 off)
-    field = make_linear_field(np.eye(3), domain=Box(lo=[-1e200] * 3, hi=[1e200] * 3))
+    field = _linear_on(np.eye(3), [-1e200] * 3, [1e200] * 3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         traj = integrate(field, [1e160, 0.0, 0.0], 1.0, rtol=1e-10)
@@ -351,7 +357,7 @@ def test_dormand_prince_tableau():
 
 def _decay_field(rhs):
     return dataclasses.replace(
-        make_linear_field([[-1.0]], domain=Box(lo=[-1.0], hi=[2.0])), rhs=rhs
+        _linear_on([[-1.0]], [-1.0], [2.0]), rhs=rhs
     )
 
 

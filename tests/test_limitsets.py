@@ -23,6 +23,7 @@ from kcone.limitsets import (
     OmegaEstimate,
     OrbitClass,
     _directed_curve_gap,
+    _spread,
     audit_ordering,
     chain_check,
     classify_orbit,
@@ -32,6 +33,19 @@ from kcone.limitsets import (
     projection_separation,
     trichotomy_report,
 )
+
+
+@pytest.mark.parametrize("count", [8, 256, 400, 512])
+def test_spread_picks_strictly_increasing_ends_included(count):
+    """The evenly spaced picks of classify_orbit, the margins CSV and the
+    chain points: min(count, m) strictly increasing indices from 0 to m - 1,
+    so the np.unique the orbit scan once applied changes nothing."""
+    for m in range(1, 3001):
+        idx = _spread(m, count)
+        assert len(idx) == min(count, m)
+        assert idx[0] == 0 and idx[-1] == m - 1
+        assert np.all(np.diff(idx) > 0)
+        assert np.array_equal(idx, np.unique(np.linspace(0, m - 1, min(count, m)).astype(int)))
 
 
 def _constant_trajectory(point, n=12):

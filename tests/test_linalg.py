@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from kcone.cones import make_quadratic_cone
 from kcone.errors import BadParameter, DimensionMismatch, NoConvergence, NotSymmetric
 from kcone.linalg import require_symmetric, sym_eig
 
@@ -100,3 +101,28 @@ def test_result_breaking_the_contract_raises_no_convergence(monkeypatch, bad):
     monkeypatch.setattr(np.linalg, "eigh", lambda a: bad(*eigh(a)))
     with pytest.raises(NoConvergence):
         sym_eig(np.array([[2.0, 1.0], [1.0, 3.0]]))
+
+
+def test_residual_of_huge_entries_is_finite_and_quiet():
+    """Entries near the largest double: the contract norms are taken on
+    P / max|P_ij|, so they do not overflow (a warning is an error here),
+    the cone builds with its rank, and the pairs are eigh's bits."""
+    P = np.diag([-1e300, -1e300, 1e300])
+    assert make_quadratic_cone(P).rank_k == 2
+    for got, want in zip(sym_eig(P), np.linalg.eigh(P)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        lambda w, V: (w * (1.0 + 1e-6), V),  # eigenvalues off: residual misses
+        lambda w, V: (w, 2.0 * V),  # columns not unit length
+    ],
+    ids=["eigenvalues", "columns"],
+)
+def test_contract_miss_of_huge_entries_raises_no_convergence(monkeypatch, bad):
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: bad(*eigh(a)))
+    with pytest.raises(NoConvergence):
+        sym_eig(np.array([[2.0, 1.0], [1.0, 3.0]]) * 1e300)

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kcone import limitsets
+from kcone import limitsets, report
 from kcone.cones import (
     make_orthant_complement_cone,
     make_orthant_union_cone,
@@ -213,10 +213,11 @@ def test_projection_separation_matches_oracle(block, set_name):
 @pytest.mark.parametrize("cap", [400, 7])
 @pytest.mark.parametrize("cone_name", sorted(CONES))
 @pytest.mark.parametrize("set_name", sorted(POINT_SETS))
-def test_margins_csv_bytes_match_oracle(block, cone_name, set_name, cap):
+def test_margins_csv_bytes_match_oracle(block, cone_name, set_name, cap, monkeypatch):
     P, cone = POINT_SETS[set_name], CONES[cone_name]
+    monkeypatch.setattr(report, "MARGIN_POINTS", cap)
     buf = io.StringIO()
-    write_margins_csv(buf, P, cone, cap=cap)
+    write_margins_csv(buf, P, cone)
     assert buf.getvalue() == oracle_margins_csv(np.atleast_2d(P), cone, cap)
 
 

@@ -5,6 +5,7 @@ import io
 import json
 import os
 from types import SimpleNamespace
+from unittest import mock
 
 import jsonschema
 import numpy as np
@@ -335,11 +336,12 @@ def test_loop_csv_to_stream(hopf_run, std_cone):
     assert len(lines) == 1 + loop.states.shape[0]
 
 
-def test_margins_csv_sorted_and_capped(tmp_path, std_cone):
+def test_margins_csv_sorted_and_capped(tmp_path, std_cone, monkeypatch):
     rng = np.random.default_rng(0)
     pts = rng.uniform(-1.0, 1.0, size=(10, 3))
     path = tmp_path / "margins.csv"
-    write_margins_csv(path, pts, std_cone, cap=5)
+    monkeypatch.setattr("kcone.report.MARGIN_POINTS", 5)
+    write_margins_csv(path, pts, std_cone)
     lines = path.read_text().splitlines()
     assert lines[0] == "margin"
     vals = np.array([float(v) for v in lines[1:]])
@@ -362,6 +364,12 @@ _PTS = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0], [1.0, 0.0, 1
 _OMEGA = SimpleNamespace(points=_PTS)
 _LOOP = SimpleNamespace(times=np.array([0.0, 0.5, 1.25]), states=_PTS[1:])
 _CONE = make_quadratic_cone(np.diag([-1.0, -1.0, 1.0]))
+
+
+def _write_margins_of_three(out):
+    with mock.patch("kcone.report.MARGIN_POINTS", 3):
+        write_margins_csv(out, _PTS, _CONE)
+
 
 GOLDEN_CSV = {
     "trajectory": (
@@ -394,7 +402,7 @@ GOLDEN_CSV = {
         "margin\n",
     ),
     "margins_capped": (
-        lambda out: write_margins_csv(out, _PTS, _CONE, cap=3),
+        _write_margins_of_three,
         "margin\n-1\n0\n1\n",
     ),
 }

@@ -56,7 +56,7 @@ def test_minimal_scenario_defaults():
     scn = parse_scenario(_hopf_obj())
     assert isinstance(scn.cone, QuadraticCone)
     assert scn.field.family == "hopf_cylinder"
-    assert isinstance(scn.domain, Cylinder)
+    assert isinstance(scn.field.domain, Cylinder)
     assert scn.name == ""
     assert scn.lam is None
     assert scn.lambda_grid is None
@@ -103,7 +103,7 @@ def test_full_scenario_fields():
     scn = parse_scenario(obj)
     assert scn.name == "hopf run"
     assert scn.lam == 3.5
-    assert scn.lambda_grid == (0.0, 2.0, 0.5)
+    assert scn.lambda_grid == (0.0, 0.5, 1.0, 1.5, 2.0)
     assert scn.epsilon == 0.25
     assert scn.pairs == 2000
     assert scn.seed == 7
@@ -127,7 +127,7 @@ def test_linear_family_with_box_domain():
         "domain": {"type": "box", "lo": [-2.0, -2.0], "hi": [2.0, 2.0]},
     }
     scn = parse_scenario(obj)
-    assert isinstance(scn.domain, Box)
+    assert isinstance(scn.field.domain, Box)
     assert scn.field.dim == 2
     assert np.allclose(scn.field([1.0, 1.0]), [-1.0, -2.0])
 
@@ -144,7 +144,7 @@ def test_exprs_field_and_cylinder_domain():
         },
     }
     scn = parse_scenario(obj)
-    assert isinstance(scn.domain, Cylinder)
+    assert isinstance(scn.field.domain, Cylinder)
     assert np.allclose(scn.field([0.5, 0.25, 0.1]), [0.25, -0.5, -0.1])
 
 
@@ -168,7 +168,7 @@ def test_competitive_lv_scenario():
     assert scn.field.family == "competitive_lv"
     assert np.allclose(scn.field([1.0, 1.0]), [0.0, -0.5])
     # The family's own box reaches twice the largest carrying capacity.
-    assert np.array_equal(scn.domain.hi, [3.0, 3.0])
+    assert np.array_equal(scn.field.domain.hi, [3.0, 3.0])
     obj["field"]["params"] = {"A": A}
     with pytest.raises(SchemaError) as e:
         parse_scenario(obj)
@@ -219,6 +219,17 @@ def test_x0_row_length_checked():
         parse_scenario(_hopf_obj(x0=[[0.1, 0.2]]))
     assert _pointer_of(e) == "/x0"
     assert "length 2" in str(e.value)
+
+
+def test_x0_outside_the_domain_is_refused_with_integrate_padding():
+    """The Hopf cylinder's |x3| <= 1, padded by 1e-12 max(1, max|x0|) as
+    integrate pads its start: a rounding past the face is inside, a
+    start 1e-11 past it is refused at /x0."""
+    assert parse_scenario(_hopf_obj(x0=[0.1, 0.0, 1.0 + 5e-13])).x0s
+    with pytest.raises(SchemaError) as e:
+        parse_scenario(_hopf_obj(x0=[[0.1, 0.0, 0.5], [0.1, 0.0, 1.0 + 1e-11]]))
+    assert _pointer_of(e) == "/x0"
+    assert "outside the field domain" in str(e.value)
 
 
 def test_lambda_grid_validation():
@@ -284,7 +295,7 @@ def test_domain_reach_beyond_the_cap_is_refused(change, pointer):
     finite; a domain that reaches further is refused before any run."""
     obj = _hopf_obj(**change)
     if pointer is None:
-        assert parse_scenario(obj).domain.reach() <= DOMAIN_CAP
+        assert parse_scenario(obj).field.domain.reach() <= DOMAIN_CAP
         return
     with pytest.raises(SchemaError) as e:
         parse_scenario(obj)
@@ -327,12 +338,12 @@ def test_tail_grid_cap_counts_the_times_estimate_omega_grids(T, spacing, n_times
     "hi,n_rates", [(9998.5, 9999), (9999.0, 10_000), (9999.5, 10_000), (9999.6, 10_001), (1e4, 10_001)]
 )
 def test_lambda_grid_cap_counts_the_rates_run_certify_scores(hi, n_rates):
-    """Accepted exactly when np.arange(lo, hi + step/2, step), the grid
-    run_certify builds, holds at most the cap."""
+    """Accepted exactly when the rates parse_scenario builds,
+    np.arange(lo, hi + step/2, step), are at most the cap."""
     assert len(np.arange(0.0, hi + 0.5, 1.0)) == n_rates
     obj = _hopf_obj(lambda_grid=[0.0, hi, 1.0])
     if n_rates <= LAMBDA_GRID_CAP:
-        assert parse_scenario(obj).lambda_grid == (0.0, hi, 1.0)
+        assert parse_scenario(obj).lambda_grid == tuple(range(n_rates))
     else:
         with pytest.raises(SchemaError):
             parse_scenario(obj)

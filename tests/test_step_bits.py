@@ -222,7 +222,7 @@ def nan_below_zero():
     def rhs(x):
         return np.array([np.nan]) if x[0] < 0.0 else -x
 
-    field = make_linear_field([[-1.0]], domain=Box(lo=[-1.0], hi=[2.0]))
+    field = dataclasses.replace(make_linear_field([[-1.0]]), domain=Box(lo=[-1.0], hi=[2.0]))
     return dataclasses.replace(field, rhs=rhs)
 
 
@@ -231,7 +231,9 @@ GLASS = dataclasses.replace(GLASS, domain=Box(lo=[-0.5] * 3, hi=[4.5] * 3))
 LV = make_competitive_lv(
     [[1.0, 0.8, 1.1], [1.1, 1.0, 0.8], [0.8, 1.1, 1.0]], [1.0, 1.0, 1.0]
 )
-SINK = make_linear_field(np.diag([1.0, 1.0, -1.0]), domain=Box(lo=-np.ones(3), hi=np.ones(3)))
+SINK = dataclasses.replace(
+    make_linear_field(np.diag([1.0, 1.0, -1.0])), domain=Box(lo=-np.ones(3), hi=np.ones(3))
+)
 
 HOPF = make_hopf_cylinder(1.0, 4.0)
 HOPF_TIGHT = make_hopf_cylinder(2.0, 1.0)
