@@ -488,10 +488,11 @@ class LimitSetBranch(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class TrichotomyReport:
+    """An estimate's branch and the facts it was read from (trichotomy_report)."""
+
     branch: LimitSetBranch
     equilibria_hits: int
     core_size: int
-    flagged_not_converged: bool
     backward_surrogate_used: bool
     audit: OrderingAudit
 
@@ -513,7 +514,7 @@ def trichotomy_report(
     omega: OmegaEstimate,
     equilibrium_points,
     cone: Cone,
-    field: VectorField | None = None,
+    field: VectorField,
     dist_eq: float = 1e-6,
     rtol: float = 1e-8,
     atol: float = 1e-10,
@@ -521,15 +522,18 @@ def trichotomy_report(
     """Sort an omega-limit estimate into one of three structural branches,
     given the points of the found equilibria, one per row.
 
-    ordered: every pair of estimate points is ordered. unordered_equilibria:
-    no pair is ordered and every point sits within dist_eq of a found
-    equilibrium. ordered_homoclinic_suspected: the audit is mixed, but the
-    points ordered against the whole estimate form a nonempty core and
-    every non-core point flows backward (over BACKWARD_T) to within 1e-2
-    max(1, tail extent) of an equilibrium near that core; this is only ever
-    a suspicion at finite resolution. Everything else is undetermined. A
-    non-converged estimate never raises; the report carries a flag. The
-    audit's ordered_fraction, n_points and trivial go with the branch.
+    unordered_equilibria: every estimate point sits within dist_eq of a
+    found equilibrium, so the estimate is contained in the equilibria,
+    whatever its ordering audit says. Otherwise, ordered: every pair of
+    estimate points is ordered. Otherwise the audit is mixed, and the
+    branch is ordered_homoclinic_suspected when the points ordered against
+    the whole estimate form a nonempty core and every non-core point flows
+    backward under field (over BACKWARD_T) to within 1e-2 max(1, tail
+    extent) of an equilibrium near that core; this is only ever a suspicion
+    at finite resolution. Everything else is undetermined. core_size counts
+    the core on every branch: all points of an ordered audit, none of a
+    non-trivial audit with no ordered pair. omega.converged does not move
+    the branch.
     """
     pts = omega.points
     n_pts = pts.shape[0]
@@ -540,28 +544,19 @@ def trichotomy_report(
     if eq_pts.shape[0] > 0:
         hits = int(np.count_nonzero(_nearest_distances(pts, eq_pts) <= dist_eq))
     audit = audit_ordering(pts, cone)
-    flagged = not omega.converged
+    core_mask = audit.core_mask
+    core_size = int(np.count_nonzero(core_mask))
     backward_used = False
 
-    if audit.ordered:
-        # A trivial audit (one distinct point) is ordered with no pairs; it
-        # reads as an equilibrium when that point is one.
-        branch = (
-            LimitSetBranch.UNORDERED_EQUILIBRIA
-            if audit.trivial and hits == n_pts
-            else LimitSetBranch.ORDERED
-        )
-        core_size = n_pts
-    elif audit.ordered_fraction == 0.0 and hits == n_pts:
+    if hits == n_pts:
         branch = LimitSetBranch.UNORDERED_EQUILIBRIA
-        core_size = 0
+    elif audit.ordered:
+        branch = LimitSetBranch.ORDERED
     else:
         # Mixed audit. Look for an ordered core and backward connections;
         # an unordered pair leaves two points outside the core.
-        core_mask = audit.core_mask
-        core_size = int(np.count_nonzero(core_mask))
         branch = LimitSetBranch.UNDETERMINED
-        if core_size > 0 and field is not None and eq_pts.shape[0] > 0:
+        if core_size > 0 and eq_pts.shape[0] > 0:
             backward_used = True
             tol = 1e-2 * max(1.0, float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))))
             # Equilibria that sit inside (near) the ordered core.
@@ -581,7 +576,6 @@ def trichotomy_report(
         branch=branch,
         equilibria_hits=hits,
         core_size=core_size,
-        flagged_not_converged=flagged,
         backward_surrogate_used=backward_used,
         audit=audit,
     )

@@ -241,11 +241,8 @@ def _analyze_orbit(scn: Scenario, index: int, x0) -> tuple[dict, dict]:
     audit = tri.audit
     section["trichotomy"] = {
         "branch": tri.branch.value,
-        "ordered_fraction": audit.ordered_fraction,
         "equilibria_hits": tri.equilibria_hits,
         "core_size": tri.core_size,
-        "degenerate": audit.trivial,
-        "flagged_not_converged": tri.flagged_not_converged,
         "backward_surrogate_used": tri.backward_surrogate_used,
         "tolerances": {"dist_eq": dist_eq},
     }

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from typing import Any
 
 import jsonschema
-import numpy as np
 
 from .cones import (
     Cone,
@@ -290,7 +290,7 @@ def parse_scenario(obj: dict) -> Scenario:
     domain replaces a family's own and must match the field's dimension, as
     must the cone's. Every initial condition must lie in the field's
     domain, or the scenario is refused at /x0. A [min, max, step]
-    lambda_grid becomes its rates, min, min + step, ... up to max.
+    lambda_grid becomes its rates min + i*step, i = 0, 1, ..., up to max.
     """
     validator = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
     errors = sorted(validator.iter_errors(obj), key=lambda e: list(e.absolute_path))
@@ -346,10 +346,12 @@ def parse_scenario(obj: dict) -> Scenario:
         lo, hi, step = (float(v) for v in grid)
         if not (step > 0 and hi >= lo):
             raise SchemaError("lambda_grid must be [min, max, step] with step > 0", "/lambda_grid")
-        # np.arange(lo, hi + step/2, step) holds ceil(this) rates.
-        if (hi + 0.5 * step - lo) / step > LAMBDA_GRID_CAP:
+        # The rates lo + i*step below hi + step/2; compared before ceil,
+        # which overflows on an infinite count.
+        count = (hi + 0.5 * step - lo) / step
+        if count > LAMBDA_GRID_CAP:
             raise SchemaError(f"lambda_grid holds over {LAMBDA_GRID_CAP} rates", "/lambda_grid")
-        grid = tuple(np.arange(lo, hi + 0.5 * step, step).tolist())
+        grid = tuple(lo + i * step for i in range(math.ceil(count)))
 
     analysis = dict(ANALYSIS_DEFAULTS)
     analysis.update(obj.get("analysis", {}))

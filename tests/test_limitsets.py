@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from kcone import limitsets
 from kcone.cones import make_projector, make_quadratic_cone
 from kcone.domains import Box
 from kcone.errors import (
@@ -192,27 +193,81 @@ def test_ordered_pair_matrix(std_cone):
     assert M[0, 1] and not M[0, 2] and M[1, 2]  # third pair sits on the boundary
 
 
-def test_trichotomy_ordered_branch(hopf_omega, std_cone):
-    rep = trichotomy_report(hopf_omega, [np.zeros(3)], std_cone)
+def test_trichotomy_ordered_branch(hopf_omega, hopf_field, std_cone):
+    rep = trichotomy_report(hopf_omega, [np.zeros(3)], std_cone, hopf_field)
     assert rep.branch is LimitSetBranch.ORDERED
     assert rep.equilibria_hits == 0
     assert rep.core_size == rep.audit.n_points
     assert not rep.audit.trivial
-    assert not rep.flagged_not_converged
     assert not rep.backward_surrogate_used
 
 
-def test_trichotomy_equilibrium_branch(sink_traj, std_cone):
+def test_trichotomy_equilibrium_branch(sink_traj, sink_field, std_cone):
     omega = estimate_omega(sink_traj)
-    rep = trichotomy_report(omega, [np.zeros(3)], std_cone)
+    rep = trichotomy_report(omega, [np.zeros(3)], std_cone, sink_field)
     assert rep.branch is LimitSetBranch.UNORDERED_EQUILIBRIA
     assert rep.equilibria_hits == rep.audit.n_points
     assert rep.audit.trivial  # tail collapsed below the distinctness cutoff
 
 
-def test_trichotomy_undetermined_without_field(std_cone):
-    pts = [[0.0, 0.0, 0.0], [0.15, 0.0, 0.1], [0.15, 0.0, -0.1]]
-    rep = trichotomy_report(_estimate(pts), [np.zeros(3)], std_cone)
+# A mixed audit: the origin is ordered with both other points, which are
+# not ordered with each other, so the ordered core is the origin alone.
+MIXED = [[0.0, 0.0, 0.0], [0.15, 0.0, 0.1], [0.15, 0.0, -0.1]]
+
+
+def test_trichotomy_all_hit_mixed_audit_reads_equilibria(monkeypatch, std_cone):
+    """An estimate whose every point lies near an equilibrium is contained in
+    the equilibria, whatever its audit says, and no backward flow runs."""
+    calls = []
+    real = limitsets.integrate_backward
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(limitsets, "integrate_backward", counted)
+    field = make_linear_field(np.eye(3))
+    rep = trichotomy_report(_estimate(MIXED), MIXED, std_cone, field)
+    assert 0.0 < rep.audit.ordered_fraction < 1.0
+    assert rep.branch is LimitSetBranch.UNORDERED_EQUILIBRIA
+    assert rep.equilibria_hits == 3 and rep.core_size == 1
+    assert not rep.backward_surrogate_used and calls == []
+    # One point off the equilibria: the mixed branch runs its backward flows.
+    rep = trichotomy_report(_estimate(MIXED), MIXED[:2], std_cone, field)
+    assert rep.branch is LimitSetBranch.ORDERED_HOMOCLINIC_SUSPECTED
+    assert rep.backward_surrogate_used and len(calls) == 2
+
+
+def _core_size_by_branch(audit, hits) -> int:
+    """The core each branch implies: every point of an ordered audit, none
+    of an all-hit audit with no ordered pair, else the points ordered
+    against all others."""
+    if audit.ordered:
+        return audit.n_points
+    if audit.ordered_fraction == 0.0 and hits == audit.n_points:
+        return 0
+    return int(np.count_nonzero(audit.core_mask))
+
+
+@pytest.mark.parametrize("eqs", ["none", "origin", "all"])
+@pytest.mark.parametrize("pts", [
+    [[0.0, 0.0, 0.0]],
+    [[0.0, 0.0, 0.0], [0.0, 0.0, 1e-14]],  # one distinct point: trivial
+    [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],  # ordered
+    [[0.0, 0.0, -1.0], [0.0, 0.0, 1.0]],  # no ordered pair
+    [[0.0, 0.0, -1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 3.0]],  # no ordered pair
+    MIXED,
+])
+def test_trichotomy_core_size_is_the_audit_core_on_every_branch(pts, eqs, std_cone):
+    eq_pts = {"none": np.empty((0, 3)), "origin": [np.zeros(3)], "all": pts}[eqs]
+    field = make_linear_field(-np.eye(3))
+    rep = trichotomy_report(_estimate(pts), eq_pts, std_cone, field)
+    assert rep.core_size == _core_size_by_branch(rep.audit, rep.equilibria_hits)
+
+
+def test_trichotomy_undetermined_without_equilibria(std_cone):
+    field = make_linear_field(np.eye(3))
+    rep = trichotomy_report(_estimate(MIXED), [], std_cone, field)
     assert rep.branch is LimitSetBranch.UNDETERMINED
     assert rep.core_size == 1
     assert not rep.backward_surrogate_used
@@ -221,51 +276,47 @@ def test_trichotomy_undetermined_without_field(std_cone):
 def test_trichotomy_homoclinic_suspected(std_cone):
     # mixed audit with an ordered core at the equilibrium; the two off-core
     # points flow backward into it, which is the connection surrogate
-    pts = [[0.0, 0.0, 0.0], [0.15, 0.0, 0.1], [0.15, 0.0, -0.1]]
     field = make_linear_field(np.eye(3))
-    rep = trichotomy_report(_estimate(pts), [np.zeros(3)], std_cone, field=field)
+    rep = trichotomy_report(_estimate(MIXED), [np.zeros(3)], std_cone, field)
     assert rep.branch is LimitSetBranch.ORDERED_HOMOCLINIC_SUSPECTED
     assert rep.backward_surrogate_used
     assert rep.core_size == 1
     # a backward flow too slow to come within 1e-2 max(1, extent) of the
     # equilibrium over BACKWARD_T breaks the connection
     slow = make_linear_field(0.1 * np.eye(3))
-    strict = trichotomy_report(_estimate(pts), [np.zeros(3)], std_cone, field=slow)
+    strict = trichotomy_report(_estimate(MIXED), [np.zeros(3)], std_cone, slow)
     assert strict.branch is LimitSetBranch.UNDETERMINED
 
 
 def test_trichotomy_backward_failure_breaks_connection(std_cone):
     # a backward run that fails with a kcone error counts as no connection
-    pts = [[0.0, 0.0, 0.0], [0.15, 0.0, 0.1], [0.15, 0.0, -0.1]]
     field = dataclasses.replace(
         make_linear_field(np.eye(3)), rhs=lambda x: np.full_like(x, np.nan)
     )
-    rep = trichotomy_report(_estimate(pts), [np.zeros(3)], std_cone, field=field)
+    rep = trichotomy_report(_estimate(MIXED), [np.zeros(3)], std_cone, field)
     assert rep.branch is LimitSetBranch.UNDETERMINED
     assert rep.backward_surrogate_used
 
 
 def test_trichotomy_backward_bug_propagates(std_cone):
     # an error that is not a kcone error is a bug and is not swallowed
-    pts = [[0.0, 0.0, 0.0], [0.15, 0.0, 0.1], [0.15, 0.0, -0.1]]
-
     def broken(x):
         raise TypeError("broken rhs")
 
     field = dataclasses.replace(make_linear_field(np.eye(3)), rhs=broken)
     with pytest.raises(TypeError, match="broken rhs"):
-        trichotomy_report(_estimate(pts), [np.zeros(3)], std_cone, field=field)
+        trichotomy_report(_estimate(MIXED), [np.zeros(3)], std_cone, field)
 
 
-def test_trichotomy_flags_not_converged(std_cone):
-    rep = trichotomy_report(
-        _estimate([[0.1, 0.0, 0.0], [0.2, 0.0, 0.0]], converged=False),
-        [],
-        std_cone,
-    )
-    assert rep.flagged_not_converged
+def test_trichotomy_branch_ignores_convergence_and_refuses_empty(std_cone):
+    field = make_linear_field(np.eye(3))
+    pts = [[0.1, 0.0, 0.0], [0.2, 0.0, 0.0]]
+    reps = [trichotomy_report(_estimate(pts, converged=c), [], std_cone, field)
+            for c in (True, False)]
+    assert [r.branch for r in reps] == [LimitSetBranch.ORDERED] * 2
+    assert reps[0].core_size == reps[1].core_size == 2
     with pytest.raises(TooFewPoints):
-        trichotomy_report(_estimate(np.empty((0, 3))), [], std_cone)
+        trichotomy_report(_estimate(np.empty((0, 3))), [], std_cone, field)
 
 
 def test_detect_periodic_hopf(hopf_omega, hopf_loop):

@@ -19,6 +19,7 @@ from kcone.cones import (
     make_quadratic_cone,
 )
 from kcone.errors import BadParameter, TooFewPoints
+from kcone.fields import make_linear_field
 from kcone.integrators import Trajectory
 from kcone.limitsets import (
     PAIR_DISTINCT_TOL,
@@ -364,7 +365,7 @@ def test_mixed_trichotomy_holds_no_pair_matrix():
     )
     tracemalloc.start()
     try:
-        rep = trichotomy_report(omega, [], CONES["quadratic"])
+        rep = trichotomy_report(omega, [], CONES["quadratic"], make_linear_field(np.eye(3)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -94,6 +94,15 @@ def test_chain_check_takes_chain_points_as_given(chain_points):
     assert orbit["chain_check"]["n_points"] == chain_points
 
 
+def test_trichotomy_section_holds_only_its_own_facts(hopf_run):
+    """The audit's fraction and triviality and the estimate's convergence
+    are written once, in ordering_audit and omega."""
+    for orbit in hopf_run[0]["orbits"]:
+        assert set(orbit["trichotomy"]) == {
+            "branch", "equilibria_hits", "core_size", "backward_surrogate_used", "tolerances",
+        }
+
+
 def test_classify_deterministic(hopf_scn, hopf_run):
     report_a, _ = hopf_run
     report_b, _ = run_classify(hopf_scn)

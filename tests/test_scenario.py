@@ -246,6 +246,14 @@ def test_lambda_grid_validation():
         parse_scenario(obj)
 
 
+def test_lambda_grid_rates_are_multiples_of_the_step():
+    """lo + i*step, not a running sum, so the grid's zero is exactly 0.0."""
+    rates = parse_scenario(_hopf_obj(lambda_grid=[-1.0, 1.0, 0.1])).lambda_grid
+    assert len(rates) == 21
+    assert rates[10] == 0.0
+    assert rates == tuple(-1.0 + i * 0.1 for i in range(21))
+
+
 @pytest.mark.parametrize("grid", [[0.0, 1e20, 1e-20], [0.0, 1e9, 1.0], [-1e308, 1e308, 1.0]])
 def test_lambda_grid_of_too_many_rates_is_refused(grid):
     obj = _hopf_obj(lambda_grid=grid)

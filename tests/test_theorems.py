@@ -3,9 +3,9 @@ monotone for a rank-k cone fixes from other fields of the same report.
 
 I1: a converged omega estimate whose every point lies within dist_eq of an
     equilibrium is contained in the equilibria: branch unordered_equilibria.
-I2: a passing pairwise_lambda certificate, a converged omega estimate and no
-    equilibrium hit give branch ordered ("if the omega-limit set contains no
-    equilibrium, it is ordered").
+I2: a passing pairwise_lambda or cyclic_feedback certificate, a converged
+    omega estimate and no equilibrium hit give branch ordered ("if the
+    omega-limit set contains no equilibrium, it is ordered").
 I3: I2's premises with a rank-2 quadratic cone give a closed loop and an
     all-recurrent chain check (Poincare-Bendixson for k = 2).
 I4: on a point set that audits ordered, the projection onto the cone's
@@ -16,11 +16,13 @@ I4: on a point set that audits ordered, the projection onto the cone's
 I5: I2's certificate and a converged omega estimate with a rank-1
     quadratic cone give an equilibrium hit: an ordered omega-limit set of
     rank 1 is conjugate to a compact invariant set of a flow on R, which
-    contains an equilibrium. The branch is not tested (ROADMAP item 2).
+    contains an equilibrium.
 
 I1-I3 and I5 run every orbit of a report through build_full_report and
 fail if no orbit meets their premises, so they cannot pass vacuously; I4
-runs on point sets, and fails unless some of them are ordered.
+runs on point sets, and fails unless some of them are ordered. The Glass
+ring is the negative case: its box leaves the ramp band, its certificate
+fails, and no orbit of it may meet I2's or I3's premises.
 """
 
 import numpy as np
@@ -50,6 +52,31 @@ GOODWIN = {
     "cone": {"type": "orthant_complement", "n": 3},
     "x0": [[0.64, 0.39, 0.21], [0.89, 0.85, 0.32], [0.73, 0.44, 0.17]],
     "T": 100.0,
+}
+
+# The benchmark's competitive LV (alpha + beta < 2): every orbit settles on
+# the interior equilibrium; its pairwise_lambda check at rate 1 fails.
+LV = {
+    "name": "competitive lotka-volterra",
+    "field": {"family": "competitive_lv",
+              "params": {"A": [[1.0, 0.2, 0.6], [0.6, 1.0, 0.2], [0.2, 0.6, 1.0]],
+                         "r": [1.0, 1.0, 1.0]}},
+    "cone": {"type": "quadratic", "P": P_RANK2},
+    "lambda": 1.0,
+    "x0": [[0.56, 1.46, 1.16], [1.36, 1.94, 0.65], [0.98, 0.88, 0.38]],
+    "T": 100.0,
+}
+
+# The benchmark's Glass PWL ring: its box leaves the ramp band, where the
+# field is flat, so the cyclic_feedback certificate fails.
+GLASS = {
+    "name": "glass pwl ring",
+    "field": {"family": "cyclic_feedback",
+              "params": {"n": 3, "kind": "glass_pwl", "amp": 4.0}},
+    "domain": {"type": "box", "lo": [-0.5] * 3, "hi": [4.5] * 3},
+    "cone": {"type": "orthant_complement", "n": 3},
+    "x0": [[1.23, 3.76, 1.86]],
+    "T": 50.0,
 }
 
 
@@ -83,6 +110,11 @@ def goodwin():
     return _report(GOODWIN)
 
 
+@pytest.fixture(scope="module")
+def lv():
+    return _report(LV)
+
+
 def _converged(orbit) -> bool:
     return orbit["omega"] is not None and orbit["omega"]["converged"]
 
@@ -94,7 +126,7 @@ def _i1_premise(scn, report, orbit) -> bool:
 
 def _certified(report) -> bool:
     return any(
-        c["condition"] == "pairwise_lambda" and c["verdict"] == "pass"
+        c["condition"] in ("pairwise_lambda", "cyclic_feedback") and c["verdict"] == "pass"
         for c in report["certificates"]
     )
 
@@ -120,19 +152,32 @@ def _held(scn, report, premise) -> list[dict]:
 
 
 def test_i1_premises_hold_on_the_goodwin_ring(goodwin):
-    """Keeps the strict xfail below failing on its conclusion only."""
+    """Every orbit of the ring, so I1 below checks each of them."""
     assert len(_held(*goodwin, _i1_premise)) == len(GOODWIN["x0"])
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 2: a settled tail's integration noise decides the "
-           "branch, so all-hit Goodwin orbits read ordered or "
-           "ordered_homoclinic_suspected",
-)
-def test_i1_omega_on_equilibria_is_unordered_equilibria(goodwin):
-    branches = [o["trichotomy"]["branch"] for o in _held(*goodwin, _i1_premise)]
+def test_i1_premises_hold_on_competitive_lv(lv):
+    assert len(_held(*lv, _i1_premise)) == len(LV["x0"])
+
+
+@pytest.mark.parametrize("system", ["goodwin", "lv"])
+def test_i1_omega_on_equilibria_is_unordered_equilibria(system, request):
+    """Settled tails audit mixed or ordered at the noise level of the
+    integration; the branch follows the equilibria, not the audit."""
+    branches = [o["trichotomy"]["branch"]
+                for o in _held(*request.getfixturevalue(system), _i1_premise)]
     assert branches == ["unordered_equilibria"] * len(branches)
+
+
+def test_the_glass_ring_meets_no_i2_or_i3_premise():
+    scn, report = _report(GLASS)
+    assert [c["condition"] for c in report["certificates"]] == ["cyclic_feedback"]
+    assert not _certified(report)
+    for orbit in report["orbits"]:
+        # Converged with no hit: only the failing certificate keeps I2 off.
+        assert _converged(orbit) and orbit["trichotomy"]["equilibria_hits"] == 0
+        assert not _i2_premise(scn, report, orbit)
+        assert not _i3_premise(scn, report, orbit)
 
 
 def test_i2_no_equilibrium_means_ordered(hopf):
