@@ -20,15 +20,11 @@ Four conditions:
   * cyclic_feedback: declared coupling signs hold at sampled points
                      (check_cyclic_feedback).
 
-The margin is affine in the rate: margin(lam) = u + lam q, with
-q = (x - y)^T P (x - y) / |x - y|^2. lambda_grid_search computes that
-envelope once per sample, and at each rate scores with the margin
-expression only the pairs whose envelope lies within 2 B of its top, B
-bounding the rounding distance between a pair's envelope and its computed
-margin. The pair with the worst margin, and every pair tied with it, is
-always among them, so each report is bit for bit the one scoring every
-pair gives; a grid costs about one scoring of the sample plus a few pairs
-per rate.
+The margin is affine in the rate, and the computed margin is that line:
+margin(lam) = u + lam q, with u = (x - y)^T P (F(x) - F(y)) / |x - y|^2 and
+q = (x - y)^T P (x - y) / |x - y|^2, both computed once per sample by the
+cone's own kernel. lambda_grid_search scores each rate in one pass over
+the sample.
 
 decay_audit complements the sampling: it integrates one pair, as one state
 whose rhs is the field's own rhs on the (2, n) batch of the pair, and
@@ -37,7 +33,6 @@ verifies the weighted form actually falls step by step.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -64,11 +59,8 @@ DECAY_SLACK_RTOL = 1e-8
 FEEDBACK_FD_RTOL = 1e-5
 # Points at which check_cyclic_feedback tests the coupling signs.
 FEEDBACK_SAMPLES = 1000
-# Rounding units of a double: the spacing at 1, and the smallest subnormal,
-# the absolute error an underflowing product or quotient can make.
-_EPS = float(np.finfo(float).eps)
-_ETA = float(np.finfo(float).smallest_subnormal)
-# Fewest rows a margin batch is scored in, short of the whole sample.
+# Copies of its row pair_margin evaluates the field on: a batched rhs such
+# as x @ A.T gives a one-row batch other bits than a sample.
 _MIN_BATCH = 8
 
 
@@ -93,84 +85,31 @@ class ConditionReport:
         return "pass" if self.passed else "fail"
 
 
-def _pair_scorer(field: VectorField, cone: QuadraticCone, X, Y):
-    """The margins of the row pairs (X, Y), and the rows that can hold the
-    worst of them, as functions of the rate; the field and |x - y|^2 are
-    evaluated once per sample.
-
-    score(lam, rows) is the one margin expression, on the rows given (every
-    row by default). A row gets the bits it gets in the whole sample in any
-    batch of at least _MIN_BATCH rows: numpy's einsum sums a batch of one
-    or two rows in another order at n = 2. candidates(lam) indexes the rows
-    whose envelope u + lam q lies within 2 B of its top, B bounding each
-    row's distance between envelope and computed margin, with the first
-    _MIN_BATCH rows; every row where the bound cannot be trusted.
-    """
+def _envelope(field: VectorField, cone: QuadraticCone, X, Y):
+    """(u, q) for the row pairs (X, Y): the margin of pair i at rate lam is
+    u[i] + lam q[i]. NaN or inf where the field is not finite, and no
+    warning; lambda_grid_search refuses those margins."""
     D = X - Y
-    # inf - inf where the field is infinite: a NaN margin, which the caller
-    # refuses as NonFiniteDerivative, not a warning.
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore"):  # inf - inf where the field is infinite
         dF = np.asarray(field(X)) - np.asarray(field(Y))
-    den = np.einsum("ij,ij->i", D, D)
-    P = cone.p_matrix
-
-    def score(lam, rows=slice(None)):
-        d = D[rows]
-        return np.einsum("ij,jk,ik->i", d, P, dF[rows] + lam * d) / den[rows]
-
-    # B bounds |env_i - m_i| whatever order numpy sums in (Higham, Accuracy
-    # and Stability of Numerical Algorithms, ch. 3), c being about four
-    # times the rounding steps the two computations take. Rounding errs by
-    # at most c eps pf (L + |lam|) = c eps scale, where pf = sum |P_jk| >=
-    # |P|_2 and L^2 is the sample's largest |dF_i|^2 / den_i. An
-    # underflowing product or quotient errs by at most a subnormal eta
-    # times the largest factor it meets, which size bounds, over den; kappa
-    # = n eta / min(den) covers the underflow of den and |dF|^2 themselves.
-    # The margin expression cannot overflow while c (n^2 size + scale +
-    # max den) is finite.
-    n = D.shape[1]
-    c = 4.0 * (n * n + 8)
     with np.errstate(all="ignore"):
-        quot = float(np.sqrt((np.einsum("ij,ij->i", dF, dF) / den).max()))
-        pf = float(np.abs(P).sum())
-        d_max = float(np.abs(D).max())
-        f_max = float(np.abs(dF).max())
-        den_max = float(den.max())
-        eta_den = float(_ETA + _ETA / den.min())
-        DP = D @ P
-        u = np.einsum("ij,ij->i", DP, dF) / den
-        q = np.einsum("ij,ij->i", DP, D) / den
-        finite = bool(np.isfinite(u).all() and np.isfinite(q).all())
-    head = np.arange(min(len(den), _MIN_BATCH))
-    kappa = n * eta_den
-    slack = (1.0 + kappa) * (quot + 2.0 * math.sqrt(kappa))
-
-    def candidates(lam):
-        rate = abs(float(lam))
-        scale = pf * (slack + (1.0 + kappa) * rate)
-        size = (1.0 + pf) * (1.0 + d_max) * (1.0 + f_max + rate * (1.0 + d_max))
-        bound = c * (_EPS * scale + size * eta_den)
-        overflow = c * (n * n * size + scale + den_max)
-        if not (finite and math.isfinite(bound) and math.isfinite(overflow)):
-            return np.arange(len(den))
-        env = u + lam * q
-        return np.union1d(np.flatnonzero(env >= env.max() - 2.0 * bound), head)
-
-    return score, candidates
+        den = np.einsum("ij,ij->i", D, D)
+        return cone._form(D, dF) / den, cone._form(D) / den
 
 
 def pair_margin(field: VectorField, cone: QuadraticCone, lam: float, x, y) -> float:
-    """Normalized pairwise decay margin for one pair of domain points, scored
-    in a batch of _MIN_BATCH copies of its row: it gets the bits it gets in
-    a sample, so a report's worst_pair gives back its worst_margin."""
+    """Normalized pairwise decay margin u + lam q for one pair of domain
+    points, the field evaluated on _MIN_BATCH copies of the pair: it gets
+    the bits it gets in a sample, so a report's worst_pair gives back its
+    worst_margin."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if not (bool(field.domain.contains(x)) and bool(field.domain.contains(y))):
         raise DomainViolation("pair_margin needs both points inside the domain")
     _distinct_difference(x, y)
     copies = (_MIN_BATCH, 1)
-    score, _ = _pair_scorer(field, cone, np.tile(x, copies), np.tile(y, copies))
-    return float(score(lam)[0])
+    u, q = _envelope(field, cone, np.tile(x, copies), np.tile(y, copies))
+    return float(u[0] + lam * q[0])
 
 
 def certify_sampled(
@@ -284,12 +223,10 @@ def lambda_grid_search(
     """The pairwise_lambda check at each rate in grid, from one sample per call.
 
     The seeded pairs are drawn from field.domain, and the field evaluated
-    on them, once, with the envelope u + lam q of their margins. Each rate
-    then scores exactly only the pairs that can hold its worst margin: those
-    whose envelope lies within 2 B of the envelope's top, B bounding each
-    pair's distance between envelope and computed margin (every pair where
-    that bound cannot be trusted). One report per value, bit for bit the one
-    scoring every pair gives, and equal to what certify_sampled gives at
+    on them, once, with the u and q of their margins u + lam q. Each rate is
+    then one pass over the sample; its report names the first pair with the
+    largest margin, and NonFiniteDerivative is raised unless every margin
+    is finite. One report per value, equal to what certify_sampled gives at
     that rate.
     """
     if n_pairs < 1:
@@ -302,24 +239,15 @@ def lambda_grid_search(
     if not np.any(keep):
         raise AllPairsDegenerate("all sampled pairs collapsed below the cutoff")
     X, Y = X[keep], Y[keep]
-    score, candidates = _pair_scorer(field, cone, X, Y)
+    u, q = _envelope(field, cone, X, Y)
     reports = []
-    # Only the candidate rows are scored, and the report is the one scoring
-    # every row would give. With B bounding |env_i - m_i| for every row i,
-    # m_i its computed margin, the worst row i* has, for every row j,
-    #     env_i* >= m_i* - B >= m_j - B >= env_j - 2 B,
-    # so i* is a candidate, and so is every row tied with it, which keeps
-    # the first argmax in sample order. A row that is not a candidate has
-    # m_j <= env_j + B < max(env) - B <= m_i*: finite, and strictly below
-    # the worst. Where the bound cannot be trusted every row is scored.
     for lam in grid:
-        rows = candidates(lam)
-        margins = score(lam, rows)
+        with np.errstate(all="ignore"):
+            margins = u + lam * q
         if not np.all(np.isfinite(margins)):
             raise NonFiniteDerivative("margin not finite at some sampled pair")
-        k = int(np.argmax(margins))
-        worst = int(rows[k])
-        worst_margin = float(margins[k])
+        worst = int(np.argmax(margins))
+        worst_margin = float(margins[worst])
         reports.append(
             ConditionReport(
                 condition="pairwise_lambda",

@@ -498,16 +498,9 @@ class TrichotomyReport:
 
 
 def _nearest_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """min over rows b of B of |b - a|, for each row a of A.
-
-    One broadcast pass per chunk of A rows; a chunk's difference block
-    holds at most max(_PAIR_BLOCK, len(B)) (a, b) pairs.
-    """
-    step = max(1, _PAIR_BLOCK // B.shape[0])
-    return np.concatenate([
-        np.linalg.norm(B - A[lo:lo + step, None, :], axis=2).min(axis=1)
-        for lo in range(0, A.shape[0], step)
-    ])
+    """min over rows b of B of |b - a|, for each row a of A, by the gap's
+    nearest-node search."""
+    return np.sqrt(_leaf_nearest(A, B, 1, _kd_order(A), _kd_order(B))[1][:, 0])
 
 
 def trichotomy_report(

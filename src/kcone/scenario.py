@@ -346,12 +346,13 @@ def parse_scenario(obj: dict) -> Scenario:
         lo, hi, step = (float(v) for v in grid)
         if not (step > 0 and hi >= lo):
             raise SchemaError("lambda_grid must be [min, max, step] with step > 0", "/lambda_grid")
-        # The rates lo + i*step below hi + step/2; compared before ceil,
-        # which overflows on an infinite count.
+        # The rates lo + i*step below hi + step/2, and lo always (hi >= lo,
+        # but hi + step/2 can round to lo); compared before ceil, which
+        # overflows on an infinite count.
         count = (hi + 0.5 * step - lo) / step
         if count > LAMBDA_GRID_CAP:
             raise SchemaError(f"lambda_grid holds over {LAMBDA_GRID_CAP} rates", "/lambda_grid")
-        grid = tuple(lo + i * step for i in range(math.ceil(count)))
+        grid = tuple(lo + i * step for i in range(max(1, math.ceil(count))))
 
     analysis = dict(ANALYSIS_DEFAULTS)
     analysis.update(obj.get("analysis", {}))

@@ -110,6 +110,18 @@ def test_certify_lambda_grid_flag(tmp_path, capsys):
     assert 0.0 in report["passing_lambdas"]
 
 
+def test_certify_lambda_grid_of_one_rate(tmp_path, capsys):
+    """A step too small to move hi + step/2 off lo still leaves lo a rate."""
+    obj = _linear_obj()
+    del obj["lambda"]
+    scn = _write(tmp_path, obj)
+    assert main(["certify", "--scenario", scn, "--lambda-grid", "1:1:1e-300"]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert [(c["condition"], c["lambda"]) for c in report["certificates"]] == [
+        ("pairwise_lambda", 1.0)
+    ]
+
+
 def test_certify_lambda_grid_flag_malformed(tmp_path, capsys):
     scn = _write(tmp_path, _linear_obj())
     assert main(["certify", "--scenario", scn, "--lambda-grid", "0:1"]) == 2

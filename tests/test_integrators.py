@@ -116,16 +116,20 @@ def test_sampling_at_the_nodes_returns_the_nodes(run):
 @settings(max_examples=30, deadline=None)
 @given(stable_linear_runs())
 @example((np.array([[-1.1, 1.0], [0.0, np.nextafter(-1.1, 0.0)]]), np.array([0.0, 1.0]), 3.0))
+@example((np.array([[-0.1]]), np.array([3.80994337e-165]), 1.0))
 def test_linear_run_matches_matrix_exponential(run):
     """The flow contracts in the max norm, so local errors do not grow and
     the endpoint stays within ten times rtol of the exact exp(A T) x0. The
     oracle is an 8th-order run at rtol 1e-13: scipy's expm is wrong when
-    diagonal entries differ by an ulp (the example, where it gives 0.09375
-    for 3 exp(-3.3) = 0.11065)."""
+    diagonal entries differ by an ulp (the first example, where it gives
+    0.09375 for 3 exp(-3.3) = 0.11065). The flow is linear, so the oracle
+    runs from x0 / max|x0| and scales back: from a state near 1e-165 scipy's
+    error norm underflows to 0/0 (the second example)."""
     A, x0, T = run
     traj = integrate(make_linear_field(A), x0, T)
-    exact = solve_ivp(lambda t, y: A @ y, (0.0, T), x0, method="DOP853", rtol=1e-13, atol=1e-15)
-    assert np.max(np.abs(traj.final_state - exact.y[:, -1])) <= 1e-7
+    s = float(np.max(np.abs(x0))) or 1.0
+    exact = solve_ivp(lambda t, y: A @ y, (0.0, T), x0 / s, method="DOP853", rtol=1e-13, atol=1e-15)
+    assert np.max(np.abs(traj.final_state - s * exact.y[:, -1])) <= 1e-7
 
 
 def test_matches_scipy_reference():

@@ -319,6 +319,25 @@ def test_trichotomy_branch_ignores_convergence_and_refuses_empty(std_cone):
         trichotomy_report(_estimate(np.empty((0, 3))), [], std_cone, field)
 
 
+def _broadcast_nearest_distances(A, B):
+    """The trichotomy's nearest distances as one broadcast norm per row of A."""
+    return np.array([np.linalg.norm(B - a, axis=1).min() for a in A])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_nearest_distances_have_the_bits_of_the_broadcast_norm(seed):
+    """At n = 3 the k-d search sums the squares in numpy's order, so the
+    equilibrium hits and core equilibria read the same distances, on tails
+    a thousand times wider than their spacing and on equilibria inside them."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-6.0, 6.0, size=(300, 1))
+    pts = rng.normal(size=(300, 3)) * scale
+    eqs = np.concatenate([rng.normal(size=(5, 3)), pts[::60] + 1e-9])
+    for A, B in ((pts, eqs), (eqs, pts), (pts, pts[:1])):
+        got = limitsets._nearest_distances(A, B)
+        assert got.tobytes() == _broadcast_nearest_distances(A, B).tobytes()
+
+
 def test_detect_periodic_hopf(hopf_omega, hopf_loop):
     assert abs(hopf_loop.period - 2.0 * np.pi) < 1e-8
     assert hopf_loop.closure_gap < 1e-6

@@ -333,17 +333,26 @@ def test_non_finite_points_raise_in_every_pair_scan(consumer, bad):
         PAIR_SCAN_CALLS[consumer](P, CONES["quadratic"])
 
 
+def _distances_to(points, q):
+    """|p - q| for each row p, the squares summed one coordinate at a time."""
+    d2 = (points[:, 0] - q[0]) ** 2
+    for c in range(1, points.shape[1]):
+        d2 = d2 + (points[:, c] - q[c]) ** 2
+    return np.sqrt(d2)
+
+
 @pytest.mark.parametrize("n", [1, 3, 9])
 @pytest.mark.parametrize("block_rows", [1, 7, 1 << 16])
 def test_nearest_distances_match_per_point_loop(monkeypatch, n, block_rows):
-    """The trichotomy's equilibrium tests, one broadcast pass (chunked by
-    _PAIR_BLOCK), against per-point loops."""
-    monkeypatch.setattr(limitsets, "_PAIR_BLOCK", block_rows)
+    """The trichotomy's equilibrium tests, by the nearest-node search in
+    query blocks of any size, against per-point loops that sum the squares
+    in the same order (numpy's broadcast norm sums n >= 8 pairwise)."""
+    monkeypatch.setattr(limitsets, "_GAP_BLOCK", block_rows)
     rng = np.random.default_rng(n)
     pts = rng.normal(size=(50, n)) * rng.uniform(0.1, 10.0, size=(50, 1))
     eqs = rng.normal(size=(4, n))
-    hits = [np.min(np.linalg.norm(eqs - p, axis=1)) for p in pts]
-    core = [np.min(np.linalg.norm(pts - q, axis=1)) for q in eqs]
+    hits = [np.min(_distances_to(eqs, p)) for p in pts]
+    core = [np.min(_distances_to(pts, q)) for q in eqs]
     assert np.array_equal(limitsets._nearest_distances(pts, eqs), hits)
     assert np.array_equal(limitsets._nearest_distances(eqs, pts), core)
 

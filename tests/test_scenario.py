@@ -254,6 +254,11 @@ def test_lambda_grid_rates_are_multiples_of_the_step():
     assert rates == tuple(-1.0 + i * 0.1 for i in range(21))
 
 
+def test_lambda_grid_keeps_its_lowest_rate():
+    """hi + step/2 rounds to hi = lo here, a count of 0; lo is still a rate."""
+    assert parse_scenario(_hopf_obj(lambda_grid=[1.0, 1.0, 1e-300])).lambda_grid == (1.0,)
+
+
 @pytest.mark.parametrize("grid", [[0.0, 1e20, 1e-20], [0.0, 1e9, 1.0], [-1e308, 1e308, 1.0]])
 def test_lambda_grid_of_too_many_rates_is_refused(grid):
     obj = _hopf_obj(lambda_grid=grid)
