@@ -73,6 +73,9 @@ MAX_NODES = 500_000
 KINK_FLOOR = 1e-6
 # Fresh step length right after crossing a ramp kink.
 KINK_RESTART = 1e-2
+# Fewest rows for which integrate_many runs its batched loop.
+ENSEMBLE_MIN_ROWS = 8
+_COUNTERS = ("n_rhs", "n_accepted", "n_rejected", "n_kink_retries", "n_exit_bisections")
 
 
 @dataclass(eq=False)
@@ -187,6 +190,45 @@ def _require_start(domain, x0) -> None:
         raise DomainViolation("x0 lies outside the field domain")
 
 
+def _check_run(field, X0, T, rtol, atol, max_step) -> None:
+    """Refuse a run's settings, or a start (a row of X0) of the wrong length
+    or outside the field's domain."""
+    if X0.ndim != 2 or X0.shape[1] != field.dim:
+        raise BadParameter(f"x0 must have length {field.dim}")
+    if not (T > 0.0 and np.isfinite(T)):
+        raise BadParameter("T must be positive and finite")
+    if not (rtol > 0.0 and atol > 0.0):
+        raise BadParameter("tolerances must be positive")
+    if not max_step > 0.0:
+        raise BadParameter("max_step must be positive")
+    for x0 in X0:
+        _require_start(field.domain, x0)
+
+
+def _stop_at_exit(field, step, h: float, t: float, run) -> tuple[int, int]:
+    """Bisect the Hermite interpolant of step = (y, f, y_new, f_new), from t
+    over h, for its last point inside the domain; append it (unless it is y)
+    and a domain_exit event to run = (times, states, derivs, events).
+    Returns (halvings, rhs calls)."""
+    lo_s, hi_s = 0.0, 1.0
+    for halvings in range(1, 81):
+        mid = 0.5 * (lo_s + hi_s)
+        if field.domain.contains(_hermite(*step, h, mid)):
+            lo_s = mid
+        else:
+            hi_s = mid
+        if (hi_s - lo_s) * h < 1e-14 * max(1.0, abs(t)):
+            break
+    ts, ys, fs, events = run
+    events.append((t + lo_s * h, "domain_exit"))
+    if lo_s == 0.0:
+        return halvings, 0
+    ts.append(t + lo_s * h)
+    ys.append(_hermite(*step, h, lo_s))
+    fs.append(np.asarray(field(ys[-1]), dtype=float))
+    return halvings, 1
+
+
 def integrate(
     field: VectorField,
     x0,
@@ -202,33 +244,17 @@ def integrate(
     boundary crossing.
     """
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (field.dim,):
-        raise BadParameter(f"x0 must have length {field.dim}")
-    if not (T > 0.0 and np.isfinite(T)):
-        raise BadParameter("T must be positive and finite")
-    if not (rtol > 0.0 and atol > 0.0):
-        raise BadParameter("tolerances must be positive")
-    if not max_step > 0.0:
-        raise BadParameter("max_step must be positive")
-    _require_start(field.domain, x0)
-
-    rhs = field.rhs
-    contains = field.domain.contains
-    region = field.region_index
+    _check_run(field, x0[None], T, rtol, atol, max_step)
+    rhs, contains, region = field.rhs, field.domain.contains, field.region_index
     f0 = np.asarray(field(x0), dtype=float)
     if not np.all(np.isfinite(f0)):
         raise NonFiniteState("right-hand side not finite at x0")
 
-    ts = [0.0]
-    ys = [x0.copy()]
-    fs = [f0.copy()]
+    ts, ys, fs = [0.0], [x0.copy()], [f0.copy()]
     events: list[tuple[float, str]] = []
     n_rhs = 1
     n_accepted = n_rejected = n_kink_retries = n_exit_bisections = 0
-
-    t = 0.0
-    y = x0.copy()
-    f = f0
+    t, y, f = 0.0, x0.copy(), f0
     cur_region = region(y) if region is not None else None
 
     K = np.empty((7, field.dim))
@@ -271,33 +297,16 @@ def integrate(
                 raise NodeBudgetExceeded(f"run needs more than {MAX_NODES} nodes")
 
             if not contains(y_new):
-                # Bisect the Hermite interpolant for the last inside point.
-                lo_s, hi_s = 0.0, 1.0
-                for _ in range(80):
-                    n_exit_bisections += 1
-                    mid = 0.5 * (lo_s + hi_s)
-                    y_mid = _hermite(y, f, y_new, f_new, h, mid)
-                    if contains(y_mid):
-                        lo_s = mid
-                    else:
-                        hi_s = mid
-                    if (hi_s - lo_s) * h < 1e-14 * max(1.0, abs(t)):
-                        break
-                t_exit = t + lo_s * h
-                y_exit = _hermite(y, f, y_new, f_new, h, lo_s)
-                if lo_s > 0.0:
-                    ts.append(t_exit)
-                    ys.append(y_exit)
-                    fs.append(np.asarray(field(y_exit), dtype=float))
-                    n_rhs += 1
-                events.append((t_exit, "domain_exit"))
+                n_exit_bisections, n_node = _stop_at_exit(
+                    field, (y, f, y_new, f_new), h, t, (ts, ys, fs, events)
+                )
+                n_rhs += n_node
                 break
 
             # The last step lands on T itself: from t < T/2, t + (T - t) may
             # round an ulp short of T and leave an underflowing step behind.
             t = T if h == T - t else t + h
-            y = y_new
-            f = f_new
+            y, f = y_new, f_new
             ts.append(t)
             ys.append(y)
             fs.append(f)
@@ -309,19 +318,99 @@ def integrate(
                 h = min(h, KINK_RESTART)
 
     return Trajectory(
-        times=np.asarray(ts),
-        states=np.asarray(ys),
-        derivs=np.asarray(fs),
-        rtol=rtol,
-        atol=atol,
-        max_step=max_step,
-        events=events,
-        n_rhs=n_rhs,
-        n_accepted=n_accepted,
-        n_rejected=n_rejected,
-        n_kink_retries=n_kink_retries,
-        n_exit_bisections=n_exit_bisections,
+        times=np.asarray(ts), states=np.asarray(ys), derivs=np.asarray(fs), rtol=rtol,
+        atol=atol, max_step=max_step, events=events, n_rhs=n_rhs, n_accepted=n_accepted,
+        n_rejected=n_rejected, n_kink_retries=n_kink_retries, n_exit_bisections=n_exit_bisections,
     )
+
+
+def integrate_many(
+    field: VectorField, X0, T: float, rtol: float = 1e-8, atol: float = 1e-10,
+    max_step: float = np.inf,
+) -> list[Trajectory]:
+    """integrate(field, x0, T, ...) for each row x0 of the (m, n) array X0 in
+    one DP5 loop, whose running rows share one rhs call per stage; each row
+    keeps its own steps, kinks, exit, events and counters. Row r is bit for
+    bit integrate(field, X0[r], ...) when a batch's rhs has its single rows'
+    bits (elementwise fields; x @ A.T may move a last bit). Below
+    ENSEMBLE_MIN_ROWS rows integrate runs row by row: it is faster there."""
+    X0 = np.asarray(X0, dtype=float)
+    if X0.ndim == 2 and X0.shape[0] < ENSEMBLE_MIN_ROWS:
+        return [integrate(field, x0, T, rtol, atol, max_step) for x0 in X0]
+    _check_run(field, X0, T, rtol, atol, max_step)
+    rhs, region, m = field.rhs, field.region_index, X0.shape[0]
+    F = np.asarray(rhs(X0), dtype=float)
+    if not np.all(np.isfinite(F)):
+        raise NonFiniteState("right-hand side not finite at x0")
+
+    # Row r's (times, states, derivs, events), and its counters counts[:, r].
+    runs = [([0.0], [x0], [f0], []) for x0, f0 in zip(X0.copy(), F.copy())]
+    counts = np.zeros((len(_COUNTERS), m), dtype=np.int64)
+    n_rhs, n_accepted, n_rejected, n_kink_retries, n_exit_bisections = counts
+    n_rhs += 1
+    # The running rows, with their times, states, derivatives and regions.
+    rows, t, Y = np.arange(m), np.zeros(m), X0.copy()
+    cur = [region(y) if region else None for y in Y]
+    K = np.empty((m, 7, field.dim))  # row r's stages are the (7, n) block K[r]
+    with np.errstate(over="ignore"):
+        H = np.array([_initial_step(f, y, T, max_step, rtol, atol) for f, y in zip(F, Y)])
+        while rows.size:
+            H = np.minimum(np.minimum(H, T - t), max_step)
+            Kr = K[: rows.size]
+            Kr[:, 0] = F
+            for i in range(1, 6):
+                Kr[:, i] = rhs(Y + H[:, None] * (Kr[:, :i].transpose(0, 2, 1) @ _A[i]))
+            Y_new = Y + H[:, None] * (Kr[:, :6].transpose(0, 2, 1) @ _A[6])
+            Kr[:, 6] = rhs(Y_new)
+            n_rhs[rows] += 6
+            err = np.array([_norm(v) for v in H[:, None] * (Kr.transpose(0, 2, 1) @ _E)])
+            tol = np.array([atol + rtol * _norm(v) for v in Y_new])
+            finite = np.isfinite(Kr).all(axis=(1, 2)) & np.isfinite(err)
+            factor = np.array([_step_factor(a, b) if ok else 0.5
+                               for a, b, ok in zip(tol.tolist(), err.tolist(), finite.tolist())])
+
+            rejected = ~finite | (err > tol)
+            n_rejected[rows[rejected]] += 1
+            H[rejected] *= factor[rejected]
+            if np.any(low := rejected & (H < UNDERFLOW_FRACTION * T)):
+                raise StepUnderflow(f"step {H[low][0]:.3e} below {UNDERFLOW_FRACTION:.0e} T")
+            new = [region(y) if ok and region else c for y, ok, c in zip(Y_new, ~rejected, cur)]
+            crossed = np.array([a != b for a, b in zip(new, cur)], dtype=bool)
+            kink = crossed & (H > KINK_FLOOR)
+            n_kink_retries[rows[kink]] += 1
+            H[kink] = np.maximum(0.5 * H[kink], KINK_FLOOR)
+            step = ~rejected & ~kink
+            if np.any(bad := step & ~np.isfinite(Y_new).all(axis=1)):
+                raise NonFiniteState(f"state not finite after t = {t[bad][0]:.6g}")
+            if np.any(step & (n_accepted[rows] + 1 == MAX_NODES)):
+                raise NodeBudgetExceeded(f"run needs more than {MAX_NODES} nodes")
+
+            left = step & ~field.domain.contains(Y_new)
+            for j, r in zip(np.flatnonzero(left), rows[left]):
+                n_exit_bisections[r], n_node = _stop_at_exit(
+                    field, (Y[j], F[j], Y_new[j], Kr[j, 6]), float(H[j]), float(t[j]), runs[r]
+                )
+                n_rhs[r] += n_node
+
+            acc = step & ~left
+            t = np.where(acc, np.where(H == T - t, T, t + H), t)  # lands on T as integrate does
+            Y = np.where(acc[:, None], Y_new, Y)
+            F = np.where(acc[:, None], Kr[:, 6], F)
+            for j, r in zip(np.flatnonzero(acc), rows[acc]):
+                for seq, v in zip(runs[r], (t[j], Y[j], F[j])):
+                    seq.append(v)
+            n_accepted[rows[acc]] += 1
+            H[acc] *= factor[acc]
+            H[acc & crossed] = np.minimum(H[acc & crossed], KINK_RESTART)
+            keep = ~left & (t < T)
+            rows, t, Y, F, H = rows[keep], t[keep], Y[keep], F[keep], H[keep]
+            cur = [b if a else c for a, b, c, k in zip(acc, new, cur, keep) if k]
+
+    return [
+        Trajectory(times=np.asarray(ts), states=np.asarray(ys), derivs=np.asarray(fs), rtol=rtol,
+                   atol=atol, max_step=max_step, events=events, **dict(zip(_COUNTERS, c)))
+        for (ts, ys, fs, events), c in zip(runs, counts.T.tolist())
+    ]
 
 
 def integrate_backward(

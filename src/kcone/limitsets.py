@@ -25,7 +25,7 @@ from .errors import (
     TrajectoryTooShort,
 )
 from .fields import VectorField
-from .integrators import Trajectory, integrate, integrate_backward
+from .integrators import Trajectory, integrate, integrate_backward, integrate_many
 
 # Two states closer than this (absolute, relative to max(1, scale)) are one
 # point for pair scans.
@@ -511,6 +511,7 @@ def trichotomy_report(
     dist_eq: float = 1e-6,
     rtol: float = 1e-8,
     atol: float = 1e-10,
+    max_step: float = np.inf,
 ) -> TrichotomyReport:
     """Sort an omega-limit estimate into one of three structural branches,
     given the points of the found equilibria, one per row.
@@ -526,7 +527,7 @@ def trichotomy_report(
     at finite resolution. Everything else is undetermined. core_size counts
     the core on every branch: all points of an ordered audit, none of a
     non-trivial audit with no ordered pair. omega.converged does not move
-    the branch.
+    the branch. The backward flows run at rtol, atol and max_step.
     """
     pts = omega.points
     n_pts = pts.shape[0]
@@ -557,7 +558,7 @@ def trichotomy_report(
 
             def connects(p) -> bool:
                 try:
-                    back = integrate_backward(field, p, BACKWARD_T, rtol=rtol, atol=atol)
+                    back = integrate_backward(field, p, BACKWARD_T, rtol, atol, max_step)
                 except KconeError:
                     return False
                 return any(float(np.linalg.norm(back.states[0] - q)) <= tol for q in core_eqs)
@@ -738,6 +739,7 @@ def chain_check(
     t_max: float,
     rtol: float = 1e-8,
     atol: float = 1e-10,
+    max_step: float = np.inf,
 ) -> list[ChainResult]:
     """Try to close an (eps, r)-chain from each point back to itself.
 
@@ -746,7 +748,9 @@ def chain_check(
     to the start (scanning flow times in [r, t_max] for a return), then a
     greedy multi-hop walk that after each r-length hop jumps to the nearest
     supplied point within eps, for at most m + 2 hops over m points.
-    Failure means this search failed, not that no chain exists.
+    Failure means this search failed, not that no chain exists. The first
+    hops run as one integrate_many ensemble (one integrate per point, bit
+    for bit, on an elementwise field); every flow runs at max_step.
     """
     if eps <= 0 or r <= 0:
         raise BadParameter("eps and r must be positive")
@@ -756,8 +760,8 @@ def chain_check(
         raise BadParameter("t_max must be at least r")
     results: list[ChainResult] = []
 
-    for y in P:
-        traj = integrate(field, y, t_max, rtol=rtol, atol=atol)
+    first_hops = integrate_many(field, P, t_max, rtol=rtol, atol=atol, max_step=max_step)
+    for y, traj in zip(P, first_hops):
         ts = traj.times
         mask = ts >= r
         success = False
@@ -780,7 +784,7 @@ def chain_check(
             cur = y
             walked: list[tuple[float, float]] = []
             for _ in range(m + 2):
-                z = integrate(field, cur, r, rtol=rtol, atol=atol).final_state
+                z = integrate(field, cur, r, rtol=rtol, atol=atol, max_step=max_step).final_state
                 back_gap = float(np.linalg.norm(z - y))
                 if back_gap < eps and walked:
                     walked.append((r, back_gap))

@@ -44,6 +44,8 @@ from .scenario import Scenario, scenario_digest
 
 # Most tail points whose pair margins margins.csv holds, evenly spaced.
 MARGIN_POINTS = 400
+# CSV rows formatted per write: one block's strings stay well under a megabyte.
+_CSV_BLOCK = 4096
 
 REPORT_SCHEMA: dict[str, Any] = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -236,7 +238,7 @@ def _analyze_orbit(scn: Scenario, index: int, x0) -> tuple[dict, dict]:
     dist_eq = a["dist_eq_rel"] * scn.field.domain.diameter()
     tri = trichotomy_report(
         omega, [e.point for e in eqs], scn.cone, field=scn.field, dist_eq=dist_eq,
-        rtol=scn.rtol, atol=scn.atol,
+        rtol=scn.rtol, atol=scn.atol, max_step=scn.max_step,
     )
     audit = tri.audit
     section["trichotomy"] = {
@@ -272,11 +274,12 @@ def _analyze_orbit(scn: Scenario, index: int, x0) -> tuple[dict, dict]:
             loop.closure_gap, 1e-12
         )
         r = a["r_chain"] if a["r_chain"] is not None else 0.25 * loop.period
-        horizon = a["t_max_chain"] if a["t_max_chain"] is not None else 1.5 * loop.period
+        # parse_scenario refuses an r_chain past t_max_chain.
+        horizon = a["t_max_chain"] if a["t_max_chain"] is not None else max(1.5 * loop.period, r)
         pick = _spread(loop.states.shape[0], int(a["chain_points"]))
         chain = chain_check(
             loop.states[pick], scn.field, eps=eps, r=r, t_max=horizon,
-            rtol=scn.rtol, atol=scn.atol,
+            rtol=scn.rtol, atol=scn.atol, max_step=scn.max_step,
         )
         section["chain_check"] = {
             "n_points": len(chain),
@@ -355,12 +358,14 @@ def _open_out(target):
 
 def _write_csv(target, header: list[str], table: np.ndarray) -> None:
     """Write a header line, then one line per row of the 2-D table, one
-    cell per header name, each printed with 17 significant digits."""
+    cell per header name, each printed with 17 significant digits. Rows are
+    formatted _CSV_BLOCK at a time, one str.format call per block."""
     line = ",".join(["{:.17g}"] * len(header)) + "\n"
     with _open_out(target) as fh:
         fh.write(",".join(header) + "\n")
-        for row in table:
-            fh.write(line.format(*row.tolist()))
+        for start in range(0, len(table), _CSV_BLOCK):
+            block = table[start : start + _CSV_BLOCK]
+            fh.write((line * len(block)).format(*block.ravel().tolist()))
 
 
 def _state_table(points, projector=None, times=None) -> tuple[list[str], np.ndarray]:

@@ -364,6 +364,8 @@ def parse_scenario(obj: dict) -> Scenario:
         raise SchemaError(
             f"analysis spacing gives a tail grid of over {TAIL_GRID_CAP} times", "/analysis/spacing"
         )
+    if (analysis["r_chain"] or 0.0) > (analysis["t_max_chain"] or math.inf):
+        raise SchemaError("analysis r_chain exceeds t_max_chain", "/analysis/r_chain")
 
     return Scenario(
         raw=obj,

@@ -149,6 +149,27 @@ def test_report_tail_grid_beyond_the_cap(tmp_path, capsys):
     assert "'/analysis/spacing'" in capsys.readouterr().err
 
 
+def test_report_chain_horizon_reaches_r_chain(tmp_path, capsys):
+    """Without t_max_chain the chain horizon is max(1.5 periods, r_chain),
+    so an r_chain past 1.5 periods (here 20 > 3 pi) no longer ends the
+    report."""
+    scn = _write(tmp_path, _hopf_obj(analysis={"r_chain": 20.0}))
+    outdir = tmp_path / "out"
+    assert main(["report", "--scenario", scn, "--out", str(outdir)]) == 0
+    doc = json.loads((outdir / "report.json").read_text(encoding="utf-8"))
+    chain = doc["report"]["orbits"][0]["chain_check"]
+    assert chain["r"] == 20.0 and chain["t_max"] == 20.0
+
+
+def test_report_r_chain_past_t_max_chain_is_a_schema_error(tmp_path, capsys):
+    scn = _write(tmp_path, _hopf_obj(analysis={"r_chain": 20.0, "t_max_chain": 5.0}))
+    assert main(["report", "--scenario", scn, "--out", str(tmp_path / "out")]) == 2
+    assert "'/analysis/r_chain'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    equal = _hopf_obj(analysis={"r_chain": 5.0, "t_max_chain": 5.0})
+    assert parse_scenario(equal).analysis["r_chain"] == 5.0
+
+
 def _far_sink(reach, x0):
     return _linear_obj(
         field={"family": "linear", "params": {"A": (-0.001 * np.eye(3)).tolist()}},

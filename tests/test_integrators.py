@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.integrate import solve_ivp
 
 from kcone import integrators
-from kcone.domains import Box
+from kcone.domains import Box, Cylinder
 from kcone.errors import (
     BadParameter,
     DomainViolation,
@@ -22,12 +22,13 @@ from kcone.errors import (
 )
 from kcone.fields import (
     VectorField,
+    make_competitive_lv,
     make_cyclic_feedback,
     make_hopf_cylinder,
     make_linear_field,
     parse_field,
 )
-from kcone.integrators import _A, _E, integrate, integrate_backward
+from kcone.integrators import _A, _COUNTERS, _E, integrate, integrate_backward, integrate_many
 
 
 def _linear_on(A, lo, hi):
@@ -422,3 +423,144 @@ def test_trajectory_extent_and_span():
     # axis extremes by the local step resolution
     assert traj.extent() == pytest.approx(np.sqrt(8.0), rel=1e-3)
     assert traj.dim == 2
+
+
+# ---- integrate_many: one DP5 loop over a batch of starts ----
+
+HOPF_EXPRS = ["x1 - x2 - x1*(x1^2 + x2^2)", "x1 + x2 - x2*(x1^2 + x2^2)", "-4*x3"]
+HOPF_CYLINDER = Cylinder(radius=1.2, rest=Box(lo=[-1.0], hi=[1.0]))
+
+
+def _cylinder_starts(rng, m):
+    return np.column_stack([rng.uniform(-0.7, 0.7, (m, 2)), rng.uniform(-0.9, 0.9, m)])
+
+
+# name -> (field, start draw, T); the elementwise fields, whose batched rhs
+# gives each row its single-row bits.
+ENSEMBLE_FIELDS = {
+    "family_hopf": (make_hopf_cylinder(1.0, 4.0), _cylinder_starts, 10.0),
+    "parsed_hopf": (parse_field(HOPF_EXPRS, domain=HOPF_CYLINDER), _cylinder_starts, 10.0),
+    "glass_ring": (
+        dataclasses.replace(
+            make_cyclic_feedback(3, "glass_pwl", {"amp": 4.0}),
+            domain=Box(lo=[0.0] * 3, hi=[4.0] * 3),
+        ),
+        lambda rng, m: rng.uniform(0.1, 3.9, (m, 3)),
+        3.0,
+    ),
+    "goodwin": (
+        make_cyclic_feedback(3, "smooth_goodwin", {"m": 8.0}),
+        lambda rng, m: rng.uniform(0.1, 1.0, (m, 3)),
+        10.0,
+    ),
+    # Rotation in the plane and a steady climb: rows that start high leave
+    # the box through its top before T, the others do not.
+    "parsed_exit": (
+        parse_field(["x2", "-x1", "0.3"], domain=Box(lo=[-1.0] * 3, hi=[1.0] * 3)),
+        lambda rng, m: np.column_stack([rng.uniform(-0.6, 0.6, (m, 2)),
+                                        np.linspace(-1.0, 0.8, m)]),
+        5.0,
+    ),
+}
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _assert_same_run(a, b):
+    for name in ("times", "states", "derivs"):
+        assert getattr(a, name).shape == getattr(b, name).shape
+        assert _bits(getattr(a, name)) == _bits(getattr(b, name))
+    assert a.events == b.events
+    for name in _COUNTERS:
+        assert getattr(a, name) == getattr(b, name), name
+
+
+def _recording(field):
+    """field with an rhs that records the shape of every call."""
+    shapes = []
+
+    def rhs(x):
+        shapes.append(np.shape(x))
+        return field.rhs(x)
+
+    return dataclasses.replace(field, rhs=rhs), shapes
+
+
+@pytest.mark.parametrize("m", [3, 8, 9])
+@pytest.mark.parametrize("name", sorted(ENSEMBLE_FIELDS))
+def test_ensemble_rows_are_the_serial_runs_bit_for_bit(name, m):
+    field, draw, T = ENSEMBLE_FIELDS[name]
+    X0 = draw(np.random.default_rng(11), m)
+    serial = [integrate(field, x0, T, rtol=1e-10, atol=1e-12) for x0 in X0]
+    batched, shapes = _recording(field)
+    runs = integrate_many(batched, X0, T, rtol=1e-10, atol=1e-12)
+    assert len(runs) == m
+    for a, b in zip(serial, runs):
+        _assert_same_run(a, b)
+    # Below ENSEMBLE_MIN_ROWS the serial loop runs; from it on, the rhs
+    # takes every running row at once.
+    widest = max(shape[0] if len(shape) == 2 else 1 for shape in shapes)
+    assert widest == (m if m >= integrators.ENSEMBLE_MIN_ROWS else 1)
+    if name == "glass_ring":
+        assert all(run.n_kink_retries > 0 for run in runs)
+    if name == "parsed_exit":
+        exits = [bool(run.events) for run in runs]
+        assert any(exits) and not all(exits)
+
+
+@pytest.mark.parametrize("m", [3, 9])
+def test_ensemble_of_matmul_fields_is_within_1e_12(m):
+    # x @ A.T on a batch may round a row differently from the single row,
+    # so these rows are held to 1e-12 relative, not to the bits.
+    A = np.array([[-1.0, 2.0, 0.5], [-2.0, -1.0, 0.0], [0.3, 0.25, -2.0]])
+    lv = make_competitive_lv([[1.0, 0.2, 0.6], [0.6, 1.0, 0.2], [0.2, 0.6, 1.0]], [1.0] * 3)
+    rng = np.random.default_rng(5)
+    for field, X0 in ((make_linear_field(A), rng.uniform(-1.0, 1.0, (m, 3))),
+                      (lv, rng.uniform(0.05, 2.0, (m, 3)))):
+        runs = integrate_many(field, X0, 8.0, rtol=1e-10, atol=1e-12)
+        for x0, run in zip(X0, runs):
+            ref = integrate(field, x0, 8.0, rtol=1e-10, atol=1e-12)
+            assert run.t_end == ref.t_end == 8.0
+            np.testing.assert_allclose(run.final_state, ref.final_state, rtol=1e-12, atol=0.0)
+            probe = np.linspace(0.0, 8.0, 33)
+            np.testing.assert_allclose(run.sample(probe), ref.sample(probe), rtol=1e-12,
+                                       atol=1e-12 * float(np.abs(ref.states).max()))
+
+
+@pytest.mark.parametrize("m", [3, 8])
+def test_ensemble_raises_as_integrate_raises(m, monkeypatch):
+    field = make_linear_field(-np.eye(3))
+    X0 = np.tile([0.1, 0.2, 0.3], (m, 1)) * np.arange(1, m + 1)[:, None] / m
+    for X, T, kw in ((X0[:, :2], 1.0, {}), (X0[0], 1.0, {}), (X0, 0.0, {}), (X0, np.inf, {}),
+                     (X0, 1.0, {"rtol": 0.0}), (X0, 1.0, {"max_step": 0.0})):
+        with pytest.raises(BadParameter):
+            integrate_many(field, X, T, **kw)
+    outside = X0.copy()
+    outside[-1] = [2e4, 0.0, 0.0]
+    with pytest.raises(DomainViolation):
+        integrate_many(field, outside, 1.0)
+
+    full = integrate_many(field, X0, 10.0, max_step=0.1)
+    longest = max(len(run.times) for run in full)
+    monkeypatch.setattr(integrators, "MAX_NODES", longest)
+    assert [len(r.times) for r in integrate_many(field, X0, 10.0, max_step=0.1)] == \
+        [len(r.times) for r in full]
+    monkeypatch.setattr(integrators, "MAX_NODES", longest - 1)
+    with pytest.raises(NodeBudgetExceeded):
+        integrate_many(field, X0, 10.0, max_step=0.1)
+
+    stuck = VectorField(
+        dim=1, rhs=lambda x: np.where(x == 0.5, 1.0, np.nan),
+        domain=Box(lo=[0.0], hi=[1.0]), family="test",
+    )
+    with pytest.raises(StepUnderflow):
+        integrate_many(stuck, np.full((m, 1), 0.5), 1.0)
+    root = parse_field(["(0 - x1)^0.5"], domain=Box(lo=[-10.0], hi=[10.0]))
+    with pytest.raises(NonFiniteState):
+        integrate_many(root, np.linspace(-1.0, 1.0, m)[:, None], 1.0)
+
+
+def test_ensemble_of_no_rows_is_empty():
+    assert integrate_many(make_hopf_cylinder(1.0, 4.0), np.empty((0, 3)), 1.0) == []

@@ -15,14 +15,20 @@ from kcone.errors import (
     TooFewPoints,
     TrajectoryTooShort,
 )
-from kcone.fields import make_linear_field
-from kcone.integrators import Trajectory
+from kcone.fields import (
+    make_cyclic_feedback,
+    make_hopf_cylinder,
+    make_linear_field,
+    parse_field,
+)
+from kcone.integrators import Trajectory, integrate
 from kcone.limitsets import (
     LOOP_POINTS,
     ORBIT_STATES,
     LimitSetBranch,
     OmegaEstimate,
     OrbitClass,
+    _closest_return,
     _directed_curve_gap,
     _spread,
     audit_ordering,
@@ -438,6 +444,120 @@ def test_chain_check_transient_fails(sink_field):
     results = chain_check(np.array([[0.5, 0.0, 0.0]]), sink_field, eps=1e-2, r=0.5, t_max=5.0)
     assert not results[0].success
     assert results[0].hops == ()
+
+
+def _serial_chain_check(points, field, eps, r, t_max, rtol=1e-8, atol=1e-10):
+    """chain_check with one integrate call per first hop, the loop that
+    integrate_many replaced."""
+    P = np.atleast_2d(np.asarray(points, dtype=float))
+    m = P.shape[0]
+    results = []
+    for y in P:
+        traj = integrate(field, y, t_max, rtol=rtol, atol=atol)
+        ts = traj.times
+        mask = ts >= r
+        success = False
+        hops = ()
+        if np.any(mask):
+            d = np.linalg.norm(traj.states[mask] - y, axis=1)
+            k = int(np.argmin(d))
+            t_cand = float(ts[mask][k])
+            lo = max(r, t_cand - 0.5)
+            hi = min(float(ts[-1]), t_cand + 0.5)
+            if hi > lo:
+                t_ref, d_ref = _closest_return(traj, y, lo, hi, tol=1e-9)
+            else:
+                t_ref, d_ref = t_cand, float(d[k])
+            if d_ref < eps:
+                success = True
+                hops = ((float(t_ref), float(d_ref)),)
+        if not success and m > 1:
+            cur = y
+            walked = []
+            for _ in range(m + 2):
+                z = integrate(field, cur, r, rtol=rtol, atol=atol).final_state
+                back_gap = float(np.linalg.norm(z - y))
+                if back_gap < eps and walked:
+                    walked.append((r, back_gap))
+                    success = True
+                    hops = tuple(walked)
+                    break
+                gaps = np.linalg.norm(P - z, axis=1)
+                j = int(np.argmin(gaps))
+                if float(gaps[j]) >= eps:
+                    break
+                walked.append((r, float(gaps[j])))
+                cur = P[j]
+        results.append(limitsets.ChainResult(success=success, hops=hops))
+    return results
+
+
+HOPF_EXPRS = ["x1 - x2 - x1*(x1^2 + x2^2)", "x1 + x2 - x2*(x1^2 + x2^2)", "-4*x3"]
+
+
+def _circle(m, radius=1.0, z=0.0):
+    theta = 2.0 * np.pi * np.arange(m) / m
+    return np.column_stack([radius * np.cos(theta), radius * np.sin(theta), np.full(m, z)])
+
+
+@pytest.mark.parametrize("field_name", ["family_hopf", "parsed_hopf", "glass_ring"])
+def test_chain_check_equals_the_serial_loop(field_name):
+    """The ensemble's first hops leave every chain result as it was: single
+    returns on the cycle, greedy walks when the horizon is under a period,
+    and failures off it."""
+    hopf = make_hopf_cylinder(1.0, 4.0)
+    field = {
+        "family_hopf": hopf,
+        "parsed_hopf": parse_field(HOPF_EXPRS, domain=hopf.domain),
+        "glass_ring": dataclasses.replace(
+            make_cyclic_feedback(3, "glass_pwl", {"amp": 4.0}),
+            domain=Box(lo=[0.0] * 3, hi=[4.0] * 3),
+        ),
+    }[field_name]
+    # (points, eps, r, t_max, hop count of each result; 0 for a failure)
+    if field_name == "glass_ring":
+        cases = [(np.random.default_rng(2).uniform(0.5, 3.5, (9, 3)), 0.3, 1.0, 6.0, None)]
+    else:
+        step = 2.0 * np.pi / 9
+        cases = [
+            (_circle(9), 1e-2, 0.5 * np.pi, 3.0 * np.pi, 1),
+            (_circle(9), 1e-2, step, 1.2 * step, 9),
+            (_circle(9, radius=0.5, z=0.3), 1e-2, 0.5, 3.0, 0),
+        ]
+    for pts, eps, r, t_max, hops in cases:
+        got = chain_check(pts, field, eps=eps, r=r, t_max=t_max, rtol=1e-10, atol=1e-12)
+        want = _serial_chain_check(pts, field, eps=eps, r=r, t_max=t_max, rtol=1e-10, atol=1e-12)
+        assert got == want
+        if hops is not None:
+            assert [len(c.hops) for c in got] == [hops] * 9
+            assert all(c.success == (hops > 0) for c in got)
+
+
+def test_chain_hops_and_backward_flows_honour_max_step(monkeypatch, std_cone):
+    runs = {}
+
+    def recorded(name, fn):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            runs.setdefault(name, []).extend(out if isinstance(out, list) else [out])
+            return out
+        return wrapped
+
+    for name in ("integrate", "integrate_many", "integrate_backward"):
+        monkeypatch.setattr(limitsets, name, recorded(name, getattr(limitsets, name)))
+    # A horizon under one period sends every point on a greedy walk.
+    r = 2.0 * np.pi / 9
+    chain = chain_check(_circle(9), make_hopf_cylinder(1.0, 4.0), eps=1e-2, r=r,
+                        t_max=1.2 * r, max_step=0.05)
+    assert all(c.success and len(c.hops) == 9 for c in chain)
+    rep = trichotomy_report(_estimate(MIXED), [np.zeros(3)], std_cone,
+                            make_linear_field(np.eye(3)), max_step=0.05)
+    assert rep.backward_surrogate_used
+    assert sorted(runs) == ["integrate", "integrate_backward", "integrate_many"]
+    for name, trajs in runs.items():
+        for traj in trajs:
+            # Up to the rounding of the node times themselves.
+            assert np.diff(traj.times).max() <= 0.05 * (1.0 + 1e-12), name
 
 
 def test_chain_check_validation(sink_field):

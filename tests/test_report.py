@@ -17,6 +17,7 @@ from kcone.errors import SchemaError
 from kcone.report import (
     REPORT_SCHEMA,
     _condition_dict,
+    _write_csv,
     build_full_report,
     dump_report,
     emit_plotdata,
@@ -343,6 +344,37 @@ def test_loop_csv_to_stream(hopf_run, std_cone):
     lines = buf.getvalue().splitlines()
     assert lines[0] == "t,x1,x2,x3,u1,u2"
     assert len(lines) == 1 + loop.states.shape[0]
+
+
+def _per_row_csv(header, table) -> str:
+    """A sidecar's text formatted one row at a time, as _write_csv wrote it
+    before it formatted whole blocks."""
+    line = ",".join(["{:.17g}"] * len(header)) + "\n"
+    return ",".join(header) + "\n" + "".join(line.format(*row.tolist()) for row in table)
+
+
+CSV_SPECIALS = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310, 1e300,
+                         -1e-300, 1.0 / 3.0])
+
+
+@pytest.mark.parametrize("cols", range(1, 7))
+@pytest.mark.parametrize("rows", [0, 1, 4095, 4096, 4097])
+def test_csv_blocks_write_the_per_row_bytes(rows, cols, tmp_path):
+    rng = np.random.default_rng(7 * rows + cols)
+    table = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-300, 301, size=(rows, cols))
+    special = rng.random((rows, cols)) < 0.2
+    table[special] = rng.choice(CSV_SPECIALS, size=int(special.sum()))
+    if rows:
+        table[0] = CSV_SPECIALS[:cols]
+    header = [f"c{i}" for i in range(cols)]
+    want = _per_row_csv(header, table)
+    buf = io.StringIO()
+    _write_csv(buf, header, table)
+    assert buf.getvalue() == want
+    # A column-major table and a file target write the same bytes.
+    path = tmp_path / "t.csv"
+    _write_csv(path, header, np.asfortranarray(table))
+    assert path.read_bytes() == want.encode("utf-8")
 
 
 def test_margins_csv_sorted_and_capped(tmp_path, std_cone, monkeypatch):
