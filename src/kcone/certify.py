@@ -85,11 +85,10 @@ class ConditionReport:
         return "pass" if self.passed else "fail"
 
 
-def _envelope(field: VectorField, cone: QuadraticCone, X, Y):
-    """(u, q) for the row pairs (X, Y): the margin of pair i at rate lam is
-    u[i] + lam q[i]. NaN or inf where the field is not finite, and no
-    warning; lambda_grid_search refuses those margins."""
-    D = X - Y
+def _envelope(field: VectorField, cone: QuadraticCone, X, Y, D):
+    """(u, q) for the row pairs (X, Y), with D = X - Y: the margin of pair i
+    at rate lam is u[i] + lam q[i]. NaN or inf where the field is not
+    finite, and no warning; lambda_grid_search refuses those margins."""
     with np.errstate(invalid="ignore"):  # inf - inf where the field is infinite
         dF = np.asarray(field(X)) - np.asarray(field(Y))
     with np.errstate(all="ignore"):
@@ -108,7 +107,7 @@ def pair_margin(field: VectorField, cone: QuadraticCone, lam: float, x, y) -> fl
         raise DomainViolation("pair_margin needs both points inside the domain")
     _distinct_difference(x, y)
     copies = (_MIN_BATCH, 1)
-    u, q = _envelope(field, cone, np.tile(x, copies), np.tile(y, copies))
+    u, q = _envelope(field, cone, np.tile(x, copies), np.tile(y, copies), np.tile(x - y, copies))
     return float(u[0] + lam * q[0])
 
 
@@ -235,11 +234,13 @@ def lambda_grid_search(
     rng = np.random.default_rng(seed)
     X = dom.sample(rng, n_pairs)
     Y = dom.sample(rng, n_pairs)
-    keep = np.linalg.norm(X - Y, axis=1) >= DEGENERATE_PAIR_RTOL * dom.diameter()
+    D = X - Y
+    keep = np.linalg.norm(D, axis=1) >= DEGENERATE_PAIR_RTOL * dom.diameter()
     if not np.any(keep):
         raise AllPairsDegenerate("all sampled pairs collapsed below the cutoff")
-    X, Y = X[keep], Y[keep]
-    u, q = _envelope(field, cone, X, Y)
+    if not keep.all():
+        X, Y, D = X[keep], Y[keep], D[keep]
+    u, q = _envelope(field, cone, X, Y, D)
     reports = []
     for lam in grid:
         with np.errstate(all="ignore"):

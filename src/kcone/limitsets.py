@@ -67,6 +67,11 @@ _GAP_NEIGHBORS = 8
 # Nodes per k-d leaf and queries per block of the pruned nearest-node search.
 _GAP_LEAF = 32
 _GAP_BLOCK = 64
+# Every _GAP_STRIDE-th node of the other curve bounds a query row's gap from
+# above; the _GAP_PROBES rows with the largest bounds, in each direction, are
+# measured first and set the floor that the other rows must exceed.
+_GAP_STRIDE = 32
+_GAP_PROBES = 16
 
 
 def _kd_order(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -99,11 +104,12 @@ def _squared_distances(Q: np.ndarray, BT: np.ndarray) -> np.ndarray:
 
 
 def _leaf_nearest(
-    A: np.ndarray, B: np.ndarray, k: int, kd_a: tuple, kd_b: tuple
+    A: np.ndarray, B: np.ndarray, k: int, order: np.ndarray, kd_b: tuple
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(near, nd2): for each row of A, the indices of its k nearest rows of
-    B and their squared distances, one row of each per row of A. kd_a and
-    kd_b are _kd_order(A) and _kd_order(B).
+    """(near, nd2): for each row of A listed in order, the indices of its k
+    nearest rows of B and their squared distances, in that row of each; rows
+    not listed are left unset. order lists rows of A in the order of
+    _kd_order(A), so each block of queries is compact; kd_b is _kd_order(B).
 
     A k-d search pruned by leaf boxes settles most rows. Rows it cannot
     settle exactly, tied at the k-th distance or in a block that keeps at
@@ -118,7 +124,6 @@ def _leaf_nearest(
     PT = np.ascontiguousarray(P.T)
     BT = np.ascontiguousarray(B.T)
     leaf = np.repeat(np.arange(sizes.size), sizes)
-    order = kd_a[0]
     for b0 in range(0, order.size, _GAP_BLOCK):
         rows = order[b0:b0 + _GAP_BLOCK]
         Q = A[rows]
@@ -170,29 +175,21 @@ def _leaf_nearest(
 # its k-set is unique in the full row too, and argpartition over the full
 # row returns that same set. Rows tied at the k-th distance and blocks
 # that keep too few nodes take argpartition over the full row instead. The
-# refinement below then sees the same candidate set per row, in the same
-# chunks of input rows, whichever way the search found it.
-#
-# A curve with a non-finite coordinate has no gap to report: the result is
-# NaN, which fails the convergence test gap <= tol. (A max over chunks would
-# drop a NaN and could read such a curve as converged.)
-def _directed_curve_gap(
-    A: np.ndarray, B: np.ndarray, kd_a: tuple | None = None, kd_b: tuple | None = None
-) -> float:
-    """max over a in A of the distance from a to the polyline through B;
-    NaN when A or B has a non-finite coordinate. A caller that measures
-    both directions passes each curve's _kd_order, built once."""
-    if not (np.isfinite(A).all() and np.isfinite(B).all()):
-        return float("nan")
+# refinement in _rows_gap then sees the same candidate set per row,
+# whichever way the search found it, and works on each row alone.
+def _rows_gap(A: np.ndarray, B: np.ndarray, keep: np.ndarray, kd_a: tuple, kd_b: tuple) -> float:
+    """max over the rows of A where the mask keep is True of the distance
+    to the polyline through B; 0.0 over no row. kd_a and kd_b are
+    _kd_order(A) and _kd_order(B)."""
     m = B.shape[0]
-    near, near_d2 = _leaf_nearest(
-        A, B, min(_GAP_NEIGHBORS, m), kd_a or _kd_order(A), kd_b or _kd_order(B)
-    )
+    near, near_d2 = _leaf_nearest(A, B, min(_GAP_NEIGHBORS, m), kd_a[0][keep[kd_a[0]]], kd_b)
+    rows = np.flatnonzero(keep)
     worst = 0.0
-    for lo in range(0, A.shape[0], _GAP_CHUNK):
-        Q = A[lo:lo + _GAP_CHUNK]
-        cand = near[lo:lo + _GAP_CHUNK]
-        best = np.sqrt(near_d2[lo:lo + _GAP_CHUNK].min(axis=1))
+    for lo in range(0, rows.size, _GAP_CHUNK):
+        chunk = rows[lo:lo + _GAP_CHUNK]
+        Q = A[chunk]
+        cand = near[chunk]
+        best = np.sqrt(near_d2[chunk].min(axis=1))
         # Project onto the polyline segments adjacent to each candidate
         # node; on a smooth curve this removes the node-spacing artifact.
         for j0, j1 in (
@@ -211,15 +208,54 @@ def _directed_curve_gap(
     return worst
 
 
+# The gap skips rows that cannot reach its maximum, an exact form of Taha
+# & Hanbury's early-break Hausdorff (IEEE TPAMI 37(11), 2015):
+# 1. Node bound. A row's value starts at sqrt(min nd2), its nearest-node
+#    distance, and refinement only lowers it. The search is exact and each
+#    d2 has the same bits wherever it is computed, so min nd2 is at most
+#    the least d2 over the nodes Y[::_GAP_STRIDE]; sqrt is monotone, so the
+#    value is at most ub, the sqrt of that least d2, in floating point too.
+# 2. Strict inequality. floor is the largest value of rows measured
+#    exactly, so at most the gap; a row with ub <= floor cannot raise the
+#    maximum, and only rows with ub > floor are measured.
+# 3. Shared floor. The Hausdorff gap is the larger directed gap, so rows
+#    measured in either direction bound it from below: both directions'
+#    probes set the floor, and the first direction's result raises it.
+# max is exact, so the result has the bits of the full scan. When more
+# than half the rows survive, as on a loop, all rows are measured.
+#
+# A curve with a non-finite coordinate has no gap to report: the result is
+# NaN, which fails the convergence test gap <= tol. (A max over chunks would
+# drop a NaN and could read such a curve as converged.)
+def _directed_curve_gap(A: np.ndarray, B: np.ndarray, both: bool = False) -> float:
+    """max over a in A of the distance from a to the polyline through B,
+    and with both the larger of it and the gap from B to A, the Hausdorff
+    distance; NaN when A or B has a non-finite coordinate."""
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        return float("nan")
+    kd_a, kd_b = _kd_order(A), _kd_order(B)
+    dirs = ((A, B, kd_a, kd_b), (B, A, kd_b, kd_a))[:1 + both]
+    floor, bounds = 0.0, []
+    for X, Y, kd_x, kd_y in dirs:
+        ub = np.sqrt(_squared_distances(X, np.ascontiguousarray(Y[::_GAP_STRIDE].T)).min(axis=1))
+        probe = np.zeros(X.shape[0], dtype=bool)
+        probe[np.argsort(ub)[-_GAP_PROBES:]] = True
+        floor = max(floor, _rows_gap(X, Y, probe, kd_x, kd_y))
+        bounds.append(np.where(probe, -np.inf, ub))
+    for (X, Y, kd_x, kd_y), ub in zip(dirs, bounds):
+        rows = ub > floor
+        if 2 * np.count_nonzero(rows) > rows.size:
+            rows[:] = True
+        floor = max(floor, _rows_gap(X, Y, rows, kd_x, kd_y))
+    return floor
+
+
 def _half_window_gap(traj: Trajectory, t_start: float, mid: float) -> float:
     """Hausdorff distance between the curve segments [t_start, mid] and
     [mid, t_end], each sampled densely through the stored interpolant."""
     ta = np.linspace(t_start, mid, _GAP_SAMPLES)
     tb = np.linspace(mid, traj.t_end, _GAP_SAMPLES)
-    A = traj.sample(ta)
-    B = traj.sample(tb)
-    kd_a, kd_b = _kd_order(A), _kd_order(B)
-    return max(_directed_curve_gap(A, B, kd_a, kd_b), _directed_curve_gap(B, A, kd_b, kd_a))
+    return _directed_curve_gap(traj.sample(ta), traj.sample(tb), both=True)
 
 
 def estimate_omega(
@@ -500,7 +536,7 @@ class TrichotomyReport:
 def _nearest_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """min over rows b of B of |b - a|, for each row a of A, by the gap's
     nearest-node search."""
-    return np.sqrt(_leaf_nearest(A, B, 1, _kd_order(A), _kd_order(B))[1][:, 0])
+    return np.sqrt(_leaf_nearest(A, B, 1, _kd_order(A)[0], _kd_order(B))[1][:, 0])
 
 
 def trichotomy_report(

@@ -273,9 +273,11 @@ def _analyze_orbit(scn: Scenario, index: int, x0) -> tuple[dict, dict]:
         eps = a["eps_chain"] if a["eps_chain"] is not None else 10.0 * max(
             loop.closure_gap, 1e-12
         )
-        r = a["r_chain"] if a["r_chain"] is not None else 0.25 * loop.period
-        # parse_scenario refuses an r_chain past t_max_chain.
-        horizon = a["t_max_chain"] if a["t_max_chain"] is not None else max(1.5 * loop.period, r)
+        t_max = a["t_max_chain"]
+        # parse_scenario refuses an r_chain past t_max_chain; the default r,
+        # a quarter period, is capped at it.
+        r = a["r_chain"] if a["r_chain"] is not None else min(0.25 * loop.period, t_max or np.inf)
+        horizon = t_max if t_max is not None else max(1.5 * loop.period, r)
         pick = _spread(loop.states.shape[0], int(a["chain_points"]))
         chain = chain_check(
             loop.states[pick], scn.field, eps=eps, r=r, t_max=horizon,

@@ -161,6 +161,17 @@ def test_report_chain_horizon_reaches_r_chain(tmp_path, capsys):
     assert chain["r"] == 20.0 and chain["t_max"] == 20.0
 
 
+def test_report_default_r_chain_is_capped_at_t_max_chain(tmp_path, capsys):
+    """A t_max_chain below a quarter period caps the default r_chain, so
+    the chain check runs instead of ending the report with exit 4."""
+    scn = _write(tmp_path, _hopf_obj(analysis={"t_max_chain": 1}))
+    outdir = tmp_path / "out"
+    assert main(["report", "--scenario", scn, "--out", str(outdir)]) == 0
+    doc = json.loads((outdir / "report.json").read_text(encoding="utf-8"))
+    chain = doc["report"]["orbits"][0]["chain_check"]
+    assert chain["r"] == chain["t_max"] == 1
+
+
 def test_report_r_chain_past_t_max_chain_is_a_schema_error(tmp_path, capsys):
     scn = _write(tmp_path, _hopf_obj(analysis={"r_chain": 20.0, "t_max_chain": 5.0}))
     assert main(["report", "--scenario", scn, "--out", str(tmp_path / "out")]) == 2

@@ -8,6 +8,10 @@ in the same order, so the gap must be the same float; from eight on numpy
 sums the broadcast form pairwise and the two may part by an ulp of d2.
 `column_gap` scans every (query, node) pair column by column, with no
 pruning, and the gap must be the same float at every n.
+
+The gap measures exactly only the rows whose node bound can reach its
+maximum (the early break); the tests at the end pin its bits on the curves
+that stress the cut and guard that the cut stays in place.
 """
 
 import tracemalloc
@@ -18,8 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import kcone
 from kcone import limitsets
-from kcone.integrators import Trajectory
+from kcone.integrators import Trajectory, integrate
 from kcone.limitsets import _directed_curve_gap, _half_window_gap
 
 
@@ -273,3 +278,141 @@ def test_half_window_gap_is_the_larger_directed_gap(traj, u, v):
     B = traj.sample(np.linspace(mid, traj.t_end, limitsets._GAP_SAMPLES))
     both = max(_directed_curve_gap(A, B), _directed_curve_gap(B, A))
     assert _half_window_gap(traj, t_start, mid) == both
+
+
+# ---- the early break ----
+
+
+def hausdorff_oracle(A, B):
+    return max(column_gap(A, B), column_gap(B, A))
+
+
+def hausdorff_gap(A, B):
+    return _directed_curve_gap(A, B, both=True)
+
+
+def half_windows(traj):
+    """The dense half-window curves of estimate_omega's default window."""
+    t_start, mid = traj.t_end - 0.5 * traj.span(), traj.t_end - 0.25 * traj.span()
+    A = traj.sample(np.linspace(t_start, mid, limitsets._GAP_SAMPLES))
+    B = traj.sample(np.linspace(mid, traj.t_end, limitsets._GAP_SAMPLES))
+    return t_start, mid, A, B
+
+
+def _searched_rows(monkeypatch):
+    """Record the query rows that each nearest-node search receives."""
+    searched = []
+    search = limitsets._leaf_nearest
+
+    def spy(A, B, k, order, kd_b):
+        searched.append(order.size)
+        return search(A, B, k, order, kd_b)
+
+    monkeypatch.setattr(limitsets, "_leaf_nearest", spy)
+    return searched
+
+
+@pytest.fixture(scope="module")
+def goodwin_traj():
+    """A Goodwin ring orbit settled on its equilibrium."""
+    field = kcone.make_cyclic_feedback(3, params={"m": 4.0})
+    return integrate(field, [0.9, 0.2, 0.5], 100.0, rtol=1e-8, atol=1e-10)
+
+
+def early_break_cases(n):
+    """(label, A, B): curves that stress the bound, probe and floor."""
+    rng = np.random.default_rng(3000 + n)
+    point = rng.standard_normal(n)
+    noise = rng.standard_normal((2, 2048, n)) * 1e-9
+    yield "noise_at_a_point", point + noise[0], point + noise[1]
+    yield "constant", np.tile(point, (300, 1)), np.tile(point, (200, 1))
+    yield "constant_apart", np.tile(point, (300, 1)), np.tile(point + 0.5, (200, 1))
+    # Fewer rows than the probes and than the stride, on either side.
+    for ma, mb in ((1, 1), (1, 40), (15, 40), (16, 31), (17, 32), (33, 15), (40, 1)):
+        yield f"short{ma}x{mb}", _walk(rng, ma, n), _walk(rng, mb, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 9])
+def test_early_break_gap_equals_the_full_scan(n):
+    for label, A, B in early_break_cases(n):
+        assert _directed_curve_gap(A, B) == column_gap(A, B), label
+        assert _directed_curve_gap(B, A) == column_gap(B, A), label
+        assert hausdorff_gap(A, B) == hausdorff_oracle(A, B), label
+
+
+def test_gap_on_a_sink_line_where_one_direction_is_zero():
+    """A tail on a sink's stable line against its own upstream nodes: every
+    upstream node is a node of the tail, so that direction is exactly 0."""
+    x3 = np.exp(-np.linspace(0.0, 10.0, 2048))
+    A = np.stack([np.zeros_like(x3), np.zeros_like(x3), x3], axis=1)
+    B = A[:1200:3]
+    assert _directed_curve_gap(B, A) == column_gap(B, A) == 0.0
+    assert _directed_curve_gap(A, B) == column_gap(A, B) > 0.0
+    assert hausdorff_gap(A, B) == hausdorff_gap(B, A) == column_gap(A, B)
+
+
+def test_the_row_that_sets_the_gap_need_not_be_probed(monkeypatch):
+    """Twenty on-curve rows between the sampled nodes outrank, by their
+    bound, the one off-curve row that sets the gap; the probes measure 0,
+    and the row is found by the second search, among the survivors."""
+    x = np.linspace(0.0, 1.0, 2048)
+    B = np.stack([x, np.zeros_like(x)], axis=1)
+    sampled = B[::limitsets._GAP_STRIDE]
+    between = B[limitsets._GAP_STRIDE // 2::limitsets._GAP_STRIDE][:20]
+    off = B[:1] + [0.0, 0.005]
+    A = np.concatenate([np.repeat(sampled, 3, axis=0), between, off])
+    assert column_gap(between, B) == 0.0
+    searched = _searched_rows(monkeypatch)
+    assert _directed_curve_gap(A, B) == column_gap(A, B) > 0.004
+    assert len(searched) == 2 and searched[0] == limitsets._GAP_PROBES
+    assert hausdorff_gap(A, B) == hausdorff_oracle(A, B)
+
+
+def test_the_hub_of_a_loop_is_measured():
+    """A curve winding the unit circle once every _GAP_STRIDE nodes,
+    against its centre and a small ring around it: the centre, the
+    farthest row, is no nearer any node than the radius, though it sits on
+    the centroid of every run of _GAP_STRIDE nodes."""
+    turn = 2.0 * np.pi * np.arange(8 * limitsets._GAP_STRIDE) / limitsets._GAP_STRIDE
+    B = np.stack([np.cos(turn), np.sin(turn)], axis=1)
+    around = np.linspace(0.0, 2.0 * np.pi, 100)
+    ring = 0.02 * np.stack([np.cos(around), np.sin(around)], axis=1)
+    A = np.concatenate([ring, [[0.0, 0.0]]])
+    gap = _directed_curve_gap(A, B)
+    assert gap == column_gap(A, B) == column_gap(A[-1:], B) > 0.99
+    assert hausdorff_gap(A, B) == hausdorff_oracle(A, B)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("n", [3, 8, 16])
+def test_gap_does_not_depend_on_the_chunks(n, chunk, monkeypatch):
+    """Each row's value comes from that row alone, so rows measured in any
+    subset and chunking give the full scan's bits."""
+    cases = list(pruned_cases(n))[:3]
+    want = [column_gap(A, B) for _, A, B in cases]
+    monkeypatch.setattr(limitsets, "_GAP_CHUNK", chunk)
+    for (label, A, B), w in zip(cases, want):
+        assert _directed_curve_gap(A, B) == w, label
+
+
+def test_half_window_gap_on_a_settled_tail(goodwin_traj):
+    t_start, mid, A, B = half_windows(goodwin_traj)
+    assert _half_window_gap(goodwin_traj, t_start, mid) == hausdorff_oracle(A, B)
+
+
+def test_settled_tail_searches_few_rows(goodwin_traj, monkeypatch):
+    """Guard on the early break: a settled Goodwin tail's gap measures at
+    most 5 % of its 2 x 2,048 rows, where the full scan searched them all."""
+    t_start, mid, _, _ = half_windows(goodwin_traj)
+    searched = _searched_rows(monkeypatch)
+    _half_window_gap(goodwin_traj, t_start, mid)
+    assert 0 < sum(searched) <= 0.05 * 2 * limitsets._GAP_SAMPLES
+
+
+def test_loop_gap_still_equals_the_oracle(hopf_traj, monkeypatch):
+    """On a loop nearly every row survives the cut, and the gap is the
+    full scan's."""
+    t_start, mid, A, B = half_windows(hopf_traj)
+    searched = _searched_rows(monkeypatch)
+    assert _half_window_gap(hopf_traj, t_start, mid) == hausdorff_oracle(A, B)
+    assert sum(searched) > 2 * limitsets._GAP_SAMPLES
