@@ -47,6 +47,8 @@ SINGULARITY_RTOL = 1e-10
 DISTINCTNESS_RTOL = 1e-14
 # Rows per block of the quadratic-form kernel.
 _FORM_BLOCK = 8192
+# |v|^2 from which an overflowed quadratic form is read off v / max|v_i|.
+_FORM_RESCALE_SUMSQ = 2.0**1000
 
 
 class OrderClass(str, Enum):
@@ -165,8 +167,20 @@ class QuadraticCone(_Margins):
 
     def margin_many(self, V) -> np.ndarray:
         """Normalized margins for rows of V, shape (m, n) -> (m,)."""
-        V, ss = _in_range(V, lambda W: np.einsum("...i,...i->...", W, W))
-        return self._form(V) / ss
+        sumsq = lambda W: np.einsum("...i,...i->...", W, W)
+        V, ss = _in_range(V, sumsq)
+        form = self._form(V)
+        # v^T P v can overflow where |v|^2 does not, for |v|^2 near 1e308: a
+        # row whose form overflowed and whose |v|^2 is at least
+        # _FORM_RESCALE_SUMSQ is divided by its largest |v_i| as well. A form
+        # that overflows at a smaller |v|^2 does so through P and stays as
+        # einsum reads it.
+        over = ~np.isfinite(form) & (ss >= _FORM_RESCALE_SUMSQ) & (ss < np.inf)
+        if over.any():
+            V = V / np.where(over, np.abs(V).max(axis=-1), 1.0)[..., None]
+            ss = sumsq(V)
+            form = self._form(V)
+        return form / ss
 
 
 def make_quadratic_cone(P, boundary_band: float = DEFAULT_BOUNDARY_BAND) -> QuadraticCone:

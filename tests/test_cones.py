@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -288,6 +288,9 @@ def test_margin_reads_the_batch_row(kind, XY):
     ),
     st.integers(-300, 300),
 )
+# |v|^2 is finite here, but v^T P v overflows to -inf and to inf - inf.
+@example("quadratic", np.array([1.0, 0.0, 0.0]), 154)
+@example("quadratic", np.array([0.5, 0.0, 1.0]), 154)
 def test_margin_is_finite_at_every_scale(kind, u, exponent):
     """From 1e-300 to 1e300 a margin is finite and raises no warning. Where
     |v|^2 leaves the normal range (below about 1e-154 or above 1e154) it is
