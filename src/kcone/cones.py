@@ -84,8 +84,9 @@ def _in_range(V, sumsq) -> tuple[np.ndarray, np.ndarray]:
     V = np.asarray(V, dtype=float)
     with np.errstate(over="ignore"):  # an overflowed row is rescaled
         ss = sumsq(V)
-    out = ~((ss >= np.finfo(float).tiny) & (ss < np.inf))
-    if out.any():
+    # The mask is built only when the extremes show a row out of range.
+    if ss.size and not (ss.min() >= np.finfo(float).tiny and ss.max() < np.inf):
+        out = ~((ss >= np.finfo(float).tiny) & (ss < np.inf))
         top = np.abs(V).max(axis=-1)
         V = V / np.where(out & (top > 0.0) & (top < np.inf), top, 1.0)[..., None]
         ss = sumsq(V)
@@ -143,13 +144,18 @@ class QuadraticCone(_Margins):
     # squares stays an einsum: numpy does not sum "...i,...i->..." in
     # sequence, and a sequential rewrite moved a Hopf witness margin by an
     # ulp and changed report digests.
+    # An all-finite block skips P's zero entries: their terms are ±0, which
+    # never change a sum that starts at +0 (+0 + -0 is +0). A non-finite
+    # entry makes such a term NaN, so a block with one takes every term.
     def _form(self, V, W=None) -> np.ndarray:
         V = np.asarray(V)
         if V.shape[-1:] != (self.dim,):
             raise DimensionMismatch(f"expected rows of length {self.dim}, got {V.shape}")
         rows = V.reshape(-1, self.dim)
         cols = rows if W is None else np.asarray(W).reshape(-1, self.dim)
-        P = self.p_matrix.tolist()
+        terms = [(i, j, p_ij) for i, row in enumerate(self.p_matrix.tolist())
+                 for j, p_ij in enumerate(row)]
+        nonzero = [t for t in terms if t[2] != 0.0]
         form = np.empty(rows.shape[0])
         with np.errstate(all="ignore"):
             for lo in range(0, rows.shape[0], _FORM_BLOCK):
@@ -157,11 +163,11 @@ class QuadraticCone(_Margins):
                 E = C if W is None else cols[lo:lo + _FORM_BLOCK].T.copy()
                 block = np.zeros(C.shape[1])
                 term = np.empty_like(block)
-                for i, row in enumerate(P):
-                    for j, p_ij in enumerate(row):
-                        np.multiply(C[i], p_ij, out=term)
-                        np.multiply(term, E[j], out=term)
-                        np.add(block, term, out=block)
+                finite = np.isfinite(C).all() and (E is C or np.isfinite(E).all())
+                for i, j, p_ij in nonzero if finite else terms:
+                    np.multiply(C[i], p_ij, out=term)
+                    np.multiply(term, E[j], out=term)
+                    np.add(block, term, out=block)
                 form[lo:lo + _FORM_BLOCK] = block
         return form.reshape(V.shape[:-1])
 
@@ -175,11 +181,12 @@ class QuadraticCone(_Margins):
         # _FORM_RESCALE_SUMSQ is divided by its largest |v_i| as well. A form
         # that overflows at a smaller |v|^2 does so through P and stays as
         # einsum reads it.
-        over = ~np.isfinite(form) & (ss >= _FORM_RESCALE_SUMSQ) & (ss < np.inf)
-        if over.any():
-            V = V / np.where(over, np.abs(V).max(axis=-1), 1.0)[..., None]
-            ss = sumsq(V)
-            form = self._form(V)
+        if not np.isfinite(form).all():
+            over = ~np.isfinite(form) & (ss >= _FORM_RESCALE_SUMSQ) & (ss < np.inf)
+            if over.any():
+                V = V / np.where(over, np.abs(V).max(axis=-1), 1.0)[..., None]
+                ss = sumsq(V)
+                form = self._form(V)
         return form / ss
 
 

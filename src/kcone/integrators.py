@@ -148,8 +148,11 @@ class Trajectory:
 
 
 def _hermite(y0, f0, y1, f1, h, s):
-    h00 = (1 + 2 * s) * (1 - s) ** 2
-    h10 = s * (1 - s) ** 2
+    # r * r is numpy's ** 2 on an array, so a float s gets the bits of its
+    # row in sample (** on a float calls C pow, which may differ by an ulp).
+    r = 1 - s
+    h00 = (1 + 2 * s) * (r * r)
+    h10 = s * (r * r)
     h01 = s * s * (3 - 2 * s)
     h11 = s * s * (s - 1)
     return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1

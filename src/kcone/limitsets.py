@@ -10,6 +10,7 @@ mixed tail whose ordered core the rest may connect to.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from enum import Enum
 
@@ -25,7 +26,7 @@ from .errors import (
     TrajectoryTooShort,
 )
 from .fields import VectorField
-from .integrators import Trajectory, integrate, integrate_backward, integrate_many
+from .integrators import Trajectory, _hermite, integrate, integrate_backward, integrate_many
 
 # Two states closer than this (absolute, relative to max(1, scale)) are one
 # point for pair scans.
@@ -70,8 +71,11 @@ _GAP_BLOCK = 64
 # Every _GAP_STRIDE-th node of the other curve bounds a query row's gap from
 # above; the _GAP_PROBES rows with the largest bounds, in each direction, are
 # measured first and set the floor that the other rows must exceed.
-_GAP_STRIDE = 32
+_GAP_STRIDE = 64
 _GAP_PROBES = 16
+# Row sets of at most this many rows skip the k-d orders: each row is
+# measured against every node, _GAP_BLOCK rows at a time.
+_GAP_BRUTE = 256
 
 
 def _kd_order(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -104,53 +108,57 @@ def _squared_distances(Q: np.ndarray, BT: np.ndarray) -> np.ndarray:
 
 
 def _leaf_nearest(
-    A: np.ndarray, B: np.ndarray, k: int, order: np.ndarray, kd_b: tuple
+    A: np.ndarray, B: np.ndarray, k: int, order: np.ndarray, kd_b: tuple | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """(near, nd2): for each row of A listed in order, the indices of its k
     nearest rows of B and their squared distances, in that row of each; rows
-    not listed are left unset. order lists rows of A in the order of
-    _kd_order(A), so each block of queries is compact; kd_b is _kd_order(B).
+    not listed are left unset. kd_b is _kd_order(B), and order then lists
+    rows of A in the order of _kd_order(A), so each block of queries is
+    compact; with kd_b None every listed row is measured against every node
+    of B, in any order.
 
     A k-d search pruned by leaf boxes settles most rows. Rows it cannot
     settle exactly, tied at the k-th distance or in a block that keeps at
     most k nodes, take argpartition over the full row of d2, in B's order."""
     near = np.empty((A.shape[0], k), dtype=np.intp)
     nd2 = np.empty((A.shape[0], k))
-    perm, bounds = kd_b
-    sizes = np.diff(bounds)
-    P = B[perm]
-    lo = np.minimum.reduceat(P, bounds[:-1])
-    hi = np.maximum.reduceat(P, bounds[:-1])
-    PT = np.ascontiguousarray(P.T)
     BT = np.ascontiguousarray(B.T)
-    leaf = np.repeat(np.arange(sizes.size), sizes)
+    if kd_b is not None:
+        perm, bounds = kd_b
+        sizes = np.diff(bounds)
+        P = B[perm]
+        lo = np.minimum.reduceat(P, bounds[:-1])
+        hi = np.maximum.reduceat(P, bounds[:-1])
+        PT = np.ascontiguousarray(P.T)
+        leaf = np.repeat(np.arange(sizes.size), sizes)
     for b0 in range(0, order.size, _GAP_BLOCK):
         rows = order[b0:b0 + _GAP_BLOCK]
         Q = A[rows]
-        # Squared distance from each query to each leaf box, summed in the
-        # same order as d2; every term is a monotone function of a term of
-        # d2, so lb <= d2 holds in floating point for every node of a leaf.
-        lb = np.zeros((rows.size, sizes.size))
-        for c in range(P.shape[1]):
-            q = Q[:, c:c + 1]
-            lb += np.maximum(np.maximum(lo[:, c] - q, q - hi[:, c]), 0.0) ** 2
-        # U bounds each row's k-th distance from above: the k-th smallest
-        # d2 over the leaves nearest the block, two at least and k nodes.
-        seed = np.argsort(lb.max(axis=0))
-        n_seed = max(2, int(np.searchsorted(np.cumsum(sizes[seed]), k)) + 1)
-        near_leaf = np.zeros(sizes.size, dtype=bool)
-        near_leaf[seed[:n_seed]] = True
-        cols = np.flatnonzero(near_leaf[leaf])
-        U = np.partition(_squared_distances(Q, PT[:, cols]), k - 1, axis=1)[:, k - 1]
-        cols = np.flatnonzero((lb <= U[:, None]).any(axis=0)[leaf])
-        if cols.size > k:
-            d2 = _squared_distances(Q, PT[:, cols])
-            part = np.argpartition(d2, k, axis=1)[:, :k + 1]
-            pd2 = np.take_along_axis(d2, part, axis=1)
-            near[rows] = perm[cols[part[:, :k]]]
-            nd2[rows] = pd2[:, :k]
-            tied = pd2[:, :k].max(axis=1) >= pd2[:, k]
-            rows, Q = rows[tied], Q[tied]
+        if kd_b is not None:
+            # Squared distance from each query to each leaf box, summed like
+            # d2; every term is a monotone function of a term of d2, so lb <=
+            # d2 holds in floating point for every node of a leaf.
+            lb = np.zeros((rows.size, sizes.size))
+            for c in range(P.shape[1]):
+                q = Q[:, c:c + 1]
+                lb += np.maximum(np.maximum(lo[:, c] - q, q - hi[:, c]), 0.0) ** 2
+            # U bounds each row's k-th distance from above: the k-th smallest
+            # d2 over the leaves nearest the block, two at least and k nodes.
+            seed = np.argsort(lb.max(axis=0))
+            n_seed = max(2, int(np.searchsorted(np.cumsum(sizes[seed]), k)) + 1)
+            near_leaf = np.zeros(sizes.size, dtype=bool)
+            near_leaf[seed[:n_seed]] = True
+            cols = np.flatnonzero(near_leaf[leaf])
+            U = np.partition(_squared_distances(Q, PT[:, cols]), k - 1, axis=1)[:, k - 1]
+            cols = np.flatnonzero((lb <= U[:, None]).any(axis=0)[leaf])
+            if cols.size > k:
+                d2 = _squared_distances(Q, PT[:, cols])
+                part = np.argpartition(d2, k, axis=1)[:, :k + 1]
+                pd2 = np.take_along_axis(d2, part, axis=1)
+                near[rows] = perm[cols[part[:, :k]]]
+                nd2[rows] = pd2[:, :k]
+                tied = pd2[:, :k].max(axis=1) >= pd2[:, k]
+                rows, Q = rows[tied], Q[tied]
         if rows.size:
             d2 = _squared_distances(Q, BT)
             idx = np.argpartition(d2, k - 1, axis=1)[:, :k]
@@ -174,16 +182,24 @@ def _leaf_nearest(
 # the largest of a row's k smallest kept d2 is strictly below the (k+1)-th,
 # its k-set is unique in the full row too, and argpartition over the full
 # row returns that same set. Rows tied at the k-th distance and blocks
-# that keep too few nodes take argpartition over the full row instead. The
-# refinement in _rows_gap then sees the same candidate set per row,
-# whichever way the search found it, and works on each row alone.
-def _rows_gap(A: np.ndarray, B: np.ndarray, keep: np.ndarray, kd_a: tuple, kd_b: tuple) -> float:
+# that keep too few nodes take argpartition over the full row instead, and
+# so do all rows of a set of at most _GAP_BRUTE, which skips the k-d
+# orders. The refinement in _rows_gap then sees the same candidate set per
+# row, whichever way the search found it, takes minima over it in any
+# order, and works on each row alone.
+def _rows_gap(A: np.ndarray, B: np.ndarray, keep: np.ndarray, kd) -> float:
     """max over the rows of A where the mask keep is True of the distance
-    to the polyline through B; 0.0 over no row. kd_a and kd_b are
-    _kd_order(A) and _kd_order(B)."""
+    to the polyline through B; 0.0 over no row. Up to _GAP_BRUTE rows are
+    measured against every node of B; more go through the k-d search, kd(X)
+    giving _kd_order(X) for X = A, B."""
     m = B.shape[0]
-    near, near_d2 = _leaf_nearest(A, B, min(_GAP_NEIGHBORS, m), kd_a[0][keep[kd_a[0]]], kd_b)
+    k = min(_GAP_NEIGHBORS, m)
     rows = np.flatnonzero(keep)
+    if rows.size <= _GAP_BRUTE:
+        near, near_d2 = _leaf_nearest(A, B, k, rows, None)
+    else:
+        perm = kd(A)[0]
+        near, near_d2 = _leaf_nearest(A, B, k, perm[keep[perm]], kd(B))
     worst = 0.0
     for lo in range(0, rows.size, _GAP_CHUNK):
         chunk = rows[lo:lo + _GAP_CHUNK]
@@ -233,20 +249,21 @@ def _directed_curve_gap(A: np.ndarray, B: np.ndarray, both: bool = False) -> flo
     distance; NaN when A or B has a non-finite coordinate."""
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
         return float("nan")
-    kd_a, kd_b = _kd_order(A), _kd_order(B)
-    dirs = ((A, B, kd_a, kd_b), (B, A, kd_b, kd_a))[:1 + both]
+    trees: dict[int, tuple] = {}  # each curve's k-d order, built on first use
+    kd = lambda X: trees.get(id(X)) or trees.setdefault(id(X), _kd_order(X))
+    dirs = ((A, B), (B, A))[:1 + both]
     floor, bounds = 0.0, []
-    for X, Y, kd_x, kd_y in dirs:
+    for X, Y in dirs:
         ub = np.sqrt(_squared_distances(X, np.ascontiguousarray(Y[::_GAP_STRIDE].T)).min(axis=1))
         probe = np.zeros(X.shape[0], dtype=bool)
         probe[np.argsort(ub)[-_GAP_PROBES:]] = True
-        floor = max(floor, _rows_gap(X, Y, probe, kd_x, kd_y))
+        floor = max(floor, _rows_gap(X, Y, probe, kd))
         bounds.append(np.where(probe, -np.inf, ub))
-    for (X, Y, kd_x, kd_y), ub in zip(dirs, bounds):
+    for (X, Y), ub in zip(dirs, bounds):
         rows = ub > floor
         if 2 * np.count_nonzero(rows) > rows.size:
             rows[:] = True
-        floor = max(floor, _rows_gap(X, Y, rows, kd_x, kd_y))
+        floor = max(floor, _rows_gap(X, Y, rows, kd))
     return floor
 
 
@@ -334,12 +351,14 @@ def _distinct_pairs(P: np.ndarray):
 
     Pairs come in (i, j) order, in blocks of at most _PAIR_BLOCK, with
     D = P[i] - P[j] and gaps = |D|; blocks with no distinct pair are
-    skipped. Two points are distinct when their gap exceeds
+    skipped. The first block holds row 0's pairs alone, so a scan that stops
+    after it (classify_orbit at a witness in row 0) reads m - 1 pairs, not
+    _PAIR_BLOCK. Two points are distinct when their gap exceeds
     PAIR_DISTINCT_TOL * max(1, max|P|); a non-finite coordinate, to which
     no gap is meaningful, raises BadParameter. Each block is filled from row
     ranges, a row split where the block ends; its arrays are fresh. Its gaps
     are taken once, by _row_norms, with one square buffer a block long for
-    the whole scan.
+    the whole scan. A pair has the same bits in any block.
     """
     m, n = P.shape
     if m == 0:
@@ -352,8 +371,9 @@ def _distinct_pairs(P: np.ndarray):
     left = m * (m - 1) // 2
     square = np.empty(min(_PAIR_BLOCK, left))
     r, lo = 0, 1  # the next pair is (r, lo)
+    size = min(m - 1, _PAIR_BLOCK)  # the first block: row 0's pairs
     while left:
-        size = min(_PAIR_BLOCK, left)
+        size = min(size, left)
         left -= size
         i = np.empty(size, dtype=np.intp)
         j = np.empty(size, dtype=np.intp)
@@ -377,6 +397,7 @@ def _distinct_pairs(P: np.ndarray):
             yield i, j, D, gaps
         elif keep.any():
             yield i[keep], j[keep], D[keep], gaps[keep]
+        size = _PAIR_BLOCK
 
 
 # ---- orbit classification ----
@@ -410,6 +431,8 @@ def classify_orbit(traj: Trajectory, cone: Cone) -> OrbitClassification:
     boundary band included, makes the orbit pseudo-ordered and is reported
     as the witness. If every distinct pair is unordered the orbit counts as
     unordered; with no distinct pair, as in audit_ordering, it is trivial.
+    The scan ends with the first pair block that holds a witness; the first
+    block is the first state's pairs, so a witness there costs m - 1 margins.
     """
     m_all = len(traj.times)
     if m_all < 10:
@@ -639,12 +662,32 @@ def projection_separation(points, projector: Projector) -> float:
     return min(lows, default=1.0)
 
 
+def _point_sampler(traj: Trajectory):
+    """A function of one float time t with the bits of traj.sample(t),
+    without its array set-up: t is clipped to the run and its interval found
+    by bisect on the node times, as in sample. A one-node run keeps sample."""
+    if len(traj.times) == 1:
+        return traj.sample
+    times = traj.times.tolist()
+    t0, t_end, last = times[0], times[-1], len(times) - 2
+
+    def at(t: float) -> np.ndarray:
+        t = min(max(t, t0), t_end)
+        i = min(bisect.bisect_right(times, t) - 1, last)
+        h = times[i + 1] - times[i]
+        return _hermite(traj.states[i], traj.derivs[i], traj.states[i + 1],
+                        traj.derivs[i + 1], h, (t - times[i]) / h)
+
+    return at
+
+
 def _closest_return(traj: Trajectory, y, lo: float, hi: float, tol: float) -> tuple[float, float]:
     """(t, |traj.sample(t) - y|) at the t in [lo, hi] where the run passes
     closest to y, by golden-section search down to a bracket of tol."""
+    at = _point_sampler(traj)
 
     def fn(t):
-        return float(np.linalg.norm(traj.sample(t) - y))
+        return float(np.linalg.norm(at(t) - y))
 
     a, b = lo, hi
     c = b - GOLDEN * (b - a)

@@ -377,3 +377,47 @@ def test_form_of_huge_entries_is_quiet_and_matches_einsum(n):
         got = cone.margin_many(V)
     assert np.isnan(want).any() and np.isfinite(want).any()
     assert np.array_equal(got, want, equal_nan=True)
+
+
+# ---- the kernel skips P's zero entries in an all-finite block ----
+
+
+def every_term_form(V, P, W=None):
+    """v^T P w by the kernel's loop over every term of P, zero entries
+    included: the reference the skipping kernel must match bit for bit."""
+    n = P.shape[0]
+    rows = np.asarray(V).reshape(-1, n)
+    cols = rows if W is None else np.asarray(W).reshape(-1, n)
+    form = np.zeros(rows.shape[0])
+    with np.errstate(all="ignore"):
+        for i in range(n):
+            for j in range(n):
+                form += (rows[:, i] * P[i, j]) * cols[:, j]
+    return form.reshape(np.shape(V)[:-1])
+
+
+SPECIAL_ENTRIES = [0.0, -0.0, 5e-324, -1e-310, 1e154, -1e154, np.inf, -np.inf, np.nan, 1.0, -2.5]
+
+
+@pytest.mark.parametrize("block", [None, 4])
+@pytest.mark.parametrize("shape", ["diagonal", "dense"])
+def test_form_skipping_zero_entries_has_the_every_term_bits(shape, block, monkeypatch):
+    """Rows of ±0, subnormals, 1e154, ±inf and NaN, alone and mixed with
+    finite rows, through _form(V) and _form(V, W); with blocks of 4 rows
+    some blocks are all finite and others hold a non-finite entry."""
+    if block is not None:
+        monkeypatch.setattr("kcone.cones._FORM_BLOCK", block)
+    rng = np.random.default_rng(27)
+    P = np.diag([-1.0, -1.0, 1.0])
+    if shape == "dense":
+        P = _random_form(3, rng)
+        P[0, 2] = P[2, 0] = 0.0
+    cone = kcone.make_quadratic_cone(P)
+    special = rng.choice(SPECIAL_ENTRIES, size=(200, 3))
+    finite = rng.normal(size=(200, 3)) * rng.choice([1e-300, 1.0, 1e150], size=(200, 1))
+    V = np.concatenate([finite, special, finite[:37], np.zeros((3, 3)), -np.zeros((3, 3))])
+    W = rng.permutation(V)
+    for args in ((V,), (V, W), (W, V), (finite,), (finite, finite[::-1])):
+        got = cone._form(*args)
+        assert got.tobytes() == every_term_form(*args[:1], P, *args[1:]).tobytes()
+    assert cone._form(V[3]).tobytes() == every_term_form(V[3], P).tobytes()

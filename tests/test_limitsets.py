@@ -578,3 +578,28 @@ def test_projection_separation(hopf_omega, std_cone):
     assert projection_separation(axis, proj) == 0.0
     assert projection_separation(np.zeros((1, 3)), proj) == 1.0
 
+
+
+# ---- one-time sampling in the closest-return search ----
+
+
+def test_point_sampler_has_the_bits_of_sample(hopf_traj):
+    """_closest_return evaluates the interpolant at one time through
+    _point_sampler: the bits of traj.sample(t) at 10,000 random times, at
+    every node, at both ends and just past them (sample clips there)."""
+    rng = np.random.default_rng(5)
+    t0, t_end = hopf_traj.t0, hopf_traj.t_end
+    times = np.concatenate([
+        rng.uniform(t0, t_end, 10_000), hopf_traj.times,
+        [t0, t_end, t0 - 5e-13, t_end + 5e-13, np.nextafter(t_end, 0.0)],
+    ])
+    at = limitsets._point_sampler(hopf_traj)
+    for t in times.tolist():
+        assert at(t).tobytes() == hopf_traj.sample(t).tobytes(), t
+
+
+def test_point_sampler_of_a_one_node_run_is_sample():
+    traj = Trajectory(times=np.array([2.0]), states=np.array([[1.0, -2.0]]),
+                      derivs=np.zeros((1, 2)), rtol=1e-8, atol=1e-10, max_step=np.inf)
+    at = limitsets._point_sampler(traj)
+    assert at(2.0).tobytes() == traj.sample(2.0).tobytes() == traj.states[0].tobytes()

@@ -416,3 +416,80 @@ def test_loop_gap_still_equals_the_oracle(hopf_traj, monkeypatch):
     searched = _searched_rows(monkeypatch)
     assert _half_window_gap(hopf_traj, t_start, mid) == hausdorff_oracle(A, B)
     assert sum(searched) > 2 * limitsets._GAP_SAMPLES
+
+
+# ---- small row sets skip the k-d orders ----
+
+
+@pytest.mark.parametrize("consts", [None, (4, 7, 450 * 600), (1, 1, 300 * 300)])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8, 9, 16])
+def test_pruned_gap_on_the_k_d_search_alone(n, consts, monkeypatch):
+    """The pruned-search cases with every row set, probes included, sent
+    through the k-d search (_GAP_BRUTE = 0), which the default sends only
+    sets of more than _GAP_BRUTE rows."""
+    monkeypatch.setattr(limitsets, "_GAP_BRUTE", 0)
+    test_pruned_gap_equals_full_column_scan(n, consts, monkeypatch)
+
+
+@pytest.fixture(scope="module")
+def sink_axis_traj():
+    """A linear sink orbit on its stable axis: a collinear settled tail."""
+    field = kcone.make_linear_field(np.diag([1.0, 1.0, -1.0]))
+    return integrate(field, [0.0, 0.0, 0.7], 100.0, rtol=1e-8, atol=1e-10)
+
+
+def gap_cut_cases(goodwin_traj, hopf_traj, sink_axis_traj):
+    """(label, A, B): settled, loop, collinear-sink and tied curves."""
+    yield ("settled",) + half_windows(goodwin_traj)[2:]
+    yield ("loop",) + half_windows(hopf_traj)[2:]
+    yield ("collinear_sink",) + half_windows(sink_axis_traj)[2:]
+    yield next((label, A, B) for label, A, B in pruned_cases(3) if label == "lattice")
+
+
+@pytest.mark.parametrize("case", ["settled", "loop", "collinear_sink", "lattice"])
+def test_gap_does_not_depend_on_the_brute_cut_or_the_stride(
+    case, goodwin_traj, hopf_traj, sink_axis_traj, monkeypatch
+):
+    """The brute-force rows and the k-d search find the same candidate sets
+    and the stride only moves the cut, so every _GAP_BRUTE (all sets on the
+    k-d search, the default, all sets brute force) and _GAP_STRIDE gives
+    the full scan's bits, both ways and as the Hausdorff gap."""
+    cases = gap_cut_cases(goodwin_traj, hopf_traj, sink_axis_traj)
+    _, A, B = next(c for c in cases if c[0] == case)
+    want = column_gap(A, B), column_gap(B, A)
+    for brute in (0, limitsets._GAP_BRUTE, 4096):
+        for stride in (1, 7, 64, 4096):
+            monkeypatch.setattr(limitsets, "_GAP_BRUTE", brute)
+            monkeypatch.setattr(limitsets, "_GAP_STRIDE", stride)
+            got = _directed_curve_gap(A, B), _directed_curve_gap(B, A), hausdorff_gap(A, B)
+            assert got == want + (max(want),), (brute, stride)
+
+
+def _kd_builds(monkeypatch):
+    """Record the row count of every k-d order built."""
+    built = []
+    kd_order = limitsets._kd_order
+
+    def spy(P):
+        built.append(P.shape[0])
+        return kd_order(P)
+
+    monkeypatch.setattr(limitsets, "_kd_order", spy)
+    return built
+
+
+def test_settled_tail_builds_no_k_d_order(goodwin_traj, monkeypatch):
+    """Every row set of a settled Goodwin gap is small: no k-d order."""
+    t_start, mid, _, _ = half_windows(goodwin_traj)
+    built = _kd_builds(monkeypatch)
+    _half_window_gap(goodwin_traj, t_start, mid)
+    assert built == []
+
+
+def test_loop_gap_builds_each_k_d_order_once(hopf_traj, monkeypatch):
+    """A loop measures all rows both ways through the k-d search, on one
+    order per curve."""
+    t_start, mid, _, _ = half_windows(hopf_traj)
+    built = _kd_builds(monkeypatch)
+    _half_window_gap(hopf_traj, t_start, mid)
+    assert built == [limitsets._GAP_SAMPLES] * 2

@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import kcone
 from kcone import limitsets, report
 from kcone.cones import (
     make_orthant_complement_cone,
@@ -411,3 +412,83 @@ def test_classify_orbit_holds_no_pair_matrix():
     peak = _peak_bytes(lambda: out.append(classify_orbit(traj, CONES["quadratic"])))
     assert out[0].kind is OrbitClass.UNORDERED
     assert peak < m * m
+
+
+# ---- the first block is row 0's pairs ----
+
+
+@pytest.mark.parametrize("n", [3, 9])
+def test_first_block_size_does_not_move_the_scan(n, monkeypatch):
+    """The first block holds row 0's pairs alone (m - 1 of them, or a
+    block's worth), and the concatenated scan has the same bits whatever
+    that first block's size; rows 5 and 77 coincide with row 0, and rows
+    scaled by 1e-6 coincide with each other at the 1e6 rows' tolerance."""
+    m = 300
+    rng = np.random.default_rng(50 + n)
+    P = rng.normal(size=(m, n)) * rng.choice([1e-6, 1.0, 1e6], size=(m, 1))
+    P[[5, 77]] = P[0]
+    iu, ju, D, _, distinct = _all_pairs(P)
+    row0 = ju[distinct & (iu == 0)].tolist()
+    assert 5 not in row0 and 77 not in row0
+    want = None
+    for size in (1, 7, m - 2, m - 1, m, 1 << 16):
+        monkeypatch.setattr(limitsets, "_PAIR_BLOCK", size)
+        blocks = list(limitsets._distinct_pairs(P))
+        i, j = blocks[0][:2]
+        assert (i == 0).all()
+        assert j.tolist() == [c for c in row0 if c <= min(m - 1, size)]
+        got = [np.concatenate([b[k] for b in blocks]).tobytes() for k in range(4)]
+        assert got[:3] == [iu[distinct].tobytes(), ju[distinct].tobytes(), D[distinct].tobytes()]
+        want = want or got
+        assert got == want
+
+
+_P2 = np.diag([-1.0, -1.0, 1.0])
+_LV_A = [[1.0, 0.2, 0.6], [0.6, 1.0, 0.2], [0.2, 0.6, 1.0]]
+# label: (field, x0, cone) of a settled, looping or unordered orbit.
+ORBITS = {
+    "goodwin": (kcone.make_cyclic_feedback(3, params={"m": 4.0}), [0.9, 0.2, 0.5],
+                make_orthant_complement_cone(3)),
+    "lv": (kcone.make_competitive_lv(_LV_A, [1.0, 1.0, 1.0]), [1.5, 0.3, 0.7],
+           make_quadratic_cone(_P2)),
+    "hopf": (kcone.make_hopf_cylinder(1.0, 4.0), [0.1, 0.0, 0.5], make_quadratic_cone(_P2)),
+    # On the sink's stable axis every difference lies along e3: unordered.
+    "sink": (make_linear_field(np.diag([1.0, 1.0, -1.0])), [0.0, 0.0, 0.7],
+             make_quadratic_cone(_P2)),
+}
+
+
+@pytest.mark.parametrize("label", sorted(ORBITS))
+def test_classify_orbit_equals_the_full_scan_on_orbits(label, monkeypatch):
+    """Kind, witness and margin of the full-scan oracle. Settled Goodwin and
+    LV orbits are ordered at their first pair, and a witness in row 0 costs
+    at most m - 1 margins (a spy on margin_many counts them); an unordered
+    orbit scores every distinct pair."""
+    field, x0, cone = ORBITS[label]
+    traj = kcone.integrate(field, x0, 100.0)
+    take = limitsets._spread(len(traj.times), limitsets.ORBIT_STATES)
+    S, m = traj.states[take], take.size
+    want = oracle_witness(S, cone)
+    seen = []
+    margin_many = type(cone).margin_many
+
+    def spy(self, V):
+        seen.append(len(V))
+        return margin_many(self, V)
+
+    monkeypatch.setattr(type(cone), "margin_many", spy)
+    cls = classify_orbit(traj, cone)
+    assert cls.n_states == m
+    if want is None:
+        assert label == "sink"
+        assert cls.kind is OrbitClass.UNORDERED and cls.witness_times is None
+        assert sum(seen) == np.count_nonzero(_all_pairs(S)[4])
+        return
+    i, j, margin = want
+    assert cls.kind is OrbitClass.PSEUDO_ORDERED
+    assert cls.witness_times == (float(traj.times[take[i]]), float(traj.times[take[j]]))
+    assert cls.witness_margin == margin
+    if label in ("goodwin", "lv"):
+        assert (i, j) == (0, 1)
+    if i == 0:
+        assert 0 < sum(seen) <= m - 1
