@@ -14,8 +14,9 @@ Characteristics
       the exit time is localized by bisection on the step interpolant.
     * Fields that expose a region signature (piecewise-linear ramps) get
       their kink crossings localized: a step that changes the signature is
-      re-tried at half length until the crossing step is below a floor, and
-      the step after a crossing restarts small.
+      re-tried at half length until the crossing step is at most
+      KINK_FLOOR, so the step after a crossing is at most
+      MAX_FACTOR * KINK_FLOOR.
     * Raises StepUnderflow when a rejected step's retry falls below 1e-12 T
       (the only place the floor is tested), NonFiniteState on nan/inf at an
       accepted node, and NodeBudgetExceeded past MAX_NODES stored nodes.
@@ -71,8 +72,6 @@ UNDERFLOW_FRACTION = 1e-12
 MAX_NODES = 500_000
 # Step length below which a region-signature crossing is accepted as-is.
 KINK_FLOOR = 1e-6
-# Fresh step length right after crossing a ramp kink.
-KINK_RESTART = 1e-2
 # Fewest rows for which integrate_many runs its batched loop.
 ENSEMBLE_MIN_ROWS = 8
 _COUNTERS = ("n_rhs", "n_accepted", "n_rejected", "n_kink_retries", "n_exit_bisections")
@@ -315,10 +314,7 @@ def integrate(
             fs.append(f)
             n_accepted += 1
             h *= _step_factor(tol, err)
-            if new_region != cur_region:
-                # The step after a kink crossing restarts small.
-                cur_region = new_region
-                h = min(h, KINK_RESTART)
+            cur_region = new_region
 
     return Trajectory(
         times=np.asarray(ts), states=np.asarray(ys), derivs=np.asarray(fs), rtol=rtol,
@@ -404,7 +400,6 @@ def integrate_many(
                     seq.append(v)
             n_accepted[rows[acc]] += 1
             H[acc] *= factor[acc]
-            H[acc & crossed] = np.minimum(H[acc & crossed], KINK_RESTART)
             keep = ~left & (t < T)
             rows, t, Y, F, H = rows[keep], t[keep], Y[keep], F[keep], H[keep]
             cur = [b if a else c for a, b, c, k in zip(acc, new, cur, keep) if k]

@@ -68,14 +68,6 @@ _GAP_NEIGHBORS = 8
 # Nodes per k-d leaf and queries per block of the pruned nearest-node search.
 _GAP_LEAF = 32
 _GAP_BLOCK = 64
-# Every _GAP_STRIDE-th node of the other curve bounds a query row's gap from
-# above; the _GAP_PROBES rows with the largest bounds, in each direction, are
-# measured first and set the floor that the other rows must exceed.
-_GAP_STRIDE = 64
-_GAP_PROBES = 16
-# Row sets of at most this many rows skip the k-d orders: each row is
-# measured against every node, _GAP_BLOCK rows at a time.
-_GAP_BRUTE = 256
 
 
 def _kd_order(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -108,14 +100,12 @@ def _squared_distances(Q: np.ndarray, BT: np.ndarray) -> np.ndarray:
 
 
 def _leaf_nearest(
-    A: np.ndarray, B: np.ndarray, k: int, order: np.ndarray, kd_b: tuple | None
+    A: np.ndarray, B: np.ndarray, k: int, order: np.ndarray, kd_b: tuple
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(near, nd2): for each row of A listed in order, the indices of its k
-    nearest rows of B and their squared distances, in that row of each; rows
-    not listed are left unset. kd_b is _kd_order(B), and order then lists
-    rows of A in the order of _kd_order(A), so each block of queries is
-    compact; with kd_b None every listed row is measured against every node
-    of B, in any order.
+    """(near, nd2): for each row of A, the indices of its k nearest rows of
+    B and their squared distances, in that row of each. order is
+    _kd_order(A)[0], the rows of A in leaf order, so each block of queries
+    is compact, and kd_b is _kd_order(B).
 
     A k-d search pruned by leaf boxes settles most rows. Rows it cannot
     settle exactly, tied at the k-th distance or in a block that keeps at
@@ -123,42 +113,40 @@ def _leaf_nearest(
     near = np.empty((A.shape[0], k), dtype=np.intp)
     nd2 = np.empty((A.shape[0], k))
     BT = np.ascontiguousarray(B.T)
-    if kd_b is not None:
-        perm, bounds = kd_b
-        sizes = np.diff(bounds)
-        P = B[perm]
-        lo = np.minimum.reduceat(P, bounds[:-1])
-        hi = np.maximum.reduceat(P, bounds[:-1])
-        PT = np.ascontiguousarray(P.T)
-        leaf = np.repeat(np.arange(sizes.size), sizes)
+    perm, bounds = kd_b
+    sizes = np.diff(bounds)
+    P = B[perm]
+    lo = np.minimum.reduceat(P, bounds[:-1])
+    hi = np.maximum.reduceat(P, bounds[:-1])
+    PT = np.ascontiguousarray(P.T)
+    leaf = np.repeat(np.arange(sizes.size), sizes)
     for b0 in range(0, order.size, _GAP_BLOCK):
         rows = order[b0:b0 + _GAP_BLOCK]
         Q = A[rows]
-        if kd_b is not None:
-            # Squared distance from each query to each leaf box, summed like
-            # d2; every term is a monotone function of a term of d2, so lb <=
-            # d2 holds in floating point for every node of a leaf.
-            lb = np.zeros((rows.size, sizes.size))
-            for c in range(P.shape[1]):
-                q = Q[:, c:c + 1]
-                lb += np.maximum(np.maximum(lo[:, c] - q, q - hi[:, c]), 0.0) ** 2
-            # U bounds each row's k-th distance from above: the k-th smallest
-            # d2 over the leaves nearest the block, two at least and k nodes.
-            seed = np.argsort(lb.max(axis=0))
-            n_seed = max(2, int(np.searchsorted(np.cumsum(sizes[seed]), k)) + 1)
-            near_leaf = np.zeros(sizes.size, dtype=bool)
-            near_leaf[seed[:n_seed]] = True
-            cols = np.flatnonzero(near_leaf[leaf])
-            U = np.partition(_squared_distances(Q, PT[:, cols]), k - 1, axis=1)[:, k - 1]
-            cols = np.flatnonzero((lb <= U[:, None]).any(axis=0)[leaf])
-            if cols.size > k:
-                d2 = _squared_distances(Q, PT[:, cols])
-                part = np.argpartition(d2, k, axis=1)[:, :k + 1]
-                pd2 = np.take_along_axis(d2, part, axis=1)
-                near[rows] = perm[cols[part[:, :k]]]
-                nd2[rows] = pd2[:, :k]
-                tied = pd2[:, :k].max(axis=1) >= pd2[:, k]
-                rows, Q = rows[tied], Q[tied]
+        # Squared distance from each query to each leaf box, summed like d2;
+        # every term is a monotone function of a term of d2, so lb <= d2
+        # holds in floating point for every node of a leaf.
+        lb = np.zeros((rows.size, sizes.size))
+        for c in range(P.shape[1]):
+            q = Q[:, c:c + 1]
+            lb += np.maximum(np.maximum(lo[:, c] - q, q - hi[:, c]), 0.0) ** 2
+        # U bounds each row's k-th distance from above: the k-th smallest d2
+        # over the leaves nearest the block, two at least and k nodes.
+        seed = np.argsort(lb.max(axis=0))
+        n_seed = max(2, int(np.searchsorted(np.cumsum(sizes[seed]), k)) + 1)
+        near_leaf = np.zeros(sizes.size, dtype=bool)
+        near_leaf[seed[:n_seed]] = True
+        cols = np.flatnonzero(near_leaf[leaf])
+        U = np.partition(_squared_distances(Q, PT[:, cols]), k - 1, axis=1)[:, k - 1]
+        cols = np.flatnonzero((lb <= U[:, None]).any(axis=0)[leaf])
+        if cols.size > k:
+            d2 = _squared_distances(Q, PT[:, cols])
+            part = np.argpartition(d2, k, axis=1)[:, :k + 1]
+            pd2 = np.take_along_axis(d2, part, axis=1)
+            near[rows] = perm[cols[part[:, :k]]]
+            nd2[rows] = pd2[:, :k]
+            tied = pd2[:, :k].max(axis=1) >= pd2[:, k]
+            rows, Q = rows[tied], Q[tied]
         if rows.size:
             d2 = _squared_distances(Q, BT)
             idx = np.argpartition(d2, k - 1, axis=1)[:, :k]
@@ -182,30 +170,20 @@ def _leaf_nearest(
 # the largest of a row's k smallest kept d2 is strictly below the (k+1)-th,
 # its k-set is unique in the full row too, and argpartition over the full
 # row returns that same set. Rows tied at the k-th distance and blocks
-# that keep too few nodes take argpartition over the full row instead, and
-# so do all rows of a set of at most _GAP_BRUTE, which skips the k-d
-# orders. The refinement in _rows_gap then sees the same candidate set per
-# row, whichever way the search found it, takes minima over it in any
-# order, and works on each row alone.
-def _rows_gap(A: np.ndarray, B: np.ndarray, keep: np.ndarray, kd) -> float:
-    """max over the rows of A where the mask keep is True of the distance
-    to the polyline through B; 0.0 over no row. Up to _GAP_BRUTE rows are
-    measured against every node of B; more go through the k-d search, kd(X)
-    giving _kd_order(X) for X = A, B."""
+# that keep too few nodes take argpartition over the full row instead. The
+# refinement in _rows_gap then sees the full scan's candidate set per row,
+# takes minima over it in any order, and works on each row alone.
+def _rows_gap(A: np.ndarray, B: np.ndarray, order: np.ndarray, kd_b: tuple) -> float:
+    """max over the rows of A of the distance to the polyline through B;
+    0.0 over no row. order is _kd_order(A)[0] and kd_b is _kd_order(B)."""
     m = B.shape[0]
     k = min(_GAP_NEIGHBORS, m)
-    rows = np.flatnonzero(keep)
-    if rows.size <= _GAP_BRUTE:
-        near, near_d2 = _leaf_nearest(A, B, k, rows, None)
-    else:
-        perm = kd(A)[0]
-        near, near_d2 = _leaf_nearest(A, B, k, perm[keep[perm]], kd(B))
+    near, near_d2 = _leaf_nearest(A, B, k, order, kd_b)
     worst = 0.0
-    for lo in range(0, rows.size, _GAP_CHUNK):
-        chunk = rows[lo:lo + _GAP_CHUNK]
-        Q = A[chunk]
-        cand = near[chunk]
-        best = np.sqrt(near_d2[chunk].min(axis=1))
+    for lo in range(0, A.shape[0], _GAP_CHUNK):
+        Q = A[lo:lo + _GAP_CHUNK]
+        cand = near[lo:lo + _GAP_CHUNK]
+        best = np.sqrt(near_d2[lo:lo + _GAP_CHUNK].min(axis=1))
         # Project onto the polyline segments adjacent to each candidate
         # node; on a smooth curve this removes the node-spacing artifact.
         for j0, j1 in (
@@ -224,22 +202,6 @@ def _rows_gap(A: np.ndarray, B: np.ndarray, keep: np.ndarray, kd) -> float:
     return worst
 
 
-# The gap skips rows that cannot reach its maximum, an exact form of Taha
-# & Hanbury's early-break Hausdorff (IEEE TPAMI 37(11), 2015):
-# 1. Node bound. A row's value starts at sqrt(min nd2), its nearest-node
-#    distance, and refinement only lowers it. The search is exact and each
-#    d2 has the same bits wherever it is computed, so min nd2 is at most
-#    the least d2 over the nodes Y[::_GAP_STRIDE]; sqrt is monotone, so the
-#    value is at most ub, the sqrt of that least d2, in floating point too.
-# 2. Strict inequality. floor is the largest value of rows measured
-#    exactly, so at most the gap; a row with ub <= floor cannot raise the
-#    maximum, and only rows with ub > floor are measured.
-# 3. Shared floor. The Hausdorff gap is the larger directed gap, so rows
-#    measured in either direction bound it from below: both directions'
-#    probes set the floor, and the first direction's result raises it.
-# max is exact, so the result has the bits of the full scan. When more
-# than half the rows survive, as on a loop, all rows are measured.
-#
 # A curve with a non-finite coordinate has no gap to report: the result is
 # NaN, which fails the convergence test gap <= tol. (A max over chunks would
 # drop a NaN and could read such a curve as converged.)
@@ -249,30 +211,11 @@ def _directed_curve_gap(A: np.ndarray, B: np.ndarray, both: bool = False) -> flo
     distance; NaN when A or B has a non-finite coordinate."""
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
         return float("nan")
-    trees: dict[int, tuple] = {}  # each curve's k-d order, built on first use
-    kd = lambda X: trees.get(id(X)) or trees.setdefault(id(X), _kd_order(X))
-    dirs = ((A, B), (B, A))[:1 + both]
-    floor, bounds = 0.0, []
-    for X, Y in dirs:
-        ub = np.sqrt(_squared_distances(X, np.ascontiguousarray(Y[::_GAP_STRIDE].T)).min(axis=1))
-        probe = np.zeros(X.shape[0], dtype=bool)
-        probe[np.argsort(ub)[-_GAP_PROBES:]] = True
-        floor = max(floor, _rows_gap(X, Y, probe, kd))
-        bounds.append(np.where(probe, -np.inf, ub))
-    for (X, Y), ub in zip(dirs, bounds):
-        rows = ub > floor
-        if 2 * np.count_nonzero(rows) > rows.size:
-            rows[:] = True
-        floor = max(floor, _rows_gap(X, Y, rows, kd))
-    return floor
-
-
-def _half_window_gap(traj: Trajectory, t_start: float, mid: float) -> float:
-    """Hausdorff distance between the curve segments [t_start, mid] and
-    [mid, t_end], each sampled densely through the stored interpolant."""
-    ta = np.linspace(t_start, mid, _GAP_SAMPLES)
-    tb = np.linspace(mid, traj.t_end, _GAP_SAMPLES)
-    return _directed_curve_gap(traj.sample(ta), traj.sample(tb), both=True)
+    kd_a, kd_b = _kd_order(A), _kd_order(B)
+    gap = _rows_gap(A, B, kd_a[0], kd_b)
+    if both:
+        gap = max(gap, _rows_gap(B, A, kd_b[0], kd_a))
+    return gap
 
 
 def estimate_omega(
@@ -291,8 +234,11 @@ def estimate_omega(
     projection so the measure is of the curves rather than of any finite
     sampling of them) is at most tol_rel times the trajectory extent: a
     tail that has stopped moving traces the same set in both halves.
-    With window_fraction <= 0.5 the run covers two windows whatever its
-    span, so TrajectoryTooShort means a run that spans no time.
+    hausdorff_gap is that distance, or, when the diagonal of the box
+    around both half-curves is already within tol, the diagonal, which
+    bounds it from above. With window_fraction <= 0.5 the run covers two
+    windows whatever its span, so TrajectoryTooShort means a run that
+    spans no time.
     """
     if not (0.0 < window_fraction <= 0.5):
         raise BadParameter("window_fraction must lie in (0, 0.5]")
@@ -315,8 +261,19 @@ def estimate_omega(
     points = traj.states[idx].copy()
     times = traj.times[idx].copy()
     mid = traj.t_end - 0.5 * window
-    gap = _half_window_gap(traj, t_start, mid)
+    A = traj.sample(np.linspace(t_start, mid, _GAP_SAMPLES))
+    B = traj.sample(np.linspace(mid, traj.t_end, _GAP_SAMPLES))
     tol = tol_rel * traj.extent()
+    # Subtraction rounds monotonically, so each squared width is at least
+    # every node pair's squared coordinate gap; summed like d2, the diagonal
+    # is at least every node distance, and so at least the gap, whose rows
+    # are each at most their nearest-node distance. A window within tol has
+    # converged whatever its exact gap. A NaN coordinate gives a NaN
+    # diagonal, which goes on to the exact gap and reads NaN there.
+    AB = np.concatenate([A, B])
+    gap = float(np.sqrt(_squared_distances(AB.min(axis=0)[None], AB.max(axis=0)[:, None])[0, 0]))
+    if not gap <= tol:
+        gap = _directed_curve_gap(A, B, both=True)
     return OmegaEstimate(
         points=points,
         times=times,

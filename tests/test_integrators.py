@@ -510,6 +510,23 @@ def test_ensemble_rows_are_the_serial_runs_bit_for_bit(name, m):
         assert any(exits) and not all(exits)
 
 
+def test_step_after_a_region_crossing_is_short():
+    """A crossing is accepted only at h <= KINK_FLOOR and a step grows at
+    most MAX_FACTOR-fold, so on the Glass ring, serially and in the
+    ensemble, the step after every accepted crossing is at most
+    MAX_FACTOR * KINK_FLOOR, up to the rounding of t."""
+    field, draw, _ = ENSEMBLE_FIELDS["glass_ring"]
+    X0 = draw(np.random.default_rng(3), integrators.ENSEMBLE_MIN_ROWS)
+    serial = [integrate(field, x0, 10.0) for x0 in X0]
+    for run in serial + integrate_many(field, X0, 10.0):
+        regions = [field.region_index(y) for y in run.states]
+        after = np.array([i + 2 for i in range(len(regions) - 2) if regions[i + 1] != regions[i]])
+        assert after.size, "no accepted crossing"
+        step = run.times[after] - run.times[after - 1]
+        bound = integrators.MAX_FACTOR * integrators.KINK_FLOOR
+        assert np.all(step <= bound + 2 * np.spacing(run.times[after]))
+
+
 @pytest.mark.parametrize("m", [3, 9])
 def test_ensemble_of_matmul_fields_is_within_1e_12(m):
     # x @ A.T on a batch may round a row differently from the single row,

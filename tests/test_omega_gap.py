@@ -9,9 +9,10 @@ sums the broadcast form pairwise and the two may part by an ulp of d2.
 `column_gap` scans every (query, node) pair column by column, with no
 pruning, and the gap must be the same float at every n.
 
-The gap measures exactly only the rows whose node bound can reach its
-maximum (the early break); the tests at the end pin its bits on the curves
-that stress the cut and guard that the cut stays in place.
+`estimate_omega` measures that gap only for a window wider than its
+tolerance; a window whose box diagonal is within tol reports the diagonal.
+The tests at the end pin the gap's bits on settled, loop and collinear
+tails, pin that contract, and guard that a settled tail searches nothing.
 """
 
 import tracemalloc
@@ -25,7 +26,7 @@ from hypothesis.extra import numpy as hnp
 import kcone
 from kcone import limitsets
 from kcone.integrators import Trajectory, integrate
-from kcone.limitsets import _directed_curve_gap, _half_window_gap
+from kcone.limitsets import _directed_curve_gap
 
 
 def broadcast_gap(A, B):
@@ -277,10 +278,10 @@ def test_half_window_gap_is_the_larger_directed_gap(traj, u, v):
     A = traj.sample(np.linspace(t_start, mid, limitsets._GAP_SAMPLES))
     B = traj.sample(np.linspace(mid, traj.t_end, limitsets._GAP_SAMPLES))
     both = max(_directed_curve_gap(A, B), _directed_curve_gap(B, A))
-    assert _half_window_gap(traj, t_start, mid) == both
+    assert _directed_curve_gap(A, B, both=True) == both
 
 
-# ---- the early break ----
+# ---- tails, and the omega contract ----
 
 
 def hausdorff_oracle(A, B):
@@ -300,7 +301,7 @@ def half_windows(traj):
 
 
 def _searched_rows(monkeypatch):
-    """Record the query rows that each nearest-node search receives."""
+    """Record the number of query rows of each nearest-node search."""
     searched = []
     search = limitsets._leaf_nearest
 
@@ -319,22 +320,24 @@ def goodwin_traj():
     return integrate(field, [0.9, 0.2, 0.5], 100.0, rtol=1e-8, atol=1e-10)
 
 
-def early_break_cases(n):
-    """(label, A, B): curves that stress the bound, probe and floor."""
+def flat_and_short_cases(n):
+    """(label, A, B): noise at a point, constant curves, and curves shorter
+    than a k-d leaf or the candidate count, on either side."""
     rng = np.random.default_rng(3000 + n)
     point = rng.standard_normal(n)
     noise = rng.standard_normal((2, 2048, n)) * 1e-9
     yield "noise_at_a_point", point + noise[0], point + noise[1]
     yield "constant", np.tile(point, (300, 1)), np.tile(point, (200, 1))
     yield "constant_apart", np.tile(point, (300, 1)), np.tile(point + 0.5, (200, 1))
-    # Fewer rows than the probes and than the stride, on either side.
     for ma, mb in ((1, 1), (1, 40), (15, 40), (16, 31), (17, 32), (33, 15), (40, 1)):
         yield f"short{ma}x{mb}", _walk(rng, ma, n), _walk(rng, mb, n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 9])
 def test_early_break_gap_equals_the_full_scan(n):
-    for label, A, B in early_break_cases(n):
+    """Noise at a point, constant and short curves: the gap is the full
+    scan's, each way and as the Hausdorff gap."""
+    for label, A, B in flat_and_short_cases(n):
         assert _directed_curve_gap(A, B) == column_gap(A, B), label
         assert _directed_curve_gap(B, A) == column_gap(B, A), label
         assert hausdorff_gap(A, B) == hausdorff_oracle(A, B), label
@@ -351,29 +354,29 @@ def test_gap_on_a_sink_line_where_one_direction_is_zero():
     assert hausdorff_gap(A, B) == hausdorff_gap(B, A) == column_gap(A, B)
 
 
-def test_the_row_that_sets_the_gap_need_not_be_probed(monkeypatch):
-    """Twenty on-curve rows between the sampled nodes outrank, by their
-    bound, the one off-curve row that sets the gap; the probes measure 0,
-    and the row is found by the second search, among the survivors."""
+def test_the_row_that_sets_the_gap_need_not_be_probed():
+    """Rows on every 64th node of a line, twenty on-curve rows between
+    them, and one off-curve row that sets the gap: a strided bound would
+    rank the twenty above it."""
+    stride = 64
     x = np.linspace(0.0, 1.0, 2048)
     B = np.stack([x, np.zeros_like(x)], axis=1)
-    sampled = B[::limitsets._GAP_STRIDE]
-    between = B[limitsets._GAP_STRIDE // 2::limitsets._GAP_STRIDE][:20]
+    sampled = B[::stride]
+    between = B[stride // 2::stride][:20]
     off = B[:1] + [0.0, 0.005]
     A = np.concatenate([np.repeat(sampled, 3, axis=0), between, off])
     assert column_gap(between, B) == 0.0
-    searched = _searched_rows(monkeypatch)
     assert _directed_curve_gap(A, B) == column_gap(A, B) > 0.004
-    assert len(searched) == 2 and searched[0] == limitsets._GAP_PROBES
     assert hausdorff_gap(A, B) == hausdorff_oracle(A, B)
 
 
 def test_the_hub_of_a_loop_is_measured():
-    """A curve winding the unit circle once every _GAP_STRIDE nodes,
-    against its centre and a small ring around it: the centre, the
-    farthest row, is no nearer any node than the radius, though it sits on
-    the centroid of every run of _GAP_STRIDE nodes."""
-    turn = 2.0 * np.pi * np.arange(8 * limitsets._GAP_STRIDE) / limitsets._GAP_STRIDE
+    """A curve winding the unit circle once every 64 nodes, against its
+    centre and a small ring around it: the centre, the farthest row, is no
+    nearer any node than the radius, though it sits on the centroid of
+    every run of 64 nodes."""
+    stride = 64
+    turn = 2.0 * np.pi * np.arange(8 * stride) / stride
     B = np.stack([np.cos(turn), np.sin(turn)], axis=1)
     around = np.linspace(0.0, 2.0 * np.pi, 100)
     ring = 0.02 * np.stack([np.cos(around), np.sin(around)], axis=1)
@@ -396,39 +399,33 @@ def test_gap_does_not_depend_on_the_chunks(n, chunk, monkeypatch):
 
 
 def test_half_window_gap_on_a_settled_tail(goodwin_traj):
-    t_start, mid, A, B = half_windows(goodwin_traj)
-    assert _half_window_gap(goodwin_traj, t_start, mid) == hausdorff_oracle(A, B)
-
-
-def test_settled_tail_searches_few_rows(goodwin_traj, monkeypatch):
-    """Guard on the early break: a settled Goodwin tail's gap measures at
-    most 5 % of its 2 x 2,048 rows, where the full scan searched them all."""
-    t_start, mid, _, _ = half_windows(goodwin_traj)
-    searched = _searched_rows(monkeypatch)
-    _half_window_gap(goodwin_traj, t_start, mid)
-    assert 0 < sum(searched) <= 0.05 * 2 * limitsets._GAP_SAMPLES
+    """A settled Goodwin window reports its box diagonal: above the full
+    scan's gap, and within tol."""
+    _, _, A, B = half_windows(goodwin_traj)
+    omega = limitsets.estimate_omega(goodwin_traj)
+    assert hausdorff_oracle(A, B) < omega.hausdorff_gap <= omega.tol
 
 
 def test_loop_gap_still_equals_the_oracle(hopf_traj, monkeypatch):
-    """On a loop nearly every row survives the cut, and the gap is the
-    full scan's."""
-    t_start, mid, A, B = half_windows(hopf_traj)
+    """A loop's window is wider than tol: estimate_omega reports the full
+    scan's gap, searching each of its 2 x 2,048 rows once."""
+    _, _, A, B = half_windows(hopf_traj)
     searched = _searched_rows(monkeypatch)
-    assert _half_window_gap(hopf_traj, t_start, mid) == hausdorff_oracle(A, B)
-    assert sum(searched) > 2 * limitsets._GAP_SAMPLES
-
-
-# ---- small row sets skip the k-d orders ----
+    assert limitsets.estimate_omega(hopf_traj).hausdorff_gap == hausdorff_oracle(A, B)
+    assert searched == [limitsets._GAP_SAMPLES] * 2
 
 
 @pytest.mark.parametrize("consts", [None, (4, 7, 450 * 600), (1, 1, 300 * 300)])
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8, 9, 16])
 def test_pruned_gap_on_the_k_d_search_alone(n, consts, monkeypatch):
-    """The pruned-search cases with every row set, probes included, sent
-    through the k-d search (_GAP_BRUTE = 0), which the default sends only
-    sets of more than _GAP_BRUTE rows."""
-    monkeypatch.setattr(limitsets, "_GAP_BRUTE", 0)
-    test_pruned_gap_equals_full_column_scan(n, consts, monkeypatch)
+    """The pruned-search cases as Hausdorff gaps: both directions search
+    on the two k-d orders built up front, and give the full scans' bits."""
+    if consts is not None:
+        monkeypatch.setattr(limitsets, "_GAP_LEAF", consts[0])
+        monkeypatch.setattr(limitsets, "_GAP_BLOCK", consts[1])
+    for label, A, B in pruned_cases(n):
+        if consts is None or A.shape[0] * B.shape[0] <= consts[2]:
+            assert hausdorff_gap(A, B) == hausdorff_oracle(A, B), label
 
 
 @pytest.fixture(scope="module")
@@ -438,7 +435,7 @@ def sink_axis_traj():
     return integrate(field, [0.0, 0.0, 0.7], 100.0, rtol=1e-8, atol=1e-10)
 
 
-def gap_cut_cases(goodwin_traj, hopf_traj, sink_axis_traj):
+def tail_cases(goodwin_traj, hopf_traj, sink_axis_traj):
     """(label, A, B): settled, loop, collinear-sink and tied curves."""
     yield ("settled",) + half_windows(goodwin_traj)[2:]
     yield ("loop",) + half_windows(hopf_traj)[2:]
@@ -447,22 +444,13 @@ def gap_cut_cases(goodwin_traj, hopf_traj, sink_axis_traj):
 
 
 @pytest.mark.parametrize("case", ["settled", "loop", "collinear_sink", "lattice"])
-def test_gap_does_not_depend_on_the_brute_cut_or_the_stride(
-    case, goodwin_traj, hopf_traj, sink_axis_traj, monkeypatch
-):
-    """The brute-force rows and the k-d search find the same candidate sets
-    and the stride only moves the cut, so every _GAP_BRUTE (all sets on the
-    k-d search, the default, all sets brute force) and _GAP_STRIDE gives
-    the full scan's bits, both ways and as the Hausdorff gap."""
-    cases = gap_cut_cases(goodwin_traj, hopf_traj, sink_axis_traj)
+def test_gap_on_tails_equals_the_full_scan(case, goodwin_traj, hopf_traj, sink_axis_traj):
+    """The full scan's bits both ways and as the Hausdorff gap."""
+    cases = tail_cases(goodwin_traj, hopf_traj, sink_axis_traj)
     _, A, B = next(c for c in cases if c[0] == case)
     want = column_gap(A, B), column_gap(B, A)
-    for brute in (0, limitsets._GAP_BRUTE, 4096):
-        for stride in (1, 7, 64, 4096):
-            monkeypatch.setattr(limitsets, "_GAP_BRUTE", brute)
-            monkeypatch.setattr(limitsets, "_GAP_STRIDE", stride)
-            got = _directed_curve_gap(A, B), _directed_curve_gap(B, A), hausdorff_gap(A, B)
-            assert got == want + (max(want),), (brute, stride)
+    got = _directed_curve_gap(A, B), _directed_curve_gap(B, A), hausdorff_gap(A, B)
+    assert got == want + (max(want),)
 
 
 def _kd_builds(monkeypatch):
@@ -479,17 +467,81 @@ def _kd_builds(monkeypatch):
 
 
 def test_settled_tail_builds_no_k_d_order(goodwin_traj, monkeypatch):
-    """Every row set of a settled Goodwin gap is small: no k-d order."""
-    t_start, mid, _, _ = half_windows(goodwin_traj)
+    """A settled Goodwin window is within tol: estimate_omega runs no
+    nearest-node search and builds no k-d order."""
     built = _kd_builds(monkeypatch)
-    _half_window_gap(goodwin_traj, t_start, mid)
-    assert built == []
+    searched = _searched_rows(monkeypatch)
+    assert limitsets.estimate_omega(goodwin_traj).converged
+    assert built == searched == []
 
 
 def test_loop_gap_builds_each_k_d_order_once(hopf_traj, monkeypatch):
     """A loop measures all rows both ways through the k-d search, on one
     order per curve."""
-    t_start, mid, _, _ = half_windows(hopf_traj)
     built = _kd_builds(monkeypatch)
-    _half_window_gap(hopf_traj, t_start, mid)
+    limitsets.estimate_omega(hopf_traj)
     assert built == [limitsets._GAP_SAMPLES] * 2
+
+
+def _hand_traj(states, derivs, t_end=10.0):
+    """A Trajectory through the given nodes, evenly spaced over [0, t_end]."""
+    return Trajectory(times=np.linspace(0.0, t_end, len(states)), states=states,
+                      derivs=derivs, rtol=1e-8, atol=1e-10, max_step=np.inf)
+
+
+def _resting_traj():
+    """A run that moves until t = 4 and then rests exactly at the origin,
+    so the window [5, 10] samples 0.0 everywhere."""
+    t = np.linspace(0.0, 10.0, 401)
+    states = np.zeros((t.size, 3))
+    states[:, 0] = np.maximum(4.0 - t, 0.0)
+    derivs = np.zeros_like(states)
+    derivs[t < 4.0, 0] = -1.0
+    return _hand_traj(states, derivs)
+
+
+def _nan_traj():
+    """A tail at rest but for one NaN node."""
+    states = np.tile([1.0, 0.0, 0.0], (401, 1))
+    states[350, 2] = np.nan
+    return _hand_traj(states, np.zeros_like(states))
+
+
+@pytest.fixture(scope="module")
+def omega_cases(goodwin_traj, hopf_traj, sink_axis_traj):
+    """label -> trajectory: settled, collinear, loop, drifting, at rest, NaN."""
+    drift = kcone.make_linear_field(np.diag([-0.05, -1.0, -1.0]))
+    return {
+        "settled": goodwin_traj,
+        "collinear_sink": sink_axis_traj,
+        "loop": hopf_traj,
+        "drifting": integrate(drift, [1.0, 0.5, 0.5], 50.0),
+        "at_rest": _resting_traj(),
+        "nan": _nan_traj(),
+    }
+
+
+@pytest.mark.parametrize("case", ["settled", "collinear_sink", "loop", "drifting", "at_rest", "nan"])
+def test_omega_gap_contract(case, omega_cases):
+    """converged is the exact half-window gap <= tol; hausdorff_gap bounds
+    that gap from above, and is it whenever the window's box diagonal
+    exceeds tol."""
+    traj = omega_cases[case]
+    _, _, A, B = half_windows(traj)
+    with np.errstate(invalid="ignore"):
+        omega = limitsets.estimate_omega(traj)
+        diagonal = np.linalg.norm(np.ptp(np.concatenate([A, B]), axis=0))
+    exact = hausdorff_gap(A, B)
+    assert omega.converged == (exact <= omega.tol)
+    if case == "nan":
+        assert np.isnan(exact) and np.isnan(omega.hausdorff_gap)
+    elif diagonal > omega.tol:
+        assert omega.hausdorff_gap == exact
+    else:
+        assert exact <= omega.hausdorff_gap <= omega.tol
+    # Every branch is taken: only the loop and the drifting tail are wider
+    # than tol, and of those only the drifting tail has not converged.
+    assert (diagonal > omega.tol) == (case in ("loop", "drifting"))
+    assert omega.converged == (case not in ("drifting", "nan"))
+    if case == "at_rest":
+        assert omega.hausdorff_gap == exact == 0.0

@@ -38,7 +38,6 @@ from kcone.integrators import (
     _A,
     _E,
     KINK_FLOOR,
-    KINK_RESTART,
     UNDERFLOW_FRACTION,
     _hermite,
     _initial_step,
@@ -120,9 +119,7 @@ def plain_integrate(field, x0, T, rtol=1e-8, atol=1e-10, max_step=np.inf):
         ys.append(y)
         fs.append(f)
         h *= _step_factor(tol, err)
-        if new_region != cur_region:
-            cur_region = new_region
-            h = min(h, KINK_RESTART)
+        cur_region = new_region
     return np.asarray(ts), np.asarray(ys), np.asarray(fs), events
 
 
