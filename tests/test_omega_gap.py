@@ -483,9 +483,9 @@ def test_loop_gap_builds_each_k_d_order_once(hopf_traj, monkeypatch):
     assert built == [limitsets._GAP_SAMPLES] * 2
 
 
-def _hand_traj(states, derivs, t_end=10.0):
-    """A Trajectory through the given nodes, evenly spaced over [0, t_end]."""
-    return Trajectory(times=np.linspace(0.0, t_end, len(states)), states=states,
+def _hand_traj(states, derivs):
+    """A Trajectory through the given nodes, evenly spaced over [0, 10]."""
+    return Trajectory(times=np.linspace(0.0, 10.0, len(states)), states=states,
                       derivs=derivs, rtol=1e-8, atol=1e-10, max_step=np.inf)
 
 
