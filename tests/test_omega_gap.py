@@ -466,13 +466,20 @@ def _kd_builds(monkeypatch):
     return built
 
 
-def test_settled_tail_builds_no_k_d_order(goodwin_traj, monkeypatch):
-    """A settled Goodwin window is within tol: estimate_omega runs no
-    nearest-node search and builds no k-d order."""
-    built = _kd_builds(monkeypatch)
+def test_settled_tail_searches_few_rows(goodwin_traj, monkeypatch):
+    """A settled Goodwin window is within tol and decided by its box
+    diagonal: estimate_omega searches none of its 2 x 2,048 rows."""
     searched = _searched_rows(monkeypatch)
     assert limitsets.estimate_omega(goodwin_traj).converged
-    assert built == searched == []
+    assert searched == []
+
+
+def test_settled_tail_builds_no_k_d_order(goodwin_traj, monkeypatch):
+    """A settled Goodwin window is within tol: estimate_omega builds no
+    k-d order."""
+    built = _kd_builds(monkeypatch)
+    assert limitsets.estimate_omega(goodwin_traj).converged
+    assert built == []
 
 
 def test_loop_gap_builds_each_k_d_order_once(hopf_traj, monkeypatch):
