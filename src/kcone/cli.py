@@ -136,7 +136,8 @@ def _cmd_report(args) -> int:
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, "report.json")
-    write_report(path, report, time.perf_counter() - t0)
+    trajectories = [art["trajectory"] for art in artifacts]
+    write_report(path, report, time.perf_counter() - t0, trajectories)
     _say(args, f"wrote {path}")
     if artifacts:
         written = emit_plotdata(outdir, scn, artifacts)

@@ -13,19 +13,24 @@ Characteristics
     * Stops with a recorded event when the state leaves the field's domain;
       the exit time is localized by bisection on the step interpolant.
     * Fields that expose a region signature (piecewise-linear ramps) get
-      their kink crossings localized: a step that changes the signature is
-      re-tried at half length until the crossing step is at most
-      KINK_FLOOR, so the step after a crossing is at most
+      their kink crossings localized. A step with finite stages whose end
+      changes the signature is, ahead of the error test, re-tried up to the
+      crossing: bisection on the step's Hermite interpolant (no rhs calls)
+      brackets the crossing to below KINK_FLOOR in time, and the retry
+      ends at the bracket's low end, or is KINK_FLOOR long if that is
+      shorter. A crossing is accepted only by a step of at most KINK_FLOOR
+      that passes the error test, so the step after a crossing is at most
       MAX_FACTOR * KINK_FLOOR.
     * Raises StepUnderflow when a rejected step's retry falls below 1e-12 T
       (the only place the floor is tested), NonFiniteState on nan/inf at an
       accepted node, and NodeBudgetExceeded past MAX_NODES stored nodes.
 
-Each Trajectory counts its run's work, for profiling; no report reads it:
+Each Trajectory counts its run's work, for profiling; `kcone report` copies
+the counts into its meta, never into the report object:
     n_rhs              right-hand-side calls, f(x0) and exit node included
     n_accepted         steps appended as nodes (an exit node is not one)
     n_rejected         steps re-tried for a non-finite stage or error > tol
-    n_kink_retries     steps re-tried at half length for a region change
+    n_kink_retries     steps re-tried up to a region change
     n_exit_bisections  halvings of the interpolant to locate a domain exit
 
 Between accepted nodes the trajectory interpolates with a cubic Hermite
@@ -207,20 +212,29 @@ def _check_run(field, X0, T, rtol, atol, max_step) -> None:
         _require_start(field.domain, x0)
 
 
+def _bisect(step, h: float, inside, width: float) -> tuple[float, int]:
+    """Halve [0, 1] on the Hermite interpolant of step = (y, f, y_new, f_new)
+    over h, keeping its low end inside (inside(_hermite(...)) is True) and
+    its high end not, until the bracket is below width in time (at most 80
+    halvings). Returns (the low end, halvings)."""
+    lo_s, hi_s = 0.0, 1.0
+    for halvings in range(1, 81):
+        mid = 0.5 * (lo_s + hi_s)
+        if inside(_hermite(*step, h, mid)):
+            lo_s = mid
+        else:
+            hi_s = mid
+        if (hi_s - lo_s) * h < width:
+            break
+    return lo_s, halvings
+
+
 def _stop_at_exit(field, step, h: float, t: float, run) -> tuple[int, int]:
     """Bisect the Hermite interpolant of step = (y, f, y_new, f_new), from t
     over h, for its last point inside the domain; append it (unless it is y)
     and a domain_exit event to run = (times, states, derivs, events).
     Returns (halvings, rhs calls)."""
-    lo_s, hi_s = 0.0, 1.0
-    for halvings in range(1, 81):
-        mid = 0.5 * (lo_s + hi_s)
-        if field.domain.contains(_hermite(*step, h, mid)):
-            lo_s = mid
-        else:
-            hi_s = mid
-        if (hi_s - lo_s) * h < 1e-14 * max(1.0, abs(t)):
-            break
+    lo_s, halvings = _bisect(step, h, field.domain.contains, 1e-14 * max(1.0, abs(t)))
     ts, ys, fs, events = run
     events.append((t + lo_s * h, "domain_exit"))
     if lo_s == 0.0:
@@ -229,6 +243,14 @@ def _stop_at_exit(field, step, h: float, t: float, run) -> tuple[int, int]:
     ys.append(_hermite(*step, h, lo_s))
     fs.append(np.asarray(field(ys[-1]), dtype=float))
     return halvings, 1
+
+
+def _kink_step(step, h: float, region, cur) -> float:
+    """The retry length for a step that leaves region signature cur: the
+    last fraction of step's interpolant still in cur, found to within
+    KINK_FLOOR in time, times h, and never below KINK_FLOOR."""
+    s, _ = _bisect(step, h, lambda x: region(x) == cur, KINK_FLOOR)
+    return max(s * h, KINK_FLOOR)
 
 
 def integrate(
@@ -278,6 +300,13 @@ def integrate(
 
             # Test K itself: stage 2 has zero weight in both y_new and err.
             finite = np.isfinite(K).all() and math.isfinite(err)
+            # Kink localization, ahead of the error test: a step that jumps
+            # a ramp-region boundary is re-tried up to the crossing.
+            new_region = region(y_new) if region is not None and finite else cur_region
+            if new_region != cur_region and h > KINK_FLOOR:
+                n_kink_retries += 1
+                h = _kink_step((y, f, y_new, K[6]), h, region, cur_region)
+                continue
             if not finite or err > tol:
                 n_rejected += 1
                 h *= _step_factor(tol, err) if finite else 0.5
@@ -285,14 +314,8 @@ def integrate(
                     raise StepUnderflow(f"step {h:.3e} below {UNDERFLOW_FRACTION:.0e} T")
                 continue
 
-            # Kink localization: shrink steps that jump a ramp-region boundary.
-            new_region = region(y_new) if region is not None else None
-            if new_region != cur_region and h > KINK_FLOOR:
-                n_kink_retries += 1
-                h = max(0.5 * h, KINK_FLOOR)
-                continue
-
-            if not np.isfinite(y_new).all():
+            # A finite tol has a finite _norm(y_new), so a finite y_new.
+            if not math.isfinite(tol) and not np.isfinite(y_new).all():
                 raise NonFiniteState(f"state not finite after t = {t:.6g}")
             f_new = K[6].copy()
             if len(ts) == MAX_NODES:
@@ -368,16 +391,17 @@ def integrate_many(
             factor = np.array([_step_factor(a, b) if ok else 0.5
                                for a, b, ok in zip(tol.tolist(), err.tolist(), finite.tolist())])
 
-            rejected = ~finite | (err > tol)
+            new = [region(y) if ok and region else c for y, ok, c in zip(Y_new, finite, cur)]
+            crossed = np.array([a != b for a, b in zip(new, cur)], dtype=bool)
+            kink = crossed & (H > KINK_FLOOR)
+            n_kink_retries[rows[kink]] += 1
+            for j in np.flatnonzero(kink):
+                H[j] = _kink_step((Y[j], F[j], Y_new[j], Kr[j, 6]), float(H[j]), region, cur[j])
+            rejected = ~kink & (~finite | (err > tol))
             n_rejected[rows[rejected]] += 1
             H[rejected] *= factor[rejected]
             if np.any(low := rejected & (H < UNDERFLOW_FRACTION * T)):
                 raise StepUnderflow(f"step {H[low][0]:.3e} below {UNDERFLOW_FRACTION:.0e} T")
-            new = [region(y) if ok and region else c for y, ok, c in zip(Y_new, ~rejected, cur)]
-            crossed = np.array([a != b for a, b in zip(new, cur)], dtype=bool)
-            kink = crossed & (H > KINK_FLOOR)
-            n_kink_retries[rows[kink]] += 1
-            H[kink] = np.maximum(0.5 * H[kink], KINK_FLOOR)
             step = ~rejected & ~kink
             if np.any(bad := step & ~np.isfinite(Y_new).all(axis=1)):
                 raise NonFiniteState(f"state not finite after t = {t[bad][0]:.6g}")

@@ -2,7 +2,8 @@
 
 A report file holds two top-level objects: "report", which depends only on
 the scenario content, seed, and tool version, and "meta", which carries the
-timestamp and wall time. Byte-for-byte reproducibility of the "report"
+timestamp, wall time and, from `kcone report`, each orbit's integrator
+counters. Byte-for-byte reproducibility of the "report"
 object for a fixed scenario and seed is a contract; everything that varies
 run to run stays in "meta". CSV numbers are written with 17 significant
 digits so a round-trip through text is exact for doubles.
@@ -29,7 +30,7 @@ from .certify import (
 from .cones import QuadraticCone, make_projector
 from .errors import SchemaError
 from .fields import default_equilibrium_seeds, find_equilibria
-from .integrators import integrate
+from .integrators import _COUNTERS, integrate
 from .limitsets import (
     _distinct_pairs,
     _spread,
@@ -78,6 +79,17 @@ REPORT_SCHEMA: dict[str, Any] = {
             "properties": {
                 "timestamp": {"type": "string"},
                 "wall_time_s": {"type": "number"},
+                # orbits[i]: the work of report orbit i's integration run.
+                "orbits": {
+                    "type": "array",
+                    "items": {
+                        "type": "object",
+                        "required": list(_COUNTERS),
+                        "properties": {
+                            c: {"type": "integer", "minimum": 0} for c in _COUNTERS
+                        },
+                    },
+                },
             },
         },
     },
@@ -328,23 +340,26 @@ def build_full_report(scn: Scenario) -> tuple[dict, list[dict]]:
     return report, artifacts
 
 
-def wrap_report(report: dict, wall_time_s: float) -> dict:
-    return {
-        "report": report,
-        "meta": {
-            "timestamp": _dt.datetime.now(_dt.timezone.utc).isoformat(),
-            "wall_time_s": float(wall_time_s),
-        },
+def wrap_report(report: dict, wall_time_s: float, trajectories=None) -> dict:
+    """The report under "report", and under "meta" the timestamp, the wall
+    time and, given the orbits' trajectories, meta.orbits[i]: the
+    integrator counters of trajectories[i]."""
+    meta = {
+        "timestamp": _dt.datetime.now(_dt.timezone.utc).isoformat(),
+        "wall_time_s": float(wall_time_s),
     }
+    if trajectories is not None:
+        meta["orbits"] = [{c: int(getattr(t, c)) for c in _COUNTERS} for t in trajectories]
+    return {"report": report, "meta": meta}
 
 
 def dump_report(wrapped: dict) -> str:
     return json.dumps(wrapped, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def write_report(path, report: dict, wall_time_s: float) -> None:
+def write_report(path, report: dict, wall_time_s: float, trajectories=None) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dump_report(wrap_report(report, wall_time_s)))
+        fh.write(dump_report(wrap_report(report, wall_time_s, trajectories)))
 
 
 # ---- CSV sidecars ----

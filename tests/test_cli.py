@@ -4,12 +4,13 @@ import copy
 import json
 import os
 
+import jsonschema
 import numpy as np
 import pytest
 
 from kcone import integrators
 from kcone.cli import main
-from kcone.report import dump_report, run_certify, wrap_report
+from kcone.report import REPORT_SCHEMA, build_full_report, dump_report, run_certify, wrap_report
 from kcone.scenario import DOMAIN_CAP, parse_scenario
 
 P_STD = [[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]]
@@ -462,6 +463,35 @@ def test_report_command_writes_bundle(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "report.json" in out
     assert "plot-data" in out
+
+
+def test_report_meta_holds_each_orbits_integrator_counters(tmp_path):
+    obj = {
+        "field": {"family": "cyclic_feedback", "params": {"n": 3, "kind": "glass_pwl", "amp": 4.0}},
+        "domain": {"type": "box", "lo": [-0.5] * 3, "hi": [4.5] * 3},
+        "cone": {"type": "orthant_complement", "n": 3},
+        "x0": [[3.1, 0.2, 1.7], [0.4, 2.5, 3.6]],
+        "T": 20.0,
+        "seed": 5,
+    }
+    outdir = tmp_path / "bundle"
+    assert main(["report", "--scenario", _write(tmp_path, obj), "--out", str(outdir),
+                 "--quiet"]) in (0, 4)
+    text = (outdir / "report.json").read_text(encoding="utf-8")
+    doc = json.loads(text)
+    jsonschema.validate(doc, REPORT_SCHEMA)
+    scn = parse_scenario(obj)
+    counters = ("n_rhs", "n_accepted", "n_rejected", "n_kink_retries", "n_exit_bisections")
+    assert len(doc["meta"]["orbits"]) == 2
+    for x0, work in zip(scn.x0s, doc["meta"]["orbits"]):
+        run = integrators.integrate(scn.field, x0, scn.T, rtol=scn.rtol, atol=scn.atol)
+        assert work == {c: getattr(run, c) for c in counters}
+        assert work["n_kink_retries"] > 0
+    # The counters live in "meta" alone: the "report" object keeps its bytes.
+    report, _ = build_full_report(scn)
+    plain = dump_report(wrap_report(report, 0.0))
+    assert "orbits" not in json.loads(plain)["meta"]
+    assert text[text.index('\n  "report": '):] == plain[plain.index('\n  "report": '):]
 
 
 def test_poincare_unsettled_tail_exit_code(tmp_path, capsys):

@@ -1,7 +1,10 @@
 """Adaptive integration: accuracy gates, events, kinks, backward runs."""
 
 import dataclasses
+import importlib.util
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from kcone.fields import (
     parse_field,
 )
 from kcone.integrators import _A, _COUNTERS, _E, integrate, integrate_backward, integrate_many
+from kcone.scenario import parse_scenario
 
 
 def _linear_on(A, lo, hi):
@@ -356,6 +360,20 @@ def test_error_control_holds_where_the_squared_norm_overflows():
     assert traj.final_state[0] == pytest.approx(np.e * 1e160, rel=1e-10)
 
 
+def test_overflowed_state_with_finite_stages_is_not_finite():
+    # x' = 1e308 on a box up to the largest double: every stage is finite,
+    # y_new overflows to inf near t = 1.8, and so does its norm, so the
+    # step passes the error test (tol = inf) and must stop at the state test.
+    top = np.finfo(float).max
+    field = VectorField(dim=1, rhs=lambda x: np.full_like(x, 1e308),
+                        domain=Box(lo=[-top], hi=[top]), family="test")
+    X0 = np.linspace(0.0, 1.0, integrators.ENSEMBLE_MIN_ROWS)[:, None]
+    with pytest.raises(NonFiniteState, match="state not finite after t = 1"):
+        integrate(field, X0[0], 10.0)
+    with pytest.raises(NonFiniteState, match="state not finite after t = 1"):
+        integrate_many(field, X0, 10.0)
+
+
 def test_dormand_prince_tableau():
     nodes = [0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0]
     assert np.allclose([row.sum() for row in _A], nodes, rtol=0.0, atol=1e-15)
@@ -525,6 +543,50 @@ def test_step_after_a_region_crossing_is_short():
         step = run.times[after] - run.times[after - 1]
         bound = integrators.MAX_FACTOR * integrators.KINK_FLOOR
         assert np.all(step <= bound + 2 * np.spacing(run.times[after]))
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "kbench" / "workloads.py"
+
+
+@pytest.fixture(scope="module")
+def benchmark_glass():
+    """The Glass ring of the oscillators benchmark at seeds 0-9: its scenario
+    (the same field and settings at every seed), the ten starts, and their
+    runs at the scenario's settings."""
+    spec = importlib.util.spec_from_file_location("kbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    with pytest.MonkeyPatch.context() as mp:
+        # dataclasses resolves annotations through sys.modules while the file runs
+        mp.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        cases = [next(c for c in workloads.oscillators(seed) if c.name == "glass")
+                 for seed in range(10)]
+    scns = [parse_scenario(case.scenario) for case in cases]
+    X0 = np.array([scn.x0s[0] for scn in scns])
+    scn = scns[0]
+    return scn, X0, integrate_many(scn.field, X0, scn.T, rtol=scn.rtol, atol=scn.atol)
+
+
+def test_glass_ring_stays_within_5e_8_of_a_tight_run(benchmark_glass):
+    scn, X0, runs = benchmark_glass
+    assert (scn.T, scn.rtol, scn.atol) == (50.0, 1e-10, 1e-12)
+    refs = integrate_many(scn.field, X0, scn.T, rtol=1e-13, atol=1e-15)
+    probe = np.linspace(0.0, scn.T, 2001)
+    for run, ref in zip(runs, refs):
+        assert run.t_end == ref.t_end == scn.T
+        assert np.abs(run.sample(probe) - ref.sample(probe)).max() <= 5e-8
+
+
+def test_a_kink_crossing_costs_at_most_three_retries(benchmark_glass):
+    # A retry ends at the crossing found on the step's interpolant, so it
+    # takes about two retries, not a halving per factor of two down to
+    # KINK_FLOOR.
+    scn, _, runs = benchmark_glass
+    for run in runs:
+        sig = [scn.field.region_index(y) for y in run.states]
+        crossings = sum(a != b for a, b in zip(sig, sig[1:]))
+        assert crossings > 0
+        assert run.n_kink_retries <= 3 * crossings
 
 
 @pytest.mark.parametrize("m", [3, 9])

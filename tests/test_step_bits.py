@@ -81,15 +81,25 @@ def plain_integrate(field, x0, T, rtol=1e-8, atol=1e-10, max_step=np.inf):
         y_new = y + h * (K[:6].T @ _A[6])
         err = float(np.linalg.norm(h * (K.T @ _E)))
         tol = atol + rtol * float(np.linalg.norm(y_new))
-        if not (np.isfinite(K).all() and np.isfinite(err)):
+        finite = np.isfinite(K).all() and np.isfinite(err)
+        new_region = region(y_new) if region is not None and finite else cur_region
+        if new_region != cur_region and h > KINK_FLOOR:
+            lo_s, hi_s = 0.0, 1.0
+            for _ in range(80):
+                mid = 0.5 * (lo_s + hi_s)
+                if region(_hermite(y, f, y_new, K[6], h, mid)) == cur_region:
+                    lo_s = mid
+                else:
+                    hi_s = mid
+                if (hi_s - lo_s) * h < KINK_FLOOR:
+                    break
+            h = max(lo_s * h, KINK_FLOOR)
+            continue
+        if not finite:
             h *= 0.5
             continue
         if err > tol:
             h *= _step_factor(tol, err)
-            continue
-        new_region = region(y_new) if region is not None else None
-        if new_region != cur_region and h > KINK_FLOOR:
-            h = max(0.5 * h, KINK_FLOOR)
             continue
         if not np.isfinite(y_new).all():
             raise NonFiniteState("state not finite")
