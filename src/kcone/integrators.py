@@ -25,6 +25,13 @@ Characteristics
       (the only place the floor is tested), NonFiniteState on nan/inf at an
       accepted node, and NodeBudgetExceeded past MAX_NODES stored nodes.
 
+Both loops decide each attempted step through one per-run routine
+(_Run.settle), which holds every rule above. integrate evaluates one run's
+stages; integrate_many batches only the evaluations, the rhs stages of its
+running rows and the domain test of their ends, and then settles the rows
+one by one in row order, so when several rows fail in one attempt, the
+first failing row's error is raised.
+
 Each Trajectory counts its run's work, for profiling; `kcone report` copies
 the counts into its meta, never into the report object:
     n_rhs              right-hand-side calls, f(x0) and exit node included
@@ -229,28 +236,91 @@ def _bisect(step, h: float, inside, width: float) -> tuple[float, int]:
     return lo_s, halvings
 
 
-def _stop_at_exit(field, step, h: float, t: float, run) -> tuple[int, int]:
-    """Bisect the Hermite interpolant of step = (y, f, y_new, f_new), from t
-    over h, for its last point inside the domain; append it (unless it is y)
-    and a domain_exit event to run = (times, states, derivs, events).
-    Returns (halvings, rhs calls)."""
-    lo_s, halvings = _bisect(step, h, field.domain.contains, 1e-14 * max(1.0, abs(t)))
-    ts, ys, fs, events = run
-    events.append((t + lo_s * h, "domain_exit"))
-    if lo_s == 0.0:
-        return halvings, 0
-    ts.append(t + lo_s * h)
-    ys.append(_hermite(*step, h, lo_s))
-    fs.append(np.asarray(field(ys[-1]), dtype=float))
-    return halvings, 1
+class _Run:
+    """One DP5 run between attempts: its nodes, events and counters, the last
+    node (t, y, f) and its region signature cur, the next attempt's step h,
+    and whether it goes on; settle decides each attempt of both loops."""
 
+    __slots__ = ("field", "region", "T", "rtol", "atol", "max_step", "t", "y", "f", "h", "cur",
+                 "running", "ts", "ys", "fs", "events", *_COUNTERS)
 
-def _kink_step(step, h: float, region, cur) -> float:
-    """The retry length for a step that leaves region signature cur: the
-    last fraction of step's interpolant still in cur, found to within
-    KINK_FLOOR in time, times h, and never below KINK_FLOOR."""
-    s, _ = _bisect(step, h, lambda x: region(x) == cur, KINK_FLOOR)
-    return max(s * h, KINK_FLOOR)
+    def __init__(self, field, x0, f0, T, rtol, atol, max_step):
+        if not np.isfinite(f0).all():
+            raise NonFiniteState("right-hand side not finite at x0")
+        self.field, self.region = field, field.region_index
+        self.T, self.rtol, self.atol, self.max_step = T, rtol, atol, max_step
+        self.t, self.y, self.f = 0.0, x0.copy(), f0.copy()
+        self.ts, self.ys, self.fs, self.events = [0.0], [self.y], [self.f], []
+        self.cur = self.region(self.y) if self.region is not None else None
+        self.h = _initial_step(f0, x0, T, max_step, rtol, atol)
+        self.running = True
+        self.n_rhs, self.n_accepted, self.n_rejected = 1, 0, 0
+        self.n_kink_retries = self.n_exit_bisections = 0
+
+    def settle(self, y_new, f_new, e, stages_finite, inside) -> None:
+        """Decide the attempt of length h from the last node to y_new, whose
+        7th stage is f_new and whose error estimate is the vector e, after
+        6 rhs calls (stages_finite: all 7 stages are finite; inside: y_new
+        lies in the domain). It re-tries up to a region crossing, rejects
+        (raising StepUnderflow below the floor), raises NonFiniteState or
+        NodeBudgetExceeded, stops at a domain exit, or accepts; then it
+        sets the next attempt's h."""
+        t, h, T, cur, region = self.t, self.h, self.T, self.cur, self.region
+        self.n_rhs += 6
+        err = _norm(e)
+        tol = self.atol + self.rtol * _norm(y_new)
+        finite = stages_finite and math.isfinite(err)
+        # Kink localization, ahead of the error test: a step that jumps a
+        # ramp-region boundary is re-tried up to the crossing.
+        new = region(y_new) if region is not None and finite else cur
+        if new != cur and h > KINK_FLOOR:
+            self.n_kink_retries += 1
+            s, _ = _bisect((self.y, self.f, y_new, f_new), h,
+                           lambda x: region(x) == cur, KINK_FLOOR)
+            h = max(s * h, KINK_FLOOR)
+        elif not finite or err > tol:
+            self.n_rejected += 1
+            h *= _step_factor(tol, err) if finite else 0.5
+            if h < UNDERFLOW_FRACTION * T:
+                raise StepUnderflow(f"step {h:.3e} below {UNDERFLOW_FRACTION:.0e} T")
+        else:
+            # A finite tol has a finite _norm(y_new), so a finite y_new.
+            if not math.isfinite(tol) and not np.isfinite(y_new).all():
+                raise NonFiniteState(f"state not finite after t = {t:.6g}")
+            if len(self.ts) == MAX_NODES:
+                raise NodeBudgetExceeded(f"run needs more than {MAX_NODES} nodes")
+            if not inside:
+                # The last point inside on the step's interpolant ends the
+                # run, as a node unless it is y.
+                step = (self.y, self.f, y_new, f_new)
+                width = 1e-14 * max(1.0, abs(t))
+                s, self.n_exit_bisections = _bisect(step, h, self.field.domain.contains, width)
+                self.events.append((t + s * h, "domain_exit"))
+                if s > 0.0:
+                    self.ts.append(t + s * h)
+                    self.ys.append(_hermite(*step, h, s))
+                    self.fs.append(np.asarray(self.field(self.ys[-1]), dtype=float))
+                    self.n_rhs += 1
+                self.running = False
+                return
+            # The last step lands on T itself: from t < T/2, t + (T - t) may
+            # round an ulp short of T and leave an underflowing step behind.
+            self.t = t = T if h == T - t else t + h
+            self.y, self.f, self.cur = y_new, f_new.copy(), new
+            self.ts.append(t)
+            self.ys.append(self.y)
+            self.fs.append(self.f)
+            self.n_accepted += 1
+            self.running = t < T
+            h *= _step_factor(tol, err)
+        self.h = min(h, T - t, self.max_step)
+
+    def trajectory(self) -> Trajectory:
+        return Trajectory(
+            times=np.asarray(self.ts), states=np.asarray(self.ys), derivs=np.asarray(self.fs),
+            rtol=self.rtol, atol=self.atol, max_step=self.max_step, events=self.events,
+            **{c: getattr(self, c) for c in _COUNTERS},
+        )
 
 
 def integrate(
@@ -269,81 +339,23 @@ def integrate(
     """
     x0 = np.asarray(x0, dtype=float)
     _check_run(field, x0[None], T, rtol, atol, max_step)
-    rhs, contains, region = field.rhs, field.domain.contains, field.region_index
-    f0 = np.asarray(field(x0), dtype=float)
-    if not np.all(np.isfinite(f0)):
-        raise NonFiniteState("right-hand side not finite at x0")
-
-    ts, ys, fs = [0.0], [x0.copy()], [f0.copy()]
-    events: list[tuple[float, str]] = []
-    n_rhs = 1
-    n_accepted = n_rejected = n_kink_retries = n_exit_bisections = 0
-    t, y, f = 0.0, x0.copy(), f0
-    cur_region = region(y) if region is not None else None
-
+    rhs, contains, f0 = field.rhs, field.domain.contains, np.asarray(field(x0), dtype=float)
     K = np.empty((7, field.dim))
     # KT[i] is K[:i].T, the first i stages: views, bound once, that read K
     # as each step fills it.
     KT = [K[:i].T for i in range(8)]
     with np.errstate(over="ignore"):  # _norm rescales an overflowed sum of squares
-        h = _initial_step(f0, x0, T, max_step, rtol, atol)
-        while t < T:
-            h = min(h, T - t, max_step)
-            K[0] = f
+        run = _Run(field, x0, f0, T, rtol, atol, max_step)
+        while run.running:
+            h, y = run.h, run.y
+            K[0] = run.f
             for i in range(1, 6):
                 K[i] = rhs(y + h * (KT[i] @ _A[i]))
             y_new = y + h * (KT[6] @ _A[6])
             K[6] = rhs(y_new)  # FSAL: the 7th stage's argument is y_new
-            n_rhs += 6
-            err = _norm(h * (KT[7] @ _E))
-            tol = atol + rtol * _norm(y_new)
-
             # Test K itself: stage 2 has zero weight in both y_new and err.
-            finite = np.isfinite(K).all() and math.isfinite(err)
-            # Kink localization, ahead of the error test: a step that jumps
-            # a ramp-region boundary is re-tried up to the crossing.
-            new_region = region(y_new) if region is not None and finite else cur_region
-            if new_region != cur_region and h > KINK_FLOOR:
-                n_kink_retries += 1
-                h = _kink_step((y, f, y_new, K[6]), h, region, cur_region)
-                continue
-            if not finite or err > tol:
-                n_rejected += 1
-                h *= _step_factor(tol, err) if finite else 0.5
-                if h < UNDERFLOW_FRACTION * T:
-                    raise StepUnderflow(f"step {h:.3e} below {UNDERFLOW_FRACTION:.0e} T")
-                continue
-
-            # A finite tol has a finite _norm(y_new), so a finite y_new.
-            if not math.isfinite(tol) and not np.isfinite(y_new).all():
-                raise NonFiniteState(f"state not finite after t = {t:.6g}")
-            f_new = K[6].copy()
-            if len(ts) == MAX_NODES:
-                raise NodeBudgetExceeded(f"run needs more than {MAX_NODES} nodes")
-
-            if not contains(y_new):
-                n_exit_bisections, n_node = _stop_at_exit(
-                    field, (y, f, y_new, f_new), h, t, (ts, ys, fs, events)
-                )
-                n_rhs += n_node
-                break
-
-            # The last step lands on T itself: from t < T/2, t + (T - t) may
-            # round an ulp short of T and leave an underflowing step behind.
-            t = T if h == T - t else t + h
-            y, f = y_new, f_new
-            ts.append(t)
-            ys.append(y)
-            fs.append(f)
-            n_accepted += 1
-            h *= _step_factor(tol, err)
-            cur_region = new_region
-
-    return Trajectory(
-        times=np.asarray(ts), states=np.asarray(ys), derivs=np.asarray(fs), rtol=rtol,
-        atol=atol, max_step=max_step, events=events, n_rhs=n_rhs, n_accepted=n_accepted,
-        n_rejected=n_rejected, n_kink_retries=n_kink_retries, n_exit_bisections=n_exit_bisections,
-    )
+            run.settle(y_new, K[6], h * (KT[7] @ _E), np.isfinite(K).all(), contains(y_new))
+    return run.trajectory()
 
 
 def integrate_many(
@@ -351,88 +363,40 @@ def integrate_many(
     max_step: float = np.inf,
 ) -> list[Trajectory]:
     """integrate(field, x0, T, ...) for each row x0 of the (m, n) array X0 in
-    one DP5 loop, whose running rows share one rhs call per stage; each row
-    keeps its own steps, kinks, exit, events and counters. Row r is bit for
+    one DP5 loop that batches only the evaluations: the running rows share
+    one rhs call per stage and one domain test. Each row's step is decided
+    by integrate's per-run routine, in row order, so each row keeps its own
+    steps, kinks, exit, events and counters, and when several rows fail in
+    one attempt, the first failing row's error is raised. Row r is bit for
     bit integrate(field, X0[r], ...) when a batch's rhs has its single rows'
-    bits (elementwise fields; x @ A.T may move a last bit). Below
-    ENSEMBLE_MIN_ROWS rows integrate runs row by row: it is faster there."""
+    bits (elementwise fields; x @ A.T may move a last bit). The whole batch,
+    an empty one too, is checked first; below ENSEMBLE_MIN_ROWS rows
+    integrate then runs row by row: it is faster there."""
     X0 = np.asarray(X0, dtype=float)
-    if X0.ndim == 2 and X0.shape[0] < ENSEMBLE_MIN_ROWS:
-        return [integrate(field, x0, T, rtol, atol, max_step) for x0 in X0]
     _check_run(field, X0, T, rtol, atol, max_step)
-    rhs, region, m = field.rhs, field.region_index, X0.shape[0]
+    if X0.shape[0] < ENSEMBLE_MIN_ROWS:
+        return [integrate(field, x0, T, rtol, atol, max_step) for x0 in X0]
+    rhs = field.rhs
     F = np.asarray(rhs(X0), dtype=float)
-    if not np.all(np.isfinite(F)):
-        raise NonFiniteState("right-hand side not finite at x0")
-
-    # Row r's (times, states, derivs, events), and its counters counts[:, r].
-    runs = [([0.0], [x0], [f0], []) for x0, f0 in zip(X0.copy(), F.copy())]
-    counts = np.zeros((len(_COUNTERS), m), dtype=np.int64)
-    n_rhs, n_accepted, n_rejected, n_kink_retries, n_exit_bisections = counts
-    n_rhs += 1
-    # The running rows, with their times, states, derivatives and regions.
-    rows, t, Y = np.arange(m), np.zeros(m), X0.copy()
-    cur = [region(y) if region else None for y in Y]
-    K = np.empty((m, 7, field.dim))  # row r's stages are the (7, n) block K[r]
+    K = np.empty((X0.shape[0], 7, field.dim))  # row r's stages are the (7, n) block K[r]
     with np.errstate(over="ignore"):
-        H = np.array([_initial_step(f, y, T, max_step, rtol, atol) for f, y in zip(F, Y)])
-        while rows.size:
-            H = np.minimum(np.minimum(H, T - t), max_step)
-            Kr = K[: rows.size]
-            Kr[:, 0] = F
+        runs = [_Run(field, x0, f0, T, rtol, atol, max_step) for x0, f0 in zip(X0, F)]
+        running = runs
+        while running:
+            H = np.array([run.h for run in running])[:, None]
+            Y = np.array([run.y for run in running])
+            Kr = K[: len(running)]
+            Kr[:, 0] = [run.f for run in running]
             for i in range(1, 6):
-                Kr[:, i] = rhs(Y + H[:, None] * (Kr[:, :i].transpose(0, 2, 1) @ _A[i]))
-            Y_new = Y + H[:, None] * (Kr[:, :6].transpose(0, 2, 1) @ _A[6])
+                Kr[:, i] = rhs(Y + H * (Kr[:, :i].transpose(0, 2, 1) @ _A[i]))
+            Y_new = Y + H * (Kr[:, :6].transpose(0, 2, 1) @ _A[6])
             Kr[:, 6] = rhs(Y_new)
-            n_rhs[rows] += 6
-            err = np.array([_norm(v) for v in H[:, None] * (Kr.transpose(0, 2, 1) @ _E)])
-            tol = np.array([atol + rtol * _norm(v) for v in Y_new])
-            finite = np.isfinite(Kr).all(axis=(1, 2)) & np.isfinite(err)
-            factor = np.array([_step_factor(a, b) if ok else 0.5
-                               for a, b, ok in zip(tol.tolist(), err.tolist(), finite.tolist())])
-
-            new = [region(y) if ok and region else c for y, ok, c in zip(Y_new, finite, cur)]
-            crossed = np.array([a != b for a, b in zip(new, cur)], dtype=bool)
-            kink = crossed & (H > KINK_FLOOR)
-            n_kink_retries[rows[kink]] += 1
-            for j in np.flatnonzero(kink):
-                H[j] = _kink_step((Y[j], F[j], Y_new[j], Kr[j, 6]), float(H[j]), region, cur[j])
-            rejected = ~kink & (~finite | (err > tol))
-            n_rejected[rows[rejected]] += 1
-            H[rejected] *= factor[rejected]
-            if np.any(low := rejected & (H < UNDERFLOW_FRACTION * T)):
-                raise StepUnderflow(f"step {H[low][0]:.3e} below {UNDERFLOW_FRACTION:.0e} T")
-            step = ~rejected & ~kink
-            if np.any(bad := step & ~np.isfinite(Y_new).all(axis=1)):
-                raise NonFiniteState(f"state not finite after t = {t[bad][0]:.6g}")
-            if np.any(step & (n_accepted[rows] + 1 == MAX_NODES)):
-                raise NodeBudgetExceeded(f"run needs more than {MAX_NODES} nodes")
-
-            left = step & ~field.domain.contains(Y_new)
-            for j, r in zip(np.flatnonzero(left), rows[left]):
-                n_exit_bisections[r], n_node = _stop_at_exit(
-                    field, (Y[j], F[j], Y_new[j], Kr[j, 6]), float(H[j]), float(t[j]), runs[r]
-                )
-                n_rhs[r] += n_node
-
-            acc = step & ~left
-            t = np.where(acc, np.where(H == T - t, T, t + H), t)  # lands on T as integrate does
-            Y = np.where(acc[:, None], Y_new, Y)
-            F = np.where(acc[:, None], Kr[:, 6], F)
-            for j, r in zip(np.flatnonzero(acc), rows[acc]):
-                for seq, v in zip(runs[r], (t[j], Y[j], F[j])):
-                    seq.append(v)
-            n_accepted[rows[acc]] += 1
-            H[acc] *= factor[acc]
-            keep = ~left & (t < T)
-            rows, t, Y, F, H = rows[keep], t[keep], Y[keep], F[keep], H[keep]
-            cur = [b if a else c for a, b, c, k in zip(acc, new, cur, keep) if k]
-
-    return [
-        Trajectory(times=np.asarray(ts), states=np.asarray(ys), derivs=np.asarray(fs), rtol=rtol,
-                   atol=atol, max_step=max_step, events=events, **dict(zip(_COUNTERS, c)))
-        for (ts, ys, fs, events), c in zip(runs, counts.T.tolist())
-    ]
+            E = H * (Kr.transpose(0, 2, 1) @ _E)
+            finite, inside = np.isfinite(Kr).all(axis=(1, 2)), field.domain.contains(Y_new)
+            for run, *attempt in zip(running, Y_new, Kr[:, 6], E, finite, inside):
+                run.settle(*attempt)
+            running = [run for run in running if run.running]
+    return [run.trajectory() for run in runs]
 
 
 def integrate_backward(

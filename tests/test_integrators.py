@@ -453,6 +453,12 @@ def _cylinder_starts(rng, m):
     return np.column_stack([rng.uniform(-0.7, 0.7, (m, 2)), rng.uniform(-0.9, 0.9, m)])
 
 
+def _saddle_starts(rng, m):
+    X0 = rng.uniform(-0.9, 0.9, (m, 3))
+    X0[::3, 0] = 1.0
+    return X0
+
+
 # name -> (field, start draw, T); the elementwise fields, whose batched rhs
 # gives each row its single-row bits.
 ENSEMBLE_FIELDS = {
@@ -477,6 +483,13 @@ ENSEMBLE_FIELDS = {
         parse_field(["x2", "-x1", "0.3"], domain=Box(lo=[-1.0] * 3, hi=[1.0] * 3)),
         lambda rng, m: np.column_stack([rng.uniform(-0.6, 0.6, (m, 2)),
                                         np.linspace(-1.0, 0.8, m)]),
+        5.0,
+    ),
+    # A saddle: every third row starts on the face x1 = 1, where the flow
+    # points out, so it retires on its first attempt as a one-node run.
+    "parsed_saddle": (
+        parse_field(["x1", "-x2", "0*x3"], domain=Box(lo=[-1.0] * 3, hi=[1.0] * 3)),
+        _saddle_starts,
         5.0,
     ),
 }
@@ -526,6 +539,9 @@ def test_ensemble_rows_are_the_serial_runs_bit_for_bit(name, m):
     if name == "parsed_exit":
         exits = [bool(run.events) for run in runs]
         assert any(exits) and not all(exits)
+    if name == "parsed_saddle":
+        first = [run.events == [(0.0, "domain_exit")] and len(run.times) == 1 for run in runs]
+        assert first == [r % 3 == 0 for r in range(m)]
 
 
 def test_step_after_a_region_crossing_is_short():
@@ -642,4 +658,9 @@ def test_ensemble_raises_as_integrate_raises(m, monkeypatch):
 
 
 def test_ensemble_of_no_rows_is_empty():
-    assert integrate_many(make_hopf_cylinder(1.0, 4.0), np.empty((0, 3)), 1.0) == []
+    hopf = make_hopf_cylinder(1.0, 4.0)
+    assert integrate_many(hopf, np.empty((0, 3)), 1.0) == []
+    # An empty batch is checked as any other.
+    for X0, T in ((np.empty((0, 3)), -1.0), (np.empty((0, 3)), np.nan), (np.empty((0, 5)), 1.0)):
+        with pytest.raises(BadParameter):
+            integrate_many(hopf, X0, T)

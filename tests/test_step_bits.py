@@ -2,8 +2,11 @@
 pwl, contains.
 
 The single-state path binds the rhs, the membership test and the stage
-views once per run, computes y_new once as the 7th stage's argument, takes
-its norms as sqrt(v.dot(v)), evaluates parsed fields inside one errstate,
+views once per run, computes y_new once as the 7th stage's argument, and
+hands each attempt to the per-run step decision shared with the ensemble,
+which binds the region signature once per run, takes the norms as
+sqrt(v.dot(v)) and tests y_new for finiteness only when its tolerance is
+not finite. It evaluates parsed fields inside one errstate,
 ramps with np.minimum/np.maximum and skips a zero pad. The Hopf, ring and
 parsed closures and Cylinder.contains read the coordinate-first view x.T,
 so a single state runs on numpy float64 scalars. Each of those must give
