@@ -172,10 +172,11 @@ def check_cyclic_feedback(components, deltas, domain: Domain, seed: int = 0) -> 
     components[i](x_i, x_prev) is the i-th coordinate function of the ring
     (prev meaning i - 1 cyclically); deltas[i] its declared coupling sign.
     At FEEDBACK_SAMPLES (1000) seeded points of domain, the partial
-    derivative in the coupling slot is estimated by central differences
-    with step FEEDBACK_FD_RTOL (1e-5) of the coordinate's range; Pass iff
-    delta_i times the estimate is positive everywhere. The margin convention matches the other checks: negative is
-    good, so worst_margin is the largest value of -delta_i * estimate.
+    derivative in the coupling slot is estimated by central differences with
+    step FEEDBACK_FD_RTOL (1e-5) of the coordinate's range; Pass iff delta_i
+    times the estimate is positive everywhere. The margin convention matches
+    the other checks: negative is good, so worst_margin is the largest value
+    of -delta_i * estimate.
     """
     n = len(components)
     if len(deltas) != n:

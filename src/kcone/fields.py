@@ -370,16 +370,15 @@ def find_equilibria(field: VectorField, seeds) -> EquilibriaResult:
 
 
 def default_equilibrium_seeds(domain: Domain, extra=None) -> list[np.ndarray]:
-    """Deterministic seed set: center, axis offsets, and a few corners."""
+    """Deterministic seeds: the domain's center; the center plus and minus a
+    quarter width along each axis; on a box with n <= 6, its 2^n corners
+    pulled in by a tenth of each width; then the points of extra."""
     center = domain.center()
     widths = domain.widths()
     seeds = [center]
+    for e in np.diag(0.25 * widths):
+        seeds += [center + e, center - e]
     n = center.shape[0]
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 0.25 * widths[j]
-        seeds.append(center + e)
-        seeds.append(center - e)
     if isinstance(domain, Box) and n <= 6:
         for mask in range(2**n):
             corner = np.where(

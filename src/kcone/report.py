@@ -125,9 +125,9 @@ def run_certify(scn: Scenario) -> dict:
     lambda, an extra rate on the grid if there is one."""
     reports = []
     at_lam = None
-    quadratic = isinstance(scn.cone, QuadraticCone)
-    smith = quadratic and scn.lam is not None and scn.epsilon is not None
-    if quadratic and scn.lambda_grid is not None:
+    # The schema admits lambda, lambda_grid and epsilon (with lambda) on quadratic cones only.
+    smith = scn.epsilon is not None
+    if scn.lambda_grid is not None:
         reports.extend(
             lambda_grid_search(
                 scn.field, scn.cone, scn.lambda_grid + ((scn.lam,) if smith else ()),
@@ -136,12 +136,12 @@ def run_certify(scn: Scenario) -> dict:
         )
         if smith:
             at_lam = reports.pop()
-    elif quadratic and scn.lam is not None:
+    elif scn.lam is not None:
         at_lam = certify_sampled(
             scn.field, scn.cone, scn.lam, n_pairs=scn.pairs, seed=scn.seed
         )
         reports.append(at_lam)
-    if quadratic and scn.lam is not None and scn.field.family == "linear":
+    if scn.lam is not None and scn.field.family == "linear":
         A = scn.field.jacobian(np.zeros(scn.field.dim))
         reports.append(certify_linear(A, scn.cone, scn.lam))
     if smith:
@@ -204,7 +204,7 @@ def _seek_loop(scn: Scenario, x0, tail=None) -> tuple[Any, str | None]:
     return loop, None if loop is not None else "no loop"
 
 
-def _analyze_orbit(scn: Scenario, index: int, x0) -> tuple[dict, dict]:
+def _analyze_orbit(scn: Scenario, index: int, x0, equilibria: dict) -> tuple[dict, dict]:
     """Full per-orbit analysis. Returns (report section, artifacts)."""
     a = scn.analysis
     traj, omega = _orbit_tail(scn, x0)
@@ -237,19 +237,11 @@ def _analyze_orbit(scn: Scenario, index: int, x0) -> tuple[dict, dict]:
         "converged": omega.converged,
         "tolerances": {"tol_omega": omega.tol},
     }
-    seeds = default_equilibrium_seeds(scn.field.domain, extra=[x0])
-    eq_result = find_equilibria(scn.field, seeds)
-    eqs = eq_result.equilibria
-    section["equilibria"] = {
-        "count": len(eqs),
-        "dropped_seeds": eq_result.dropped,
-        "points": [e.point.tolist() for e in eqs],
-        "residuals": [e.residual for e in eqs],
-    }
+    section["equilibria"] = equilibria
 
     dist_eq = a["dist_eq_rel"] * scn.field.domain.diameter()
     tri = trichotomy_report(
-        omega, [e.point for e in eqs], scn.cone, field=scn.field, dist_eq=dist_eq,
+        omega, equilibria["points"], scn.cone, field=scn.field, dist_eq=dist_eq,
         rtol=scn.rtol, atol=scn.atol, max_step=scn.max_step,
     )
     audit = tri.audit
@@ -309,17 +301,25 @@ def _analyze_orbit(scn: Scenario, index: int, x0) -> tuple[dict, dict]:
 
 
 def run_classify(scn: Scenario) -> tuple[dict, list[dict]]:
-    """Analyze every initial condition in input order, one after another.
+    """Find the field's equilibria once, from the default seeds and every x0,
+    then analyze every initial condition against them, one after another.
 
     Returns (report object, artifact list); orbit section i and artifact i
     belong to the scenario's i-th initial condition.
     """
     if not scn.x0s:
         raise SchemaError("classify needs an x0 in the scenario", "/x0")
+    found = find_equilibria(scn.field, default_equilibrium_seeds(scn.field.domain, extra=scn.x0s))
+    equilibria = {
+        "count": len(found.equilibria),
+        "dropped_seeds": found.dropped,
+        "points": [e.point.tolist() for e in found.equilibria],
+        "residuals": [e.residual for e in found.equilibria],
+    }
     sections: list[dict] = []
     artifacts: list[dict] = []
     for i, x0 in enumerate(scn.x0s):
-        section, art = _analyze_orbit(scn, i, x0)
+        section, art = _analyze_orbit(scn, i, x0, equilibria)
         sections.append(section)
         artifacts.append(art)
     report = _report_header(

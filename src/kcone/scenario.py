@@ -130,6 +130,12 @@ SCENARIO_SCHEMA: dict[str, Any] = {
         "properties": {"field": {"type": "object", "required": ["exprs"]}},
     },
     "then": {"required": ["domain"]},
+    # Rates are certified on a quadratic cone only, and epsilon at lambda.
+    "allOf": [{
+        "if": {"properties": {"cone": {"properties": {"type": {"enum": list(_ORTHANTS)}}}}},
+        "then": {"properties": dict.fromkeys(("lambda", "lambda_grid", "epsilon"), {"not": {}})},
+    }],
+    "dependentSchemas": {"epsilon": {"required": ["lambda"]}},
     "properties": {
         "name": {"type": "string"},
         # A field is parsed from expressions, whose params are all numbers,

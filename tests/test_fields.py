@@ -280,6 +280,31 @@ def test_default_equilibrium_seeds():
     assert np.allclose(seeds[-1], [0.1, 0.2, 0.3])
 
 
+def test_the_corner_seeds_find_the_benchmark_lv_boundary_equilibria():
+    """On the benchmark's May-Leonard LV (alpha 0.2, beta 0.6, r = 1) the
+    default seeds find five equilibria: the origin, the three two-species
+    points and the interior one. The center and axis offsets alone find only
+    the interior one, so the 2^n corners are needed. (The three one-species
+    points e_i are equilibria as well; no default seed reaches them.)"""
+    alpha, beta = 0.2, 0.6
+    field = make_competitive_lv(
+        [[1.0, alpha, beta], [beta, 1.0, alpha], [alpha, beta, 1.0]], [1.0] * 3
+    )
+    p, q = (1.0 - alpha) / (1.0 - alpha * beta), (1.0 - beta) / (1.0 - alpha * beta)
+    s = 1.0 / (1.0 + alpha + beta)
+    closed_forms = np.array([[0, 0, 0], [p, q, 0], [0, p, q], [q, 0, p], [s, s, s]])
+    seeds = default_equilibrium_seeds(field.domain)
+    assert len(seeds) == 1 + 6 + 8
+    result = find_equilibria(field, seeds)
+    assert result.dropped == 0
+    points = np.array([eq.point for eq in result.equilibria])
+    assert points.shape == (5, 3)
+    for want in closed_forms:
+        assert np.linalg.norm(points - want, axis=1).min() <= 1e-9
+    (interior,) = find_equilibria(field, seeds[:7]).equilibria
+    assert np.abs(interior.point - s).max() <= 1e-9
+
+
 @pytest.mark.parametrize(
     "field, x",
     [

@@ -1,9 +1,12 @@
 """Report assembly: determinism, orbit order, serialization, CSV sidecars."""
 
 import dataclasses
+import importlib.util
 import io
 import json
 import os
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -11,9 +14,11 @@ import jsonschema
 import numpy as np
 import pytest
 
+from kcone import report as report_module
 from kcone.certify import certify_sampled, certify_smith
 from kcone.cones import Projector, make_projector, make_quadratic_cone
 from kcone.errors import SchemaError
+from kcone.fields import EQUILIBRIUM_DEDUPE_TOL, default_equilibrium_seeds, find_equilibria
 from kcone.report import (
     REPORT_SCHEMA,
     _condition_dict,
@@ -129,6 +134,77 @@ def test_classify_requires_initial_conditions():
     with pytest.raises(SchemaError) as e:
         run_classify(scn)
     assert e.value.pointer == "/x0"
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "kbench" / "workloads.py"
+
+
+@pytest.fixture(scope="module")
+def settling_cases():
+    """The settling benchmark's scenarios at seed 10, by name: the Goodwin
+    ring, the linear sink and the May-Leonard LV, three orbits each. The
+    third LV start reaches the equilibrium (0, 1, 0), which no default seed
+    and neither other start finds."""
+    spec = importlib.util.spec_from_file_location("kbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    with pytest.MonkeyPatch.context() as mp:
+        # dataclasses resolves annotations through sys.modules while the file runs
+        mp.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        cases = workloads.settling(10)
+    return {case.name: (parse_scenario(case.scenario), workloads) for case in cases}
+
+
+def _spy_equilibria(monkeypatch) -> list:
+    """The seed lists of every equilibrium search the report module runs."""
+    calls = []
+
+    def spy(field, seeds):
+        calls.append(seeds)
+        return find_equilibria(field, seeds)
+
+    monkeypatch.setattr(report_module, "find_equilibria", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["goodwin", "sink", "lv"])
+def test_a_scenario_runs_one_equilibrium_search_read_by_every_orbit(
+    settling_cases, monkeypatch, name
+):
+    scn, _ = settling_cases[name]
+    calls = _spy_equilibria(monkeypatch)
+    report, _ = build_full_report(scn)
+    assert len(calls) == 1
+    want = default_equilibrium_seeds(scn.field.domain, extra=scn.x0s)
+    assert [s.tolist() for s in calls[0]] == [s.tolist() for s in want]
+    first, *rest = [orbit["equilibria"] for orbit in report["orbits"]]
+    assert len(rest) == 2 and all(eq == first for eq in rest)
+    # Every root the per-orbit search of the orbit's own x0 finds is in the set.
+    for x0 in scn.x0s:
+        alone = find_equilibria(scn.field, default_equilibrium_seeds(scn.field.domain, extra=[x0]))
+        for eq in alone.equilibria:
+            gaps = np.linalg.norm(np.array(first["points"]) - eq.point, axis=1)
+            assert gaps.min() <= EQUILIBRIUM_DEDUPE_TOL
+
+
+def test_a_scenario_with_no_initial_condition_runs_no_equilibrium_search(monkeypatch):
+    calls = _spy_equilibria(monkeypatch)
+    report, _ = build_full_report(parse_scenario(_linear_cert_obj(**{"lambda": 0.0})))
+    assert report["orbits"] == [] and calls == []
+
+
+def test_the_benchmark_lv_orbits_report_one_interior_equilibrium(settling_cases):
+    """Not one copy per orbit, each found from that orbit's x0 to within
+    Newton's tolerance of the others."""
+    scn, workloads = settling_cases["lv"]
+    report, _ = run_classify(scn)
+    interior = {
+        tuple(p) for orbit in report["orbits"] for p in orbit["equilibria"]["points"]
+        if min(p) > 1e-6
+    }
+    assert len(report["orbits"]) == 3
+    (point,) = interior
+    assert np.abs(np.subtract(point, workloads.LV_EQUILIBRIUM)).max() <= 1e-10
 
 
 def _linear_cert_obj(**extra):

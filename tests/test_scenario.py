@@ -524,6 +524,21 @@ STRUCTURE_DEFECTS = {
         _probe(domain={k: v for k, v in CYLINDER.items() if k != "rest_hi"}), "/domain/rest_hi"
     ),
     "top_level_extra_key": (_probe(lambda_=1.0), "/lambda_"),
+    # Members that would be accepted and never read: the uniform-gap check
+    # reads epsilon at lambda, and an orthant cone has no rate to certify.
+    "epsilon_without_lambda": (_probe(**{"lambda": None}, epsilon=0.01), "/lambda"),
+    "epsilon_beside_a_grid_without_lambda": (
+        _probe(**{"lambda": None}, epsilon=0.01, lambda_grid=[0.0, 1.0, 0.5]), "/lambda"
+    ),
+    "orthant_with_lambda": (_probe(cone={"type": "orthant_complement", "n": 3}), "/lambda"),
+    "orthant_with_lambda_grid": (
+        _probe(**{"lambda": None}, cone={"type": "orthant_union", "n": 3},
+               lambda_grid=[0.0, 1.0, 0.5]),
+        "/lambda_grid",
+    ),
+    "orthant_with_epsilon": (
+        _probe(cone={"type": "orthant_complement", "n": 3}, epsilon=0.01), "/epsilon"
+    ),
 }
 
 # (scenario, section pointer, the constructor's error type)
@@ -625,6 +640,14 @@ def test_missing_or_unknown_member_is_refused_by_the_schema(tmp_path, capsys, na
     rc, err = _cli_error(tmp_path, capsys, obj)
     assert rc == 2
     assert f"(at JSON pointer '{pointer}')" in err
+
+
+def test_a_lambda_grid_flag_on_an_orthant_cone_is_refused(tmp_path, capsys):
+    path = tmp_path / "ring.json"
+    obj = _probe(**{"lambda": None}, cone={"type": "orthant_complement", "n": 3})
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["certify", "--scenario", str(path), "--lambda-grid", "0:1:0.5"]) == 2
+    assert "(at JSON pointer '/lambda_grid')" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", sorted(VALUE_DEFECTS))
