@@ -59,8 +59,9 @@ DECAY_SLACK_RTOL = 1e-8
 FEEDBACK_FD_RTOL = 1e-5
 # Points at which check_cyclic_feedback tests the coupling signs.
 FEEDBACK_SAMPLES = 1000
-# Copies of its row pair_margin evaluates the field on: a batched rhs such
-# as x @ A.T gives a one-row batch other bits than a sample.
+# Copies of its row pair_margin evaluates the field on: a batched step,
+# such as a matrix-product rhs or the margin's einsum at n = 2, may give a
+# one-row batch other bits than a sample.
 _MIN_BATCH = 8
 
 
@@ -298,7 +299,7 @@ def _pair_run(field: VectorField, x0, y0, T: float, **settings):
         rhs=lambda z: field.rhs(z.reshape(2, n)).reshape(2 * n),
         domain=_ProductDomain(field.domain),
         family=field.family,
-        region_index=None if region is None else lambda z: tuple(map(region, z.reshape(2, n))),
+        region_index=None if region is None else lambda z: (region(z[:n]), region(z[n:])),
     )
     traj = integrate(pair, np.concatenate([x0, y0]), T, **settings)
     if traj.events:

@@ -9,7 +9,9 @@ matching the planar-rotation model families.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -115,3 +117,23 @@ class Cylinder:
 
 
 Domain = Box | Cylinder
+
+
+def _point_test(domain) -> Callable:
+    """domain.contains for one state given as a list of floats, with its
+    bits: the same comparisons (and the same sqrt) on Python floats. A
+    domain of another shape has its contains called on an array."""
+    if isinstance(domain, Box):
+        bounds = list(zip(domain.lo.tolist(), domain.hi.tolist()))
+
+        def inside(y):
+            for (lo, hi), v in zip(bounds, y):
+                if not lo <= v <= hi:
+                    return False
+            return True
+
+        return inside
+    if isinstance(domain, Cylinder):
+        radius, rest = domain.radius, _point_test(domain.rest)
+        return lambda y: math.sqrt(y[0] * y[0] + y[1] * y[1]) <= radius and rest(y[2:])
+    return lambda y: bool(domain.contains(np.array(y)))

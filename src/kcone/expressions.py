@@ -23,7 +23,12 @@ For one state of shape (n,), X[j] is a numpy float64 and the closure runs
 on scalars; for a batch, X[j] is the column x[..., j] transposed, and the
 closure's value is the batch of values transposed the same way. Every
 operation is elementwise, so a parsed field evaluates pointwise and in
-batch through the same closure, with the same bits.
+batch through the same closure, with the same bits. The DP5 loop's single
+state is a list of Python floats, which a parsed field's coordinate form
+turns into a float64 array first: a variable and a constant are then
+numpy float64s, so x/0 gives inf or nan by IEEE rules and never raises
+ZeroDivisionError. The raw closures leave numpy's floating-point error
+state to their caller.
 """
 
 from __future__ import annotations

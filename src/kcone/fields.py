@@ -18,12 +18,15 @@ Families:
   * competitive_lv: x_i' = x_i (r_i - sum_j A_ij x_j), all interactions
     nonnegative.
 
-The Hopf, ring and parsed right-hand sides read a state x of shape (n,) or
-a batch of shape (..., n) through its coordinate-first view X = x.T, and
-write coordinate i into out.T[i]. On one state X[i] is a numpy float64, so
-the arithmetic runs at scalar speed; on a batch it is the column x[..., i],
-transposed the same way as out.T[i]. Every operation is elementwise, so one
-closure gives one state and a batch the same bits.
+Each family writes its right-hand side once, over coordinates: g(X)
+returns the n coordinate values of X, where X is a list of n floats (one
+state) or the coordinate-first view x.T of a batch x of shape (..., n),
+whose X[i] is the column x[..., i] transposed. The array rhs calls g on
+x.T and writes coordinate i into out.T[i], and carries g as
+rhs.coordinates, which the DP5 loop of `integrate` runs on Python floats.
+Every operation is elementwise, so one state and a batch row get the same
+bits, the float form included: the linear and LV families sum
+A_i0 X[0] + A_i1 X[1] + ... in that order, with no matrix product.
 """
 
 from __future__ import annotations
@@ -63,6 +66,29 @@ class VectorField:
         return self.rhs(np.asarray(x, dtype=float))
 
 
+def _coordinate_rhs(g: Callable) -> Callable:
+    """The array rhs of the coordinate form g, carrying g as .coordinates."""
+
+    def rhs(x):
+        x = np.asarray(x, dtype=float)
+        out = np.empty(x.shape)
+        O = out.T
+        for i, value in enumerate(g(x.T)):
+            O[i] = value
+        return out
+
+    rhs.coordinates = g
+    return rhs
+
+
+def _ordered_dot(row, X):
+    """row[0] X[0] + row[1] X[1] + ..., summed left to right."""
+    s = row[0] * X[0]
+    for j in range(1, len(row)):
+        s = s + row[j] * X[j]
+    return s
+
+
 def fd_jacobian(fn: Callable, x, step: float = 1e-5) -> np.ndarray:
     """Central-difference Jacobian of fn at x with absolute step per axis."""
     x = np.asarray(x, dtype=float)
@@ -86,11 +112,14 @@ def make_linear_field(A) -> VectorField:
     n = A.shape[0]
     domain = Box(lo=-LINEAR_BOUND * np.ones(n), hi=LINEAR_BOUND * np.ones(n))
 
-    def rhs(x):
-        return x @ A.T
+    rows = A.tolist()
+
+    def g(X):
+        return [_ordered_dot(row, X) for row in rows]
 
     return VectorField(
-        dim=n, rhs=rhs, domain=domain, family="linear", jacobian=lambda x: A.copy()
+        dim=n, rhs=_coordinate_rhs(g), domain=domain, family="linear",
+        jacobian=lambda x: A.copy(),
     )
 
 
@@ -109,15 +138,12 @@ def make_hopf_cylinder(
     if not (c > 0.0 and np.isfinite(c)):
         raise BadParameter("c must be positive and finite")
 
-    def rhs(x):
-        x1, x2, x3 = x.T
+    omega, c = float(omega), float(c)
+
+    def g(X):
+        x1, x2, x3 = X
         r2 = x1 * x1 + x2 * x2
-        out = np.empty(x.shape)
-        O = out.T
-        O[0] = x1 - omega * x2 - x1 * r2
-        O[1] = omega * x1 + x2 - x2 * r2
-        O[2] = -c * x3
-        return out
+        return (x1 - omega * x2 - x1 * r2, omega * x1 + x2 - x2 * r2, -c * x3)
 
     def jac(x):
         x1, x2 = x[0], x[1]
@@ -131,7 +157,8 @@ def make_hopf_cylinder(
         )
 
     domain = Cylinder(radius=radius, rest=Box(lo=[-z_bound], hi=[z_bound]))
-    return VectorField(dim=3, rhs=rhs, domain=domain, family="hopf_cylinder", jacobian=jac)
+    return VectorField(dim=3, rhs=_coordinate_rhs(g), domain=domain, family="hopf_cylinder",
+                       jacobian=jac)
 
 
 def make_cyclic_feedback(n: int, kind: str = "smooth_goodwin", params: dict | None = None) -> VectorField:
@@ -197,8 +224,8 @@ def make_cyclic_feedback(n: int, kind: str = "smooth_goodwin", params: dict | No
             raise BadParameter("glass_pwl needs hi > lo and amp > 0")
 
         first, rest = (
-            lambda xi, xp: amp * pwl(xp, hi, lo) - xi,
-            lambda xi, xp: amp * pwl(xp, lo, hi) - xi,
+            lambda xi, xp: amp * _ramp(xp, hi, lo) - xi,
+            lambda xi, xp: amp * _ramp(xp, lo, hi) - xi,
         )
 
         def region(x):
@@ -219,17 +246,12 @@ def make_cyclic_feedback(n: int, kind: str = "smooth_goodwin", params: dict | No
 
     components = (first,) + (rest,) * (n - 1)
 
-    def rhs(x):
-        X = x.T
-        out = np.empty(x.shape)
-        O = out.T
-        for i, f in enumerate(components):
-            O[i] = f(X[i], X[i - 1])
-        return out
+    def g(X):
+        return [f(X[i], X[i - 1]) for i, f in enumerate(components)]
 
     return VectorField(
         dim=n,
-        rhs=rhs,
+        rhs=_coordinate_rhs(g),
         domain=domain,
         family="cyclic_feedback",
         jacobian=jac,
@@ -255,13 +277,16 @@ def make_competitive_lv(A, r) -> VectorField:
     cap = float(np.max(r / np.diag(A)))
     domain = Box(lo=np.zeros(n) - 1e-9, hi=2.0 * cap * np.ones(n))
 
-    def rhs(x):
-        return x * (r - x @ A.T)
+    rows, rates = A.tolist(), r.tolist()
+
+    def g(X):
+        return [X[i] * (rates[i] - _ordered_dot(rows[i], X)) for i in range(n)]
 
     def jac(x):
         return np.diag(r - A @ x) - x[:, None] * A
 
-    return VectorField(dim=n, rhs=rhs, domain=domain, family="competitive_lv", jacobian=jac)
+    return VectorField(dim=n, rhs=_coordinate_rhs(g), domain=domain, family="competitive_lv",
+                       jacobian=jac)
 
 
 def parse_field(exprs, domain: Domain, params: dict | None = None) -> VectorField:
@@ -276,20 +301,31 @@ def parse_field(exprs, domain: Domain, params: dict | None = None) -> VectorFiel
     var_names = tuple(f"x{i + 1}" for i in range(n))
     compiled = [_compile(text, var_names, params) for text in exprs]
 
-    def rhs(x):
-        # One errstate per call and each raw closure written in place: on a
-        # single state, evaluate's errstate, broadcast and copy per
-        # coordinate cost more than the arithmetic.
-        x = np.asarray(x, dtype=float)
-        X = x.T
-        out = np.empty_like(x)
-        O = out.T
-        with np.errstate(all="ignore"):
-            for i, fn in enumerate(compiled):
-                O[i] = fn(X)
-        return out
+    def g(X):
+        # Floats become a float64 array, so each variable is a numpy float64
+        # and divides by IEEE rules (x/0 is inf or nan, never an error). The
+        # error state is left to the caller, as _compile's closures leave it.
+        X = np.asarray(X, dtype=float)
+        return [fn(X) for fn in compiled]
 
+    def quiet(X):
+        with np.errstate(all="ignore"):
+            return g(X)
+
+    rhs = _coordinate_rhs(quiet)
+    rhs.coordinates = g  # integrate runs it inside its own errstate
     return VectorField(dim=n, rhs=rhs, domain=domain, family="parsed")
+
+
+def _ramp(x, a, b):
+    """pwl(x, a, b) for a != b; on a float x in Python floats, with the
+    bits of pwl's np.minimum(1.0, np.maximum(0.0, v)): NaN stays NaN, and
+    np.maximum keeps its second operand on a tie, so v = -0.0 stays -0.0."""
+    if isinstance(x, np.ndarray):
+        return pwl(x, a, b)
+    v = (x - a) / (b - a)
+    v = 0.0 if 0.0 > v else v
+    return 1.0 if 1.0 < v else v
 
 
 # ---- equilibria ----

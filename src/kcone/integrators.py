@@ -26,11 +26,21 @@ Characteristics
       accepted node, and NodeBudgetExceeded past MAX_NODES stored nodes.
 
 Both loops decide each attempted step through one per-run routine
-(_Run.settle), which holds every rule above. integrate evaluates one run's
-stages; integrate_many batches only the evaluations, the rhs stages of its
-running rows and the domain test of their ends, and then settles the rows
-one by one in row order, so when several rows fail in one attempt, the
-first failing row's error is raised.
+(_Run.settle), which holds every rule above. integrate runs one state as a
+list of Python floats: the field's coordinate form (rhs.coordinates) on
+the floats, or, for a rhs without one, the rhs on an array read back as
+floats; each stage argument y + h (a_i0 k0 + a_i1 k1 + ...) summed
+coordinate by coordinate, left to right in tableau order, zero weights
+skipped; a norm as sqrt of the squares summed in order (rescaled by max|v_i|
+where that sum overflows); the domain test and the region signature on the
+floats. The loop calls no BLAS, so its bits do not depend on the BLAS
+library or the kernel it picks. The nodes become arrays once, in the
+Trajectory. integrate_many batches only the evaluations, the rhs stages of
+its running rows and the domain test of their ends, and makes integrate's
+sums and norms term by term as elementwise ufuncs (np.cumsum adds left to
+right; numpy fuses no multiply-add), so a row keeps integrate's bits. It
+then settles the rows one by one in row order, so when several rows fail
+in one attempt, the first failing row's error is raised.
 
 Each Trajectory counts its run's work, for profiling; `kcone report` copies
 the counts into its meta, never into the report object:
@@ -52,8 +62,10 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
+from .domains import _point_test
 from .errors import (
     BadParameter,
+    DimensionMismatch,
     DomainViolation,
     NodeBudgetExceeded,
     NonFiniteState,
@@ -75,6 +87,9 @@ _A = [
 _E = np.array(
     [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
 )
+# The same weights as Python floats, for the stage sums of both loops.
+_ROWS = [row.tolist() for row in _A[1:]]
+_E_ROW = _E.tolist()
 
 SAFETY = 0.9
 MIN_FACTOR = 0.2
@@ -85,7 +100,7 @@ MAX_NODES = 500_000
 # Step length below which a region-signature crossing is accepted as-is.
 KINK_FLOOR = 1e-6
 # Fewest rows for which integrate_many runs its batched loop.
-ENSEMBLE_MIN_ROWS = 8
+ENSEMBLE_MIN_ROWS = 16
 _COUNTERS = ("n_rhs", "n_accepted", "n_rejected", "n_kink_retries", "n_exit_bisections")
 
 
@@ -176,15 +191,25 @@ def _step_factor(tol: float, err: float) -> float:
 
 
 def _norm(v) -> float:
-    """sqrt(v.dot(v)), the bits of np.linalg.norm on a 1-d float array, or
-    where that sum of squares overflows (silently, under the callers'
-    errstate), the norm of v rescaled by max|v|."""
-    n = math.sqrt(v.dot(v))
-    if n == math.inf and np.isfinite(v).all():
-        m = float(np.abs(v).max())
-        w = v / m
-        n = m * math.sqrt(w.dot(w))
+    """sqrt of the squares of the floats v summed in order, or, where that
+    sum overflows, the norm of v rescaled by max|v_i|."""
+    s = 0.0
+    for c in v:
+        s += c * c
+    n = math.sqrt(s)
+    if n == math.inf and all(map(math.isfinite, v)):
+        m = max(map(abs, v))
+        n = m * _norm([c / m for c in v])
     return n
+
+
+def _norms(V: np.ndarray) -> np.ndarray:
+    """_norm of each row of the (m, n) array V: the squares, summed left to
+    right by np.cumsum along the row, so a row gets _norm's bits."""
+    N = np.sqrt(np.cumsum(V * V, axis=1)[:, -1])
+    for r in np.flatnonzero(N == np.inf):
+        N[r] = _norm(V[r].tolist())
+    return N
 
 
 def _initial_step(f0, y0, T, max_step, rtol, atol):
@@ -236,47 +261,54 @@ def _bisect(step, h: float, inside, width: float) -> tuple[float, int]:
     return lo_s, halvings
 
 
+def _require_finite_start(f0) -> None:
+    if not all(map(math.isfinite, f0)):
+        raise NonFiniteState("right-hand side not finite at x0")
+
+
 class _Run:
     """One DP5 run between attempts: its nodes, events and counters, the last
     node (t, y, f) and its region signature cur, the next attempt's step h,
-    and whether it goes on; settle decides each attempt of both loops."""
+    and whether it goes on; settle decides each attempt of both loops. A
+    state is a list of floats (integrate) or an array row (integrate_many);
+    either reads the same."""
 
     __slots__ = ("field", "region", "T", "rtol", "atol", "max_step", "t", "y", "f", "h", "cur",
                  "running", "ts", "ys", "fs", "events", *_COUNTERS)
 
     def __init__(self, field, x0, f0, T, rtol, atol, max_step):
-        if not np.isfinite(f0).all():
-            raise NonFiniteState("right-hand side not finite at x0")
+        _require_finite_start(f0)
         self.field, self.region = field, field.region_index
         self.T, self.rtol, self.atol, self.max_step = T, rtol, atol, max_step
-        self.t, self.y, self.f = 0.0, x0.copy(), f0.copy()
-        self.ts, self.ys, self.fs, self.events = [0.0], [self.y], [self.f], []
-        self.cur = self.region(self.y) if self.region is not None else None
+        self.t, self.y, self.f = 0.0, x0, f0
+        self.ts, self.ys, self.fs, self.events = [0.0], [x0], [f0], []
+        self.cur = self.region(x0) if self.region is not None else None
         self.h = _initial_step(f0, x0, T, max_step, rtol, atol)
         self.running = True
         self.n_rhs, self.n_accepted, self.n_rejected = 1, 0, 0
         self.n_kink_retries = self.n_exit_bisections = 0
 
-    def settle(self, y_new, f_new, e, stages_finite, inside) -> None:
+    def settle(self, y_new, f_new, err, y_norm, stage2_finite, inside) -> None:
         """Decide the attempt of length h from the last node to y_new, whose
-        7th stage is f_new and whose error estimate is the vector e, after
-        6 rhs calls (stages_finite: all 7 stages are finite; inside: y_new
-        lies in the domain). It re-tries up to a region crossing, rejects
-        (raising StepUnderflow below the floor), raises NonFiniteState or
-        NodeBudgetExceeded, stops at a domain exit, or accepts; then it
-        sets the next attempt's h."""
+        7th stage is f_new, after 6 rhs calls: err is the norm of the error
+        estimate, y_norm that of y_new, stage2_finite says the 2nd stage is
+        finite and inside that y_new lies in the domain. The 2nd stage is
+        the only one tested apart: the 1st is the last node's finite
+        derivative, and every later one has a nonzero error weight, so a
+        non-finite entry there makes err non-finite. It re-tries up to a
+        region crossing, rejects (raising StepUnderflow below the floor),
+        raises NonFiniteState or NodeBudgetExceeded, stops at a domain
+        exit, or accepts; then it sets the next attempt's h."""
         t, h, T, cur, region = self.t, self.h, self.T, self.cur, self.region
         self.n_rhs += 6
-        err = _norm(e)
-        tol = self.atol + self.rtol * _norm(y_new)
-        finite = stages_finite and math.isfinite(err)
+        tol = self.atol + self.rtol * y_norm
+        finite = stage2_finite and math.isfinite(err)
         # Kink localization, ahead of the error test: a step that jumps a
         # ramp-region boundary is re-tried up to the crossing.
         new = region(y_new) if region is not None and finite else cur
         if new != cur and h > KINK_FLOOR:
             self.n_kink_retries += 1
-            s, _ = _bisect((self.y, self.f, y_new, f_new), h,
-                           lambda x: region(x) == cur, KINK_FLOOR)
+            s, _ = _bisect(self._step(y_new, f_new), h, lambda x: region(x) == cur, KINK_FLOOR)
             h = max(s * h, KINK_FLOOR)
         elif not finite or err > tol:
             self.n_rejected += 1
@@ -284,15 +316,15 @@ class _Run:
             if h < UNDERFLOW_FRACTION * T:
                 raise StepUnderflow(f"step {h:.3e} below {UNDERFLOW_FRACTION:.0e} T")
         else:
-            # A finite tol has a finite _norm(y_new), so a finite y_new.
-            if not math.isfinite(tol) and not np.isfinite(y_new).all():
+            # A finite tol has a finite y_norm, so a finite y_new.
+            if not math.isfinite(tol) and not all(map(math.isfinite, y_new)):
                 raise NonFiniteState(f"state not finite after t = {t:.6g}")
             if len(self.ts) == MAX_NODES:
                 raise NodeBudgetExceeded(f"run needs more than {MAX_NODES} nodes")
             if not inside:
                 # The last point inside on the step's interpolant ends the
                 # run, as a node unless it is y.
-                step = (self.y, self.f, y_new, f_new)
+                step = self._step(y_new, f_new)
                 width = 1e-14 * max(1.0, abs(t))
                 s, self.n_exit_bisections = _bisect(step, h, self.field.domain.contains, width)
                 self.events.append((t + s * h, "domain_exit"))
@@ -306,21 +338,38 @@ class _Run:
             # The last step lands on T itself: from t < T/2, t + (T - t) may
             # round an ulp short of T and leave an underflowing step behind.
             self.t = t = T if h == T - t else t + h
-            self.y, self.f, self.cur = y_new, f_new.copy(), new
+            self.y, self.f, self.cur = y_new, f_new, new
             self.ts.append(t)
-            self.ys.append(self.y)
-            self.fs.append(self.f)
+            self.ys.append(y_new)
+            self.fs.append(f_new)
             self.n_accepted += 1
             self.running = t < T
             h *= _step_factor(tol, err)
         self.h = min(h, T - t, self.max_step)
 
+    def _step(self, y_new, f_new):
+        """(y, f, y_new, f_new) as arrays, for _hermite."""
+        return tuple(np.asarray(v, dtype=float) for v in (self.y, self.f, y_new, f_new))
+
     def trajectory(self) -> Trajectory:
         return Trajectory(
-            times=np.asarray(self.ts), states=np.asarray(self.ys), derivs=np.asarray(self.fs),
+            times=np.asarray(self.ts), states=np.asarray(self.ys, dtype=float),
+            derivs=np.asarray(self.fs, dtype=float),
             rtol=self.rtol, atol=self.atol, max_step=self.max_step, events=self.events,
             **{c: getattr(self, c) for c in _COUNTERS},
         )
+
+
+def _coordinates(field: VectorField):
+    """The field's rhs as a function of one state given as a list of floats,
+    returning its n values: the rhs's own coordinate form when it carries
+    one (rhs.coordinates), else the rhs called on an array and read back as
+    floats, with the same bits."""
+    g = getattr(field.rhs, "coordinates", None)
+    if g is not None:
+        return g
+    rhs = field.rhs
+    return lambda y: np.asarray(rhs(np.array(y)), dtype=float).tolist()
 
 
 def integrate(
@@ -339,23 +388,59 @@ def integrate(
     """
     x0 = np.asarray(x0, dtype=float)
     _check_run(field, x0[None], T, rtol, atol, max_step)
-    rhs, contains, f0 = field.rhs, field.domain.contains, np.asarray(field(x0), dtype=float)
-    K = np.empty((7, field.dim))
-    # KT[i] is K[:i].T, the first i stages: views, bound once, that read K
-    # as each step fills it.
-    KT = [K[:i].T for i in range(8)]
-    with np.errstate(over="ignore"):  # _norm rescales an overflowed sum of squares
-        run = _Run(field, x0, f0, T, rtol, atol, max_step)
+    g, inside = _coordinates(field), _point_test(field.domain)
+    y0 = x0.tolist()
+    (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), (a50, a51, a52, a53, a54), \
+        (b0, _, b2, b3, b4, b5) = _ROWS
+    e0, _, e2, e3, e4, e5, e6 = _E_ROW
+    # Each stage argument is y + h (a_i0 k0 + a_i1 k1 + ...), summed left to
+    # right coordinate by coordinate; k1's weights in y_new and e are 0.
+    # Coordinate forms that compute with numpy (parsed fields, np.power)
+    # leave the floating-point error state to this loop; a stage that
+    # overflows or divides by zero is rejected, not warned about.
+    with np.errstate(all="ignore"):
+        f0 = g(y0)
+        if np.shape(f0) != (field.dim,):
+            raise DimensionMismatch(f"rhs must return {field.dim} values")
+        run = _Run(field, y0, f0, T, rtol, atol, max_step)
         while run.running:
-            h, y = run.h, run.y
-            K[0] = run.f
-            for i in range(1, 6):
-                K[i] = rhs(y + h * (KT[i] @ _A[i]))
-            y_new = y + h * (KT[6] @ _A[6])
-            K[6] = rhs(y_new)  # FSAL: the 7th stage's argument is y_new
-            # Test K itself: stage 2 has zero weight in both y_new and err.
-            run.settle(y_new, K[6], h * (KT[7] @ _E), np.isfinite(K).all(), contains(y_new))
+            h, y, k0 = run.h, run.y, run.f
+            k1 = g([v + h * (a10 * p) for v, p in zip(y, k0)])
+            k2 = g([v + h * (a20 * p + a21 * q) for v, p, q in zip(y, k0, k1)])
+            k3 = g([v + h * (a30 * p + a31 * q + a32 * r)
+                    for v, p, q, r in zip(y, k0, k1, k2)])
+            k4 = g([v + h * (a40 * p + a41 * q + a42 * r + a43 * s)
+                    for v, p, q, r, s in zip(y, k0, k1, k2, k3)])
+            k5 = g([v + h * (a50 * p + a51 * q + a52 * r + a53 * s + a54 * u)
+                    for v, p, q, r, s, u in zip(y, k0, k1, k2, k3, k4)])
+            y_new = [v + h * (b0 * p + b2 * r + b3 * s + b4 * u + b5 * w)
+                     for v, p, r, s, u, w in zip(y, k0, k2, k3, k4, k5)]
+            k6 = g(y_new)  # FSAL: the 7th stage's argument is y_new
+            e = [h * (e0 * p + e2 * r + e3 * s + e4 * u + e5 * w + e6 * z)
+                 for p, r, s, u, w, z in zip(k0, k2, k3, k4, k5, k6)]
+            run.settle(y_new, k6, _norm(e), _norm(y_new), all(map(math.isfinite, k1)),
+                       inside(y_new))
     return run.trajectory()
+
+
+def _stacked(weights):
+    """The stage indices of the nonzero weights, and those weights as a
+    (k, 1, 1) array, for _tableau_sum."""
+    terms = [i for i, w in enumerate(weights) if w]
+    return terms, np.array([weights[i] for i in terms])[:, None, None]
+
+
+# integrate_many's weights: stages 2-6, y_new, the error estimate.
+_STACKED = [_stacked(row) for row in _ROWS], _stacked(_E_ROW)
+
+
+def _tableau_sum(stacked, K):
+    """The weighted sum of the (m, n) stage arrays K[i] of stacked's terms:
+    the products, then np.cumsum down the stages, which adds them left to
+    right (an accumulation cannot regroup), so each row gets integrate's
+    sums, with its bits."""
+    terms, W = stacked
+    return np.cumsum(W * K[terms], axis=0)[-1]
 
 
 def integrate_many(
@@ -367,33 +452,39 @@ def integrate_many(
     one rhs call per stage and one domain test. Each row's step is decided
     by integrate's per-run routine, in row order, so each row keeps its own
     steps, kinks, exit, events and counters, and when several rows fail in
-    one attempt, the first failing row's error is raised. Row r is bit for
-    bit integrate(field, X0[r], ...) when a batch's rhs has its single rows'
-    bits (elementwise fields; x @ A.T may move a last bit). The whole batch,
-    an empty one too, is checked first; below ENSEMBLE_MIN_ROWS rows
-    integrate then runs row by row: it is faster there."""
+    one attempt, the first failing row's error is raised. The stage sums
+    and norms are integrate's, as elementwise ufuncs, so row r is bit for
+    bit integrate(field, X0[r], ...) wherever a batch's rhs gives its rows
+    their single-state bits, as every family's does. The whole batch, an
+    empty one too, is checked first, and then every start's rhs; below
+    ENSEMBLE_MIN_ROWS rows integrate then runs row by row: it is faster
+    there."""
     X0 = np.asarray(X0, dtype=float)
     _check_run(field, X0, T, rtol, atol, max_step)
     if X0.shape[0] < ENSEMBLE_MIN_ROWS:
+        # Every start's rhs is tested before any row runs, as in the batch.
+        for x0 in X0:
+            _require_finite_start(field(x0))
         return [integrate(field, x0, T, rtol, atol, max_step) for x0 in X0]
     rhs = field.rhs
     F = np.asarray(rhs(X0), dtype=float)
-    K = np.empty((X0.shape[0], 7, field.dim))  # row r's stages are the (7, n) block K[r]
-    with np.errstate(over="ignore"):
+    K = np.empty((7, *X0.shape))  # stage i of the running rows is K[i, :r]
+    stages, error = _STACKED
+    with np.errstate(all="ignore"):  # as in integrate
         runs = [_Run(field, x0, f0, T, rtol, atol, max_step) for x0, f0 in zip(X0, F)]
         running = runs
         while running:
+            Kr = K[:, : len(running)]
             H = np.array([run.h for run in running])[:, None]
             Y = np.array([run.y for run in running])
-            Kr = K[: len(running)]
-            Kr[:, 0] = [run.f for run in running]
-            for i in range(1, 6):
-                Kr[:, i] = rhs(Y + H * (Kr[:, :i].transpose(0, 2, 1) @ _A[i]))
-            Y_new = Y + H * (Kr[:, :6].transpose(0, 2, 1) @ _A[6])
-            Kr[:, 6] = rhs(Y_new)
-            E = H * (Kr.transpose(0, 2, 1) @ _E)
-            finite, inside = np.isfinite(Kr).all(axis=(1, 2)), field.domain.contains(Y_new)
-            for run, *attempt in zip(running, Y_new, Kr[:, 6], E, finite, inside):
+            Kr[0] = [run.f for run in running]
+            for i, stacked in enumerate(stages[:5], 1):
+                Kr[i] = rhs(Y + H * _tableau_sum(stacked, Kr))
+            Y_new = Y + H * _tableau_sum(stages[5], Kr)
+            Kr[6] = rhs(Y_new)
+            err, y_norm = _norms(H * _tableau_sum(error, Kr)), _norms(Y_new)
+            finite, inside = np.isfinite(Kr[1]).all(axis=1), field.domain.contains(Y_new)
+            for run, *attempt in zip(running, Y_new, Kr[6].copy(), err, y_norm, finite, inside):
                 run.settle(*attempt)
             running = [run for run in running if run.running]
     return [run.trajectory() for run in runs]

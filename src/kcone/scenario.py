@@ -118,6 +118,8 @@ _FAMILY_PARAMS = {
     "competitive_lv": _members({"A": _MATRIX, "r": _VECTOR}, {}),
 }
 
+_QUADRATIC_ONLY = "lambda, lambda_grid and epsilon apply to quadratic cones only"
+
 SCENARIO_SCHEMA: dict[str, Any] = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "title": "kcone scenario",
@@ -308,7 +310,9 @@ def parse_scenario(obj: dict) -> Scenario:
             path.append(err.message.split("'")[1])
         elif err.validator == "additionalProperties":
             path.append(min(set(err.instance) - set(err.schema["properties"])))
-        raise SchemaError(err.message, "".join(f"/{p}" for p in path))
+        # The one "not" in the schema: jsonschema's message names no reason.
+        message = _QUADRATIC_ONLY if err.validator == "not" else err.message
+        raise SchemaError(message, "".join(f"/{p}" for p in path))
 
     spec = obj["field"]
     domain = _section("/domain", _build_domain, obj["domain"]) if "domain" in obj else None

@@ -6,10 +6,9 @@ row; so does parse_expression. The elementwise closures read the batch
 through its transposed, coordinate-first view, where a mix-up of the two
 batch axes would show as swapped or misshapen rows.
 
-The linear and competitive LV right-hand sides multiply by A with
-x @ A.T, and a one-row product can differ from the batched one in the last
-bit, so for those two the rows are held to 1e-12, and the (a, b, n) batch
-to the bits of the same states as one (a * b, n) batch.
+The linear and competitive LV right-hand sides sum A_i0 x_0 + A_i1 x_1 +
+... in that order, elementwise, with no matrix product, so their rows are
+held to the bits of their single-state values like every other family's.
 """
 
 import numpy as np
@@ -36,7 +35,6 @@ FIELDS = {
     "competitive_lv": {"family": "competitive_lv", "params": {"A": A3, "r": [1.0, 2.0, 0.5]}},
     "parsed": {"exprs": EXPRS, "params": {"a": 2.0}},
 }
-MATMUL = {"linear", "competitive_lv"}
 
 
 def make_field(name):
@@ -79,10 +77,7 @@ def test_batch_rows_are_the_single_state_values(name):
         rows = np.array([[field.rhs(x) for x in row] for row in X])
         flat = field.rhs(X.reshape(-1, 3)).reshape(X.shape)
     assert same_bits(got, flat)
-    if name in MATMUL:
-        np.testing.assert_allclose(got, rows, rtol=1e-12, atol=1e-12)
-    else:
-        assert same_bits(got, rows)
+    assert same_bits(got, rows)
     # Orientation: the batch axes are not swapped, even when a == b.
     square = X[:5, :5]
     with np.errstate(all="ignore"):

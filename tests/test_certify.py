@@ -119,8 +119,9 @@ def _worst_pair_misses(field, cone, rates, n_pairs, seed):
 
 
 def test_pair_margin_reproduces_the_worst_margin_of_matmul_fields():
-    """A batched rhs (x @ A.T) gives a one-row batch other bits than a
-    sample; pair_margin's batch of copies does not."""
+    """On linear fields a report's worst_pair gives back its worst_margin:
+    pair_margin's batch of copies gets a sample's bits, where a one-row
+    batch may not (at n = 2 the margin's einsum sums it in another order)."""
     box2 = Box(lo=-np.ones(2), hi=np.ones(2))
     plane = dataclasses.replace(make_linear_field([[1.0, 0.3], [0.7, -2.0]]), domain=box2)
     cone2 = make_quadratic_cone(np.diag([-1.0, 1.0]))

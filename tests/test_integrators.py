@@ -519,7 +519,9 @@ def _recording(field):
     return dataclasses.replace(field, rhs=rhs), shapes
 
 
-@pytest.mark.parametrize("m", [3, 8, 9])
+@pytest.mark.parametrize(
+    "m", [3, 8, 9, integrators.ENSEMBLE_MIN_ROWS, integrators.ENSEMBLE_MIN_ROWS + 1]
+)
 @pytest.mark.parametrize("name", sorted(ENSEMBLE_FIELDS))
 def test_ensemble_rows_are_the_serial_runs_bit_for_bit(name, m):
     field, draw, T = ENSEMBLE_FIELDS[name]
@@ -605,10 +607,11 @@ def test_a_kink_crossing_costs_at_most_three_retries(benchmark_glass):
         assert run.n_kink_retries <= 3 * crossings
 
 
-@pytest.mark.parametrize("m", [3, 9])
-def test_ensemble_of_matmul_fields_is_within_1e_12(m):
-    # x @ A.T on a batch may round a row differently from the single row,
-    # so these rows are held to 1e-12 relative, not to the bits.
+@pytest.mark.parametrize("m", [3, 9, integrators.ENSEMBLE_MIN_ROWS])
+def test_ensemble_of_linear_and_lv_fields_keeps_the_bits(m):
+    # Their rhs sums A_i0 x_0 + A_i1 x_1 + ... in order with no matrix
+    # product, so a batch row has its single row's bits, as elementwise
+    # fields do.
     A = np.array([[-1.0, 2.0, 0.5], [-2.0, -1.0, 0.0], [0.3, 0.25, -2.0]])
     lv = make_competitive_lv([[1.0, 0.2, 0.6], [0.6, 1.0, 0.2], [0.2, 0.6, 1.0]], [1.0] * 3)
     rng = np.random.default_rng(5)
@@ -618,13 +621,10 @@ def test_ensemble_of_matmul_fields_is_within_1e_12(m):
         for x0, run in zip(X0, runs):
             ref = integrate(field, x0, 8.0, rtol=1e-10, atol=1e-12)
             assert run.t_end == ref.t_end == 8.0
-            np.testing.assert_allclose(run.final_state, ref.final_state, rtol=1e-12, atol=0.0)
-            probe = np.linspace(0.0, 8.0, 33)
-            np.testing.assert_allclose(run.sample(probe), ref.sample(probe), rtol=1e-12,
-                                       atol=1e-12 * float(np.abs(ref.states).max()))
+            _assert_same_run(ref, run)
 
 
-@pytest.mark.parametrize("m", [3, 8])
+@pytest.mark.parametrize("m", [3, 8, integrators.ENSEMBLE_MIN_ROWS])
 def test_ensemble_raises_as_integrate_raises(m, monkeypatch):
     field = make_linear_field(-np.eye(3))
     X0 = np.tile([0.1, 0.2, 0.3], (m, 1)) * np.arange(1, m + 1)[:, None] / m

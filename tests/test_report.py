@@ -320,6 +320,17 @@ PLAIN_JSON_SCENARIOS = {
         "T": 100.0,
         "seed": 0,
     },
+    # A loop with unordered pairs at margin about 0.4, far above the last
+    # bits that decide a settled tail's audit.
+    "glass": {
+        "field": {"family": "cyclic_feedback",
+                  "params": {"n": 3, "kind": "glass_pwl", "amp": 4.0}},
+        "domain": {"type": "box", "lo": [-0.5] * 3, "hi": [4.5] * 3},
+        "cone": {"type": "orthant_complement", "n": 3},
+        "x0": [3.1, 0.2, 1.7],
+        "T": 50.0,
+        "seed": 0,
+    },
 }
 
 

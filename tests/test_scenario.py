@@ -650,6 +650,17 @@ def test_a_lambda_grid_flag_on_an_orthant_cone_is_refused(tmp_path, capsys):
     assert "(at JSON pointer '/lambda_grid')" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name", ["orthant_with_lambda", "orthant_with_lambda_grid", "orthant_with_epsilon"]
+)
+def test_a_rate_on_an_orthant_cone_is_refused_with_its_reason(tmp_path, capsys, name):
+    obj, pointer = STRUCTURE_DEFECTS[name]
+    rc, err = _cli_error(tmp_path, capsys, obj)
+    assert rc == 2
+    assert err == ("kcone: lambda, lambda_grid and epsilon apply to quadratic cones only"
+                   f" (at JSON pointer '{pointer}')\n")
+
+
 @pytest.mark.parametrize("name", sorted(VALUE_DEFECTS))
 def test_value_defect_is_refused_at_its_section(tmp_path, capsys, name):
     obj, pointer, cause = VALUE_DEFECTS[name]

@@ -1,19 +1,24 @@
 """Same bits as the plain forms: the DP5 loop, the rhs closures, the parse,
 pwl, contains.
 
-The single-state path binds the rhs, the membership test and the stage
-views once per run, computes y_new once as the 7th stage's argument, and
-hands each attempt to the per-run step decision shared with the ensemble,
-which binds the region signature once per run, takes the norms as
-sqrt(v.dot(v)) and tests y_new for finiteness only when its tolerance is
-not finite. It evaluates parsed fields inside one errstate,
+The single-state path runs its step loop on Python floats: each family's
+coordinate form (rhs.coordinates) on a list of floats, the stage sums
+y + h (a_i0 k0 + a_i1 k1 + ...) coordinate by coordinate, left to right in
+tableau order with zero weights skipped, the norms as sqrt of the squares
+summed in order, the domain test on the floats; a field without a
+coordinate form has its rhs called on an array and read back as floats. It
+computes y_new once as the 7th stage's argument, and hands each attempt to
+the per-run step decision shared with the ensemble, which binds the region
+signature once per run and tests y_new for finiteness only when its
+tolerance is not finite. It evaluates parsed fields inside one errstate,
 ramps with np.minimum/np.maximum and skips a zero pad. The Hopf, ring and
-parsed closures and Cylinder.contains read the coordinate-first view x.T,
-so a single state runs on numpy float64 scalars. Each of those must give
-exactly the floats and Booleans of the straightforward form kept here as
-the oracle: the step loop as it read before (field(...) per stage, y_new
-computed apart from the 7th stage, np.linalg.norm, np.isfinite), closures
-that index x[..., j] (0-d arrays on a single state), np.clip ramps and the
+parsed closures and Cylinder.contains read the coordinate-first view x.T.
+Each of those must give exactly the floats and Booleans of the
+straightforward form kept here as the oracle: the step loop on numpy
+arrays (field(...) per stage, y_new computed apart from the 7th stage, the
+same tableau-order sums as np.cumsum over the weighted stages, the norms
+as sqrt of a cumsum of squares, np.isfinite on every stage), closures that
+index x[..., j] (0-d arrays on a single state), np.clip ramps and the
 padded comparisons. The oracle loop runs the oracle closures, so the two
 sides share no rhs.
 """
@@ -62,6 +67,17 @@ def plain_contains(domain, x, pad=0.0):
     return np.all((x >= domain.lo - pad) & (x <= domain.hi + pad), axis=-1)
 
 
+def tableau_sum(weights, K):
+    """sum_i weights[i] K[i] over the nonzero weights, left to right."""
+    nonzero = weights != 0.0
+    return np.cumsum(weights[nonzero, None] * K[nonzero], axis=0)[-1]
+
+
+def ordered_norm(v) -> float:
+    """sqrt of the squares of v summed in index order."""
+    return float(np.sqrt(np.cumsum(v * v)[-1]))
+
+
 def plain_integrate(field, x0, T, rtol=1e-8, atol=1e-10, max_step=np.inf):
     """The DP5 step loop in its plain form; returns times, states, derivs, events."""
     x0 = np.asarray(x0, dtype=float)
@@ -80,10 +96,10 @@ def plain_integrate(field, x0, T, rtol=1e-8, atol=1e-10, max_step=np.inf):
             raise StepUnderflow("underflow")
         K[0] = f
         for i in range(1, 7):
-            K[i] = field(y + h * (K[:i].T @ _A[i]))
-        y_new = y + h * (K[:6].T @ _A[6])
-        err = float(np.linalg.norm(h * (K.T @ _E)))
-        tol = atol + rtol * float(np.linalg.norm(y_new))
+            K[i] = field(y + h * tableau_sum(_A[i], K[:i]))
+        y_new = y + h * tableau_sum(_A[6], K[:6])
+        err = ordered_norm(h * tableau_sum(_E, K))
+        tol = atol + rtol * ordered_norm(y_new)
         finite = np.isfinite(K).all() and np.isfinite(err)
         new_region = region(y_new) if region is not None and finite else cur_region
         if new_region != cur_region and h > KINK_FLOOR:
@@ -498,3 +514,124 @@ def test_contains_equals_the_padded_comparison(domain, pad):
             one = domain.contains(x, pad=pad)
             assert type(one) is np.bool_
             assert one == plain_contains(domain, x, pad)
+
+
+# ---- the coordinate forms the float loop runs ----
+
+LINEAR = make_linear_field([[-1.0, 2.0, 0.5], [0.3, -1.0, 0.0], [1.5, 0.25, -2.0]])
+# name -> field whose rhs carries a coordinate form
+COORDINATE_FIELDS = {
+    "linear": LINEAR,
+    "hopf": HOPF,
+    "goodwin": GOODWIN,
+    "glass": GLASS,
+    "lv": LV,
+    "parsed": parse_field(EXPRS[:3], params={"a": 2.0}, domain=PARSED_DOMAIN),
+    "parsed_more": parse_field(EXPRS[3:6], domain=PARSED_DOMAIN),
+    "parsed_constants": parse_field(EXPRS[5:], domain=PARSED_DOMAIN, params={"a": 2.0}),
+}
+
+
+def same_bits_but_nan(a, b) -> bool:
+    """Bit for bit, except that every NaN reads as one NaN: a NaN's sign and
+    payload depend on the instruction that made it (a scalar or a SIMD
+    loop), and no step keeps a NaN."""
+    a, b = np.asarray(a), np.asarray(b)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and same_bits(a[~nan], b[~nan]))
+
+
+@pytest.mark.parametrize("name", sorted(COORDINATE_FIELDS))
+def test_coordinate_form_on_floats_is_the_batch_rhs(name):
+    """g on one state's list of floats gives, bit for bit, that state's row
+    of the array rhs on a whole batch, infinities and signed zeros
+    included, and NaN where the row has NaN."""
+    field = COORDINATE_FIELDS[name]
+    g = field.rhs.coordinates
+    X = special_states()
+    with np.errstate(all="ignore"):
+        batch = field.rhs(X)
+        rows = np.array([np.asarray(g(x.tolist()), dtype=float) for x in X])
+    assert same_bits_but_nan(rows, batch)
+    assert np.isnan(batch).any() and np.isinf(batch).any()
+
+
+# name -> (field, x0, T, keyword arguments); every family and a parsed field
+ADAPTER_CASES = {
+    "hopf": (HOPF, [0.3, -0.5, 0.7], 30.0, {}),
+    "glass": (GLASS, [3.1, 0.2, 1.7], 50.0, {}),
+    "goodwin": (GOODWIN, [0.4, 0.9, 0.2], 60.0, {}),
+    "linear": (SINK, [0.2, 0.1, 0.5], 20.0, {}),
+    "lv": (LV, [0.3, 1.4, 0.6], 60.0, {}),
+    "parsed": (parse_field(HOPF_EXPRS, domain=HOPF_DOMAIN), [0.9, 0.2, -0.6], 30.0, {}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADAPTER_CASES))
+def test_float_path_equals_the_array_adapter(name):
+    """A field whose rhs is replaced by a plain array function has no
+    coordinate form, so integrate calls it on arrays and reads the values
+    back as floats: the same Trajectory bytes, counters and events."""
+    field, x0, T, kw = ADAPTER_CASES[name]
+    plain = dataclasses.replace(field, rhs=lambda x: field.rhs(x))
+    assert hasattr(field.rhs, "coordinates") and not hasattr(plain.rhs, "coordinates")
+    a, b = integrate(field, x0, T, **kw), integrate(plain, x0, T, **kw)
+    for attr in ("times", "states", "derivs"):
+        assert same_bits(getattr(a, attr), getattr(b, attr)), attr
+    assert a.events == b.events
+    counters = ("n_rhs", "n_accepted", "n_rejected", "n_kink_retries", "n_exit_bisections")
+    assert [getattr(a, c) for c in counters] == [getattr(b, c) for c in counters]
+    if name == "linear":
+        assert a.events  # the sink leaves its box
+
+
+# ---- no BLAS: the node bytes do not depend on OpenBLAS's kernel ----
+
+NODE_DIGEST = """
+import hashlib
+from kcone.fields import make_cyclic_feedback, make_hopf_cylinder
+from kcone.integrators import integrate
+
+digest = hashlib.sha256()
+runs = [(make_cyclic_feedback(3, "smooth_goodwin", {"m": 4.0}), [0.4, 0.9, 0.2], 60.0),
+        (make_hopf_cylinder(1.0, 4.0), [0.3, -0.5, 0.7], 30.0)]
+for field, x0, T in runs:
+    traj = integrate(field, x0, T)
+    for nodes in (traj.times, traj.states, traj.derivs):
+        digest.update(nodes.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def _openblas_dynamic_arch() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    return ("openblas" in str(blas.get("name", "")).lower()
+            and "DYNAMIC_ARCH" in str(blas.get("openblas configuration", "")))
+
+
+@pytest.mark.skipif(not _openblas_dynamic_arch(),
+                    reason="numpy's BLAS is not OpenBLAS built with DYNAMIC_ARCH, "
+                           "so OPENBLAS_CORETYPE selects no other kernel")
+def test_node_bytes_do_not_depend_on_the_openblas_core_type():
+    """A Goodwin run and a Hopf run give the same node bytes under OpenBLAS's
+    default kernel and under the Prescott one: the DP5 loop calls no BLAS."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import kcone
+
+    src = str(Path(kcone.__file__).resolve().parent.parent)
+    digests = []
+    for coretype in (None, "Prescott"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = src
+        if coretype is not None:
+            env["OPENBLAS_CORETYPE"] = coretype
+        out = subprocess.run([sys.executable, "-c", NODE_DIGEST], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        digests.append(out.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
