@@ -38,7 +38,7 @@ import numpy as np
 
 from .domains import Box, Cylinder, Domain
 from .errors import BadParameter, DimensionMismatch
-from .expressions import _compile, hill, pwl
+from .expressions import _compile, _ramp, hill
 
 # Side length of the default box for globally defined linear fields.
 LINEAR_BOUND = 1e4
@@ -299,33 +299,17 @@ def parse_field(exprs, domain: Domain, params: dict | None = None) -> VectorFiel
     if domain.dim != n:
         raise DimensionMismatch("domain dimension does not match the expressions")
     var_names = tuple(f"x{i + 1}" for i in range(n))
-    compiled = [_compile(text, var_names, params) for text in exprs]
-
-    def g(X):
-        # Floats become a float64 array, so each variable is a numpy float64
-        # and divides by IEEE rules (x/0 is inf or nan, never an error). The
-        # error state is left to the caller, as _compile's closures leave it.
-        X = np.asarray(X, dtype=float)
-        return [fn(X) for fn in compiled]
+    array_form, float_form = _compile(exprs, var_names, params)
 
     def quiet(X):
         with np.errstate(all="ignore"):
-            return g(X)
+            return array_form(X)
 
     rhs = _coordinate_rhs(quiet)
-    rhs.coordinates = g  # integrate runs it inside its own errstate
+    # The float form, on one state's list of floats, has the array form's
+    # bits; integrate runs it inside its own errstate.
+    rhs.coordinates = float_form
     return VectorField(dim=n, rhs=rhs, domain=domain, family="parsed")
-
-
-def _ramp(x, a, b):
-    """pwl(x, a, b) for a != b; on a float x in Python floats, with the
-    bits of pwl's np.minimum(1.0, np.maximum(0.0, v)): NaN stays NaN, and
-    np.maximum keeps its second operand on a tie, so v = -0.0 stays -0.0."""
-    if isinstance(x, np.ndarray):
-        return pwl(x, a, b)
-    v = (x - a) / (b - a)
-    v = 0.0 if 0.0 > v else v
-    return 1.0 if 1.0 < v else v
 
 
 # ---- equilibria ----

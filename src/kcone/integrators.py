@@ -395,9 +395,10 @@ def integrate(
     e0, _, e2, e3, e4, e5, e6 = _E_ROW
     # Each stage argument is y + h (a_i0 k0 + a_i1 k1 + ...), summed left to
     # right coordinate by coordinate; k1's weights in y_new and e are 0.
-    # Coordinate forms that compute with numpy (parsed fields, np.power)
-    # leave the floating-point error state to this loop; a stage that
-    # overflows or divides by zero is rejected, not warned about.
+    # Coordinate forms that call numpy (hill's np.power, a parsed field's
+    # built-ins and its division by zero) leave the floating-point error
+    # state to this loop; a stage that overflows or divides by zero is
+    # rejected, not warned about.
     with np.errstate(all="ignore"):
         f0 = g(y0)
         if np.shape(f0) != (field.dim,):

@@ -2,6 +2,7 @@
 
 import math
 import operator
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,15 @@ from kcone.errors import (
     UnknownIdentifier,
 )
 from kcone.domains import Box
-from kcone.expressions import MAX_DEPTH, _tokenize, hill, parse_expression, pwl
+from kcone.expressions import (
+    MAX_DEPTH,
+    _compile,
+    _Parser,
+    _tokenize,
+    hill,
+    parse_expression,
+    pwl,
+)
 from kcone.fields import parse_field
 from kcone.integrators import integrate
 
@@ -217,3 +226,103 @@ def test_expression_at_the_cap_evaluates(name):
     assert traj.events == []
     with pytest.raises(ExpressionSyntaxError, match="nested deeper"):
         parse_expression("-" + text if name != "sum" else text + "+x1", ("x1",))
+
+
+# ---- the compiled source ----
+
+def _both_forms(text, variables, params, state):
+    """The values of text's array form and float form at one state."""
+    array_form, float_form = _compile([text], variables, params)
+    with np.errstate(all="ignore"):
+        (a,), (f,) = array_form(np.asarray(state, dtype=float)), float_form(list(state))
+    return float(a), f
+
+
+def _nesting(source: str) -> int:
+    """The deepest nesting of parentheses and brackets in source."""
+    depth = deepest = 0
+    for ch in source:
+        depth += ch in "(["
+        depth -= ch in ")]"
+        deepest = max(deepest, depth)
+    return deepest
+
+
+def _deepest(wrap) -> str:
+    """wrap applied to "x1" as often as the text still parses."""
+    text = "x1"
+    while True:
+        try:
+            parse_expression(wrap(text), ("x1",))
+        except ExpressionSyntaxError:
+            return text
+        text = wrap(text)
+
+
+# Wrappers that nest an expression in itself until the cap: a sign inside a
+# call inside a power inside a division, and groups of chains, which Python
+# would nest twice a level if each chain carried its own parentheses.
+WORST = {
+    "mixed": lambda t: f"x1 / 2 ^ abs(-({t}))",
+    "chains": lambda t: f"({t}) * x1 + x1",
+    "quotients": lambda t: f"({t}) / x1 / x1 - x1",
+    "powers": lambda t: f"({t}) ^ -(x1) ^ x1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORST))
+def test_worst_nesting_at_the_cap_compiles_in_both_forms(name):
+    text = _deepest(WORST[name])
+    assert len(text) > 200
+    parser = _Parser(("x1",), {})
+    value = parser.parse(text)
+    assert max(_nesting(line) for line in [*parser.lines, f"return [{value}]"]) <= MAX_DEPTH + 2
+    field = parse_field([text], domain=Box(lo=[-2.0], hi=[2.0]))
+    for x in (1.0, 1.5, -0.5):
+        with np.errstate(all="ignore"):
+            array_value = field.rhs(np.array([x]))
+            float_value = field.rhs.coordinates([x])
+        assert np.array_equal(array_value, float_value, equal_nan=True)
+
+
+def test_variable_names_read_their_index_and_never_the_namespace():
+    names = ("X", "C", "_div", "_divisor", "_power", "__import__", "exec", "__builtins__", "sin")
+    text = " + ".join(f"{2.0 ** i}*{name}" for i, name in enumerate(names)) + " + sin(X)"
+    state = [1.0, 3.0, 5.0, 7.0, 11.0, 13.0, 17.0, 19.0, 23.0]
+    expected = sum(2.0 ** i * v for i, v in enumerate(state)) + float(np.sin(1.0))
+    assert _both_forms(text, names, {}, state) == (expected, expected)
+    assert float(parse_expression(text, names)(np.array(state))) == expected
+    with pytest.raises(UnknownIdentifier, match="unknown function 'exec'"):
+        parse_expression("exec(X)", names)
+
+
+def test_a_parameter_named_like_a_helper_folds_to_its_constant():
+    params = {"_power": 3.0, "_divisor": 5.0, "C": 7.0, "X": 11.0, "sin": 13.0,
+              "__builtins__": 17.0, "_div": 19.0}
+    text = "_power + _divisor + C + X + sin + __builtins__ + _div + sin(x1)"
+    expected = 75.0 + float(np.sin(0.5))
+    assert _both_forms(text, ("x1",), params, [0.5]) == (expected, expected)
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("x1 * q", math.inf), ("q + r", math.nan), ("x1 / q", 0.0), ("p - x1", math.nan),
+    ("-r", math.inf), ("min(p, x1) + max(x1, q)", math.nan), ("hill(q, 1, 2)", 0.0),
+])
+def test_nonfinite_parameters_in_both_forms(text, expected):
+    params = {"p": math.nan, "q": math.inf, "r": -math.inf}
+    array_value, float_value = _both_forms(text, ("x1",), params, [2.0])
+    for value in (array_value, float_value):
+        assert value == expected or (math.isnan(expected) and math.isnan(value))
+
+
+def test_a_field_compiles_its_source_once_at_parse_time():
+    exprs = ["x1 - x2 - x1*(x1^2 + x2^2)", "x1 + x2 - x2*(x1^2 + x2^2)", "-4*x3 / x1"]
+    with mock.patch("kcone.expressions.compile", create=True, wraps=compile) as spy:
+        field = parse_field(exprs, domain=Box(lo=-np.ones(3), hi=np.ones(3)))
+        assert spy.call_count == 1
+        with np.errstate(all="ignore"):
+            field.rhs(np.full((5, 3), 0.5))
+            field.rhs(np.array([0.5, 0.0, 0.5]))
+            field.rhs.coordinates([0.5, 0.0, 0.5])
+        integrate(field, [0.5, 0.1, 0.5], 0.5)
+        assert spy.call_count == 1

@@ -20,20 +20,20 @@ same tableau-order sums as np.cumsum over the weighted stages, the norms
 as sqrt of a cumsum of squares, np.isfinite on every stage), closures that
 index x[..., j] (0-d arrays on a single state), np.clip ramps and the
 padded comparisons. The oracle loop runs the oracle closures, so the two
-sides share no rhs.
+sides share no rhs. A parse emits one source, run as an array form and as a
+float form: on the grid the float form gives the array form's bytes, and
+np.power(x, 2.0) the bytes of x * x, which the float form's square uses.
 """
 
 import dataclasses
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
 
-from kcone import expressions
 from kcone.domains import Box, Cylinder
 from kcone.errors import NonFiniteState, StepUnderflow
-from kcone.expressions import _Parser, hill, parse_expression, pwl
+from kcone.expressions import _compile, _Parser, hill, parse_expression, pwl
 from kcone.fields import (
     VectorField,
     make_competitive_lv,
@@ -201,24 +201,101 @@ def plain_glass(field, n, lo=0.25, hi=1.75, amp=4.0):
     return dataclasses.replace(field, rhs=rhs)
 
 
+# The plain parse's built-ins: name -> (arity, numpy function).
+PLAIN_FUNCTIONS = {
+    "sin": (1, np.sin), "cos": (1, np.cos), "exp": (1, np.exp), "tanh": (1, np.tanh),
+    "abs": (1, np.abs), "min": (2, np.minimum), "max": (2, np.maximum),
+    "hill": (3, hill), "pwl": (3, asarray_pwl),
+}
+
+
 class PlainParser(_Parser):
-    """The parser with each variable read as X[..., j] from the state array."""
+    """The parser's grammar with each rule returning a closure of the state
+    array X: a variable reads X[..., j], a constant is a numpy float64, and
+    each operator, power and built-in is its numpy form on the values."""
+
+    def expr(self):
+        depth = self.depth
+        fn = self.term()
+        while self.peek().kind == "op" and self.peek().text in "+-":
+            tok = self.advance()
+            self.deeper(tok)
+            rhs = self.term()
+            if tok.text == "+":
+                fn = (lambda a, b: lambda X: a(X) + b(X))(fn, rhs)
+            else:
+                fn = (lambda a, b: lambda X: a(X) - b(X))(fn, rhs)
+        self.depth = depth
+        return fn
+
+    def term(self):
+        depth = self.depth
+        fn = self.unary()
+        while self.peek().kind == "op" and self.peek().text in "*/":
+            tok = self.advance()
+            self.deeper(tok)
+            rhs = self.unary()
+            if tok.text == "*":
+                fn = (lambda a, b: lambda X: a(X) * b(X))(fn, rhs)
+            else:
+                fn = (lambda a, b: lambda X: a(X) / b(X))(fn, rhs)
+        self.depth = depth
+        return fn
+
+    def unary(self):
+        tok = self.peek()
+        self.deeper(tok)
+        if tok.kind == "op" and tok.text in "+-":
+            self.advance()
+            inner = self.unary()
+            fn = (lambda X: -inner(X)) if tok.text == "-" else inner
+        else:
+            fn = self.power()
+        self.depth -= 1
+        return fn
+
+    def power(self):
+        base = self.atom()
+        tok = self.peek()
+        if tok.kind == "op" and tok.text == "^":
+            self.advance()
+            exponent = self.unary()
+            return lambda X: np.power(base(X), exponent(X))
+        return base
 
     def atom(self):
-        tok = self.peek()
-        if tok.kind == "name" and tok.text in self.var_index:
-            nxt = self.tokens[self.i + 1]
-            if not (nxt.kind == "op" and nxt.text == "("):
-                self.advance()
+        tok = self.advance()
+        if tok.kind == "num":
+            value = np.float64(tok.text)
+            return lambda X: value
+        if tok.kind == "name":
+            nxt = self.peek()
+            if nxt.kind == "op" and nxt.text == "(":
+                return self.call(tok)
+            if tok.text in self.var_index:
                 j = self.var_index[tok.text]
                 return lambda X: X[..., j]
-        return super().atom()
+            value = np.float64(self.params[tok.text])
+            return lambda X: value
+        fn = self.expr()
+        self.expect_op(")")
+        return fn
+
+    def call(self, name_tok):
+        arity, impl = PLAIN_FUNCTIONS[name_tok.text]
+        self.expect_op("(")
+        args = [self.expr()]
+        while self.peek().kind == "op" and self.peek().text == ",":
+            self.advance()
+            args.append(self.expr())
+        self.expect_op(")")
+        assert len(args) == arity
+        return lambda X: impl(*[a(X) for a in args])
 
 
 def plain_expression(text, names, params=None):
-    """parse_expression over state-last closures, pwl on np.asarray."""
-    with mock.patch.dict(expressions._FUNCTIONS, {"pwl": (3, asarray_pwl)}):
-        fn = PlainParser(text, names, params or {}).parse()
+    """The plain parse of text as a callable of a state array."""
+    fn = PlainParser(names, params or {}).parse(text)
 
     def evaluate(X):
         X = np.asarray(X, dtype=float)
@@ -426,6 +503,53 @@ def test_parse_expression_equals_the_plain_parse(text):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert same_bits(new(x), old(x)), x.shape
+
+
+# ---- the float form of a parse against its array form ----
+
+# Every operator and built-in: x/0, x/-0, 0/0 and inf/inf; min and max with
+# NaN and with signed zeros in both argument orders (the grid supplies them
+# as x1 and x2 too); a zero-width ramp; a sign on zero; no variable at all.
+FORM_EXPRS = EXPRS + [
+    "x1 + x2", "x1 - x2", "x1 * x2", "x1 / x2", "x1 / x2 / x3", "x1 * x2 / x3 - x2 / x1 * x3",
+    "-x1", "+x1", "- -x1", "x1 - -x2",
+    "x1 ^ x2", "x1 ^ 2", "x1 ^ -2", "x1 ^ 3", "x1 ^ 0.5", "2 ^ x1", "x1 ^ x2 ^ x3", "-x1 ^ 2",
+    "sin(x1)", "cos(x1)", "exp(x1)", "tanh(x1)", "abs(x1)", "abs(-0)",
+    "min(x1, x2)", "min(x2, x1)", "max(x1, x2)", "max(x2, x1)",
+    "min(x1, nan)", "min(nan, x1)", "max(x1, nan)", "max(nan, x1)",
+    "min(x1, -0)", "min(-0, x1)", "max(x1, -0)", "max(-0, x1)", "min(0, -0)", "max(-0, 0)",
+    "hill(x1, 1, 4)", "hill(x1, 1, 2)", "hill(x1, x2, x3)", "hill(0, 1, 4)", "hill(-2, 1, 3)",
+    "pwl(x1, 0.25, 1.75)", "pwl(x1, 1.75, 0.25)", "pwl(x1, 2, 2)", "pwl(x1, x2, x3)",
+    "x1 / 0", "x1 / -0", "0 / 0", "inf / inf", "-0", "2 + 3 * 4 / 0", "inf - inf + x1",
+]
+FORM_PARAMS = {"a": 2.0, "inf": np.inf, "nan": np.nan}
+
+
+@pytest.mark.parametrize("text", FORM_EXPRS)
+def test_float_form_has_the_array_form_bytes(text):
+    """On each state of the grid, the float form on the state's list of
+    floats gives byte for byte what the array form gives on the state,
+    signed zeros and infinities included, and NaN where it gives NaN. Where
+    two NaNs meet, numpy's compiled add keeps the other operand's sign than
+    Python's, as a batch row's SIMD loop may, so a NaN reads as one NaN."""
+    array_form, float_form = _compile([text], ("x1", "x2", "x3"), FORM_PARAMS)
+    X = special_states()
+    with np.errstate(all="ignore"):
+        got = np.array([float_form(x.tolist()) for x in X], dtype=float)
+        want = np.array([array_form(x) for x in X], dtype=float)
+    assert same_bits_but_nan(got, want)
+
+
+def test_numpy_squares_with_the_bits_of_a_product():
+    """The float form's x^2 is x*x; the array form calls np.power(x, 2.0).
+    Both must have the same bytes, on arrays and on numpy scalars."""
+    rng = np.random.default_rng(2)
+    draws = rng.choice([-1.0, 1.0], 10**6) * 10.0 ** rng.uniform(-300.0, 300.0, 10**6)
+    x = np.concatenate([SPECIAL, np.nextafter(SPECIAL, np.inf), draws])
+    with np.errstate(all="ignore"):
+        assert same_bits(np.power(x, 2.0), x * x)
+        for v in np.concatenate([SPECIAL, draws[:1000]]):
+            assert same_bits(np.power(v, 2.0), float(v) * float(v))
 
 
 # ---- pwl ----
